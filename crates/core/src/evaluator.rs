@@ -91,11 +91,11 @@ impl<T: Value> Evaluator<T> {
         Self::with_plan(network.clone(), Arc::new(Plan::compile(network)), seed)
     }
 
-    /// Builds an evaluator that **borrows the session's cached plan** for
-    /// `network` (compiling into the cache on first use) instead of
-    /// recompiling, and derives its deterministic seed from the session's
-    /// seeding policy. This is the cheap way to pin a long-lived fast path
-    /// for one network inside a session-based program.
+    /// Builds an evaluator that **borrows the session's cached plan and
+    /// kernel** for `network` (compiling into the cache on first use)
+    /// instead of recompiling, and derives its deterministic seed from the
+    /// session's seeding policy. This is the cheap way to pin a long-lived
+    /// fast path for one network inside a session-based program.
     ///
     /// # Examples
     ///
@@ -106,9 +106,9 @@ impl<T: Value> Evaluator<T> {
     /// let x = Uncertain::normal(1.0, 1.0)?;
     /// let cond = x.gt(0.0); // Pr ≈ 0.84
     /// let mut session = Session::seeded(3);
-    /// session.pr(&cond, 0.5); // plan now cached
+    /// session.pr(&cond, 0.5); // kernel now cached
     /// let mut eval = Evaluator::from_session(&mut session, &cond);
-    /// assert_eq!(session.cache_stats().hits, 1, "evaluator reused the plan");
+    /// assert_eq!(session.cache_stats().hits, 1, "evaluator reused the entry");
     /// assert!(eval.decide(0.5));
     /// # Ok(())
     /// # }

@@ -11,7 +11,11 @@
 //!
 //! * a **plan cache** keyed by root [`NodeId`] — LRU with configurable
 //!   capacity, hit/miss/eviction counters ([`Session::cache_stats`]), and
-//!   explicit [`invalidate`](Session::invalidate)/[`clear_cache`](Session::clear_cache);
+//!   explicit [`invalidate`](Session::invalidate)/[`clear_cache`](Session::clear_cache).
+//!   A miss lowers the network to the columnar kernel tape first; the
+//!   closure [`Plan`] is compiled only when something runs it (a network
+//!   that does not lower, a single [`Session::sample`], or an
+//!   [`Evaluator`](crate::Evaluator) borrowing it);
 //! * the **RNG seeding policy** — seeded or entropy roots, with per-query
 //!   SplitMix64 substreams so every result is bitwise-reproducible *and*
 //!   thread-count-invariant;
@@ -22,8 +26,8 @@
 //! Root `NodeId` is a sound cache key because node ids are process-wide
 //! unique (never reused) and networks are immutable once built: a root id
 //! names exactly one DAG, shared sub-expressions included, forever. A
-//! cached plan can therefore never be stale — eviction exists purely to
-//! bound memory.
+//! cached kernel or plan can therefore never be stale — eviction exists
+//! purely to bound memory.
 //!
 //! The legacy [`Sampler`](crate::Sampler) is now a thin wrapper over a
 //! single-threaded `Session` in *sequential* seeding mode
@@ -62,12 +66,14 @@ const PAR_MIN_BATCH: usize = 1024;
 /// session ([`Session::rng`]) so it never collides with query substreams.
 const AUX_STREAM_INDEX: u64 = 0xA0A0_A0A0_A0A0_A0A0;
 
-/// Networks deeper than this are evaluated by the (bitwise-equivalent)
-/// tree-walk interpreter instead of a compiled plan. Compilation itself is
-/// work-stack driven and handles any depth, but *evaluating* a plan still
-/// nests one closure call per level, so a pathological chain tens of
-/// thousands of nodes deep would exhaust the stack at sample time. Only
-/// throughput differs on the fallback path, never values.
+/// On the closure path, networks deeper than this are evaluated by the
+/// (bitwise-equivalent) tree-walk interpreter instead of a compiled plan.
+/// Compilation itself is work-stack driven and handles any depth, but
+/// *evaluating* a plan still nests one closure call per level, so a
+/// pathological chain tens of thousands of nodes deep would exhaust the
+/// stack at sample time. The kernel needs no such bound: lowering is
+/// iterative and the tape runs flat, so a deep chain that lowers runs on
+/// the kernel. Only throughput differs on the fallback path, never values.
 const MAX_PLAN_DEPTH: usize = 2500;
 
 /// Longest root-to-leaf path of the *static* network (the part a plan
@@ -117,52 +123,43 @@ fn exact_summary(law: &ScalarLaw, n: usize) -> Result<Summary, StatsError> {
     Summary::from_parts(grid, law.mean, law.variance)
 }
 
-/// How a session evaluates one network's joint samples: the compiled plan
-/// in the common case, the equivalent tree-walk for networks too deep to
-/// compile safely.
+/// How a session evaluates one network's joint samples: the columnar
+/// kernel when the network lowers to the tape, otherwise the compiled
+/// closure plan, or the equivalent tree-walk for networks too deep to
+/// evaluate through nested plan closures.
 enum Exec<T> {
-    Plan {
-        plan: Arc<Plan<T>>,
-        /// The columnar twin of the plan, when every node lowers to the
-        /// instruction tape; batch queries prefer it.
-        kernel: Option<Arc<Kernel<T>>>,
-    },
+    Kernel(Arc<Kernel<T>>),
+    Plan(Arc<Plan<T>>),
     Tree(Uncertain<T>),
 }
 
 impl<T: Value> Exec<T> {
     fn install(&self, ctx: &mut SampleContext) {
-        if let Exec::Plan { plan, .. } = self {
+        if let Exec::Plan(plan) = self {
             plan.install(ctx);
         }
     }
 
-    /// One joint sample; the caller reseeds the context first.
+    /// One joint sample on the closure path; the caller reseeds the
+    /// context first. Kernel executors run whole columns instead, so
+    /// every caller dispatches them before reaching here.
     fn evaluate(&self, ctx: &mut SampleContext) -> T {
         match self {
-            Exec::Plan { plan, .. } => plan.evaluate(ctx),
+            Exec::Plan(plan) => plan.evaluate(ctx),
             Exec::Tree(u) => {
                 ctx.begin_joint_sample();
                 u.node().sample_value(ctx)
             }
+            Exec::Kernel(_) => unreachable!("kernel executors run column-wise"),
         }
     }
+}
 
-    /// The plan, if this executor can shard batches across workers.
-    fn plan(&self) -> Option<&Plan<T>> {
-        match self {
-            Exec::Plan { plan, .. } => Some(plan),
-            Exec::Tree(_) => None,
-        }
-    }
-
-    /// The columnar kernel, if the network lowered to one.
-    fn kernel(&self) -> Option<&Arc<Kernel<T>>> {
-        match self {
-            Exec::Plan { kernel, .. } => kernel.as_ref(),
-            Exec::Tree(_) => None,
-        }
-    }
+/// What a session has compiled for one network: the kernel tape when the
+/// network lowers, and the closure plan once something has needed it.
+struct Compiled<T> {
+    kernel: Option<Arc<Kernel<T>>>,
+    plan: Option<Arc<Plan<T>>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -254,19 +251,24 @@ impl QuerySeeds<'_> {
 
 /// Counters and occupancy of a session's plan cache.
 ///
+/// Each entry holds what the session compiled for one root: the kernel
+/// tape of a network that lowers (plus its closure plan once something
+/// has needed one), or the closure plan of a network that does not.
 /// Returned by [`Session::cache_stats`]; the hit/miss split is the direct
 /// observable for "is this workload reusing structure?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Queries answered from a cached plan.
+    /// Queries that found their network's entry in the cache (a plan
+    /// built on demand for a kernel-only entry still counts as a hit).
     pub hits: u64,
-    /// Queries that had to compile (including when caching is disabled).
+    /// Queries that found no entry and had to lower or compile the
+    /// network (including when caching is disabled).
     pub misses: u64,
-    /// Plans evicted to respect the capacity bound.
+    /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Plans currently cached.
+    /// Entries currently cached.
     pub entries: usize,
-    /// Maximum plans retained (`0` disables caching).
+    /// Maximum entries retained (`0` disables caching).
     pub capacity: usize,
 }
 
@@ -311,12 +313,12 @@ impl std::iter::Sum for CacheStats {
     }
 }
 
-/// One cached compiled plan (plus its columnar kernel, when the network
-/// lowered to one), type-erased so networks of any payload type share the
-/// cache.
+/// One root's cached [`Compiled`] forms, type-erased so networks of any
+/// payload type share the cache. An entry holds at least one of the two:
+/// the kernel of a network that lowers, the plan of one that does not.
 struct CacheEntry {
-    plan: Arc<dyn Any + Send + Sync>,
     kernel: Option<Arc<dyn Any + Send + Sync>>,
+    plan: Option<Arc<dyn Any + Send + Sync>>,
     last_used: u64,
 }
 
@@ -331,7 +333,7 @@ const NO_TAPE_MEMO_CAP: usize = 4096;
 /// no-tape memo: hitting the cap only re-pays one graph analysis per root.
 const EXACT_MEMO_CAP: usize = 4096;
 
-/// LRU plan cache keyed by root [`NodeId`].
+/// LRU cache of compiled kernels and plans, keyed by root [`NodeId`].
 struct PlanCache {
     entries: HashMap<NodeId, CacheEntry>,
     /// Roots known **not** to lower to a kernel tape. Node ids name
@@ -410,28 +412,43 @@ impl PlanCache {
         self.exact_f64.insert(id, verdict);
     }
 
-    /// The cached plan (and kernel, if any) for `id`, bumping the hit
-    /// counter and LRU stamp.
-    #[allow(clippy::type_complexity)]
-    fn lookup<T: Value>(&mut self, id: NodeId) -> Option<(Arc<Plan<T>>, Option<Arc<Kernel<T>>>)> {
+    /// The cached kernel and plan for `id`, bumping the hit counter and
+    /// LRU stamp.
+    fn lookup<T: Value>(&mut self, id: NodeId) -> Option<Compiled<T>> {
         self.tick += 1;
         let entry = self.entries.get_mut(&id)?;
-        // Node ids are globally unique and typed, so the downcast can only
-        // fail if identity were violated; recompile defensively then.
-        let plan = entry.plan.clone().downcast::<Plan<T>>().ok()?;
+        // Node ids are globally unique and typed, so a downcast can only
+        // fail if identity were violated; rebuild defensively then.
         let kernel = entry
             .kernel
             .clone()
             .and_then(|k| k.downcast::<Kernel<T>>().ok());
+        let plan = entry
+            .plan
+            .clone()
+            .and_then(|p| p.downcast::<Plan<T>>().ok());
         entry.last_used = self.tick;
         self.hits += 1;
-        Some((plan, kernel))
+        Some(Compiled { kernel, plan })
     }
 
-    /// Caches `plan` (and its kernel) under `id`, evicting the
-    /// least-recently-used entry at capacity. No-op when caching is
-    /// disabled.
-    fn store<T: Value>(&mut self, id: NodeId, plan: Arc<Plan<T>>, kernel: Option<Arc<Kernel<T>>>) {
+    /// Attaches `plan` to `id`'s entry, creating the entry when there is
+    /// none (a network that does not lower).
+    fn store_plan<T: Value>(&mut self, id: NodeId, plan: Arc<Plan<T>>) {
+        match self.entries.get_mut(&id) {
+            Some(entry) => entry.plan = Some(plan),
+            None => self.insert(id, None, Some(plan)),
+        }
+    }
+
+    /// Inserts a new entry under `id`, evicting the least-recently-used
+    /// entry at capacity. No-op when caching is disabled.
+    fn insert(
+        &mut self,
+        id: NodeId,
+        kernel: Option<Arc<dyn Any + Send + Sync>>,
+        plan: Option<Arc<dyn Any + Send + Sync>>,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -449,8 +466,8 @@ impl PlanCache {
         self.entries.insert(
             id,
             CacheEntry {
-                plan: plan as Arc<dyn Any + Send + Sync>,
-                kernel: kernel.map(|k| k as Arc<dyn Any + Send + Sync>),
+                kernel,
+                plan,
                 last_used: self.tick,
             },
         );
@@ -527,9 +544,10 @@ pub struct Session {
     /// option once per decision and once per batch.
     #[cfg(feature = "obs")]
     recorder: Option<Box<dyn Recorder>>,
-    /// Cumulative nanoseconds spent compiling plans on cache misses —
-    /// the "plan-compile" phase of a request, separable from sampling
-    /// time by diffing this counter around a query.
+    /// Cumulative nanoseconds spent compiling networks (kernel lowering,
+    /// the closure path's depth probe, plan compiles) — the compile phase
+    /// of a request, separable from sampling time by diffing this counter
+    /// around a query.
     #[cfg(feature = "obs")]
     plan_build_ns: u64,
     /// Which backend answered the most recent decision-family query
@@ -548,6 +566,11 @@ pub struct Session {
     /// tests; a memo hit must not re-attempt lowering).
     #[cfg(test)]
     lower_attempts: u64,
+    /// Closure-plan compiles (observability for the kernel-first tests; a
+    /// network that lowers must not compile a plan on the batch and
+    /// decision paths).
+    #[cfg(test)]
+    plan_compiles: u64,
     /// Analytic-recognition walks (observability for the exact-memo
     /// tests; a memo hit must not re-walk the graph).
     #[cfg(test)]
@@ -598,6 +621,8 @@ impl Session {
             f32_columns: false,
             #[cfg(test)]
             lower_attempts: 0,
+            #[cfg(test)]
+            plan_compiles: 0,
             #[cfg(test)]
             exact_analyses: 0,
         }
@@ -787,10 +812,13 @@ impl Session {
         self
     }
 
-    /// Cumulative nanoseconds this session has spent compiling evaluation
-    /// plans (cache misses only; hits never touch this). Diff the counter
-    /// around a query to attribute its plan-compile phase separately from
-    /// sampling — how the serving stack splits request spans.
+    /// Cumulative nanoseconds this session has spent compiling networks:
+    /// lowering the kernel tape on a cache miss and, on the closure path,
+    /// the depth probe and every plan compile — including a plan built on
+    /// demand for an entry that held only a kernel. A hit that needs
+    /// nothing built never touches this. Diff the counter around a query
+    /// to attribute its compile phase separately from sampling — how the
+    /// serving stack splits request spans.
     #[cfg(feature = "obs")]
     pub fn plan_build_ns(&self) -> u64 {
         self.plan_build_ns
@@ -808,15 +836,15 @@ impl Session {
         self.last_dispatch
     }
 
-    /// Drops the cached plan for the network rooted at `root`, if present.
-    /// Returns whether a plan was evicted. (Cached plans are never *stale*
-    /// — networks are immutable — so this is purely a memory-management
-    /// hook.)
+    /// Drops the cached entry (kernel, plan, or both) for the network
+    /// rooted at `root`, if present. Returns whether an entry was evicted.
+    /// (Cached entries are never *stale* — networks are immutable — so
+    /// this is purely a memory-management hook.)
     pub fn invalidate(&mut self, root: NodeId) -> bool {
         self.cache.entries.remove(&root).is_some()
     }
 
-    /// Drops every cached plan, keeping the counters.
+    /// Drops every cached entry, keeping the counters.
     pub fn clear_cache(&mut self) {
         self.cache.entries.clear();
     }
@@ -885,26 +913,40 @@ impl Session {
     ///
     /// This is the hook [`Evaluator::from_session`](crate::Evaluator::from_session)
     /// uses to borrow a plan instead of recompiling; it is public so callers
-    /// can pre-warm or inspect plans explicitly.
+    /// can pre-warm or inspect plans explicitly. A network that batch or
+    /// decision queries have cached holds only its kernel tape until the
+    /// first call here compiles the plan into the same entry.
     pub fn cached_plan<T: Value>(&mut self, u: &Uncertain<T>) -> Arc<Plan<T>> {
         self.cached_compiled(u).0
     }
 
-    /// [`Session::cached_plan`] plus the plan's columnar kernel (when the
-    /// network lowers to one) — the full compiled artifact an
+    /// [`Session::cached_plan`] plus the network's columnar kernel (when
+    /// it lowers to one) — the full compiled artifact an
     /// [`Evaluator`](crate::Evaluator) borrows.
-    #[allow(clippy::type_complexity)]
     pub(crate) fn cached_compiled<T: Value>(
         &mut self,
         u: &Uncertain<T>,
     ) -> (Arc<Plan<T>>, Option<Arc<Kernel<T>>>) {
-        if let Some((plan, kernel)) = self.cache.lookup::<T>(u.id()) {
-            return (plan, kernel);
-        }
-        self.cache.misses += 1;
-        let (plan, kernel) = self.timed_compile(u);
-        self.cache.store(u.id(), plan.clone(), kernel.clone());
+        let Compiled { kernel, plan } = self.compiled(u);
+        let plan = plan.unwrap_or_else(|| {
+            let plan = self.timed(|s| s.compile_plan(u));
+            self.cache.store_plan(u.id(), plan.clone());
+            plan
+        });
         (plan, kernel)
+    }
+
+    /// Runs `build`, charging its wall time to the session's compile
+    /// counter ([`Session::plan_build_ns`]) when the `obs` feature is on.
+    fn timed<R>(&mut self, build: impl FnOnce(&mut Self) -> R) -> R {
+        #[cfg(feature = "obs")]
+        let start = std::time::Instant::now();
+        let built = build(self);
+        #[cfg(feature = "obs")]
+        {
+            self.plan_build_ns += start.elapsed().as_nanos() as u64;
+        }
+        built
     }
 
     /// Lowers `u`'s kernel tape, honoring the session's column-precision
@@ -922,52 +964,83 @@ impl Session {
         Kernel::lower(u).map(Arc::new)
     }
 
-    /// Compiles `u`'s plan and lowers its kernel, charging the wall time
-    /// to the session's plan-build counter when the `obs` feature is on.
+    /// Compiles `u`'s closure plan. This is the one plan-compile entry
+    /// point, so the test-only compile counter sees every build.
+    fn compile_plan<T: Value>(&mut self, u: &Uncertain<T>) -> Arc<Plan<T>> {
+        #[cfg(test)]
+        {
+            self.plan_compiles += 1;
+        }
+        Arc::new(Plan::compile(u))
+    }
+
+    /// What the cache holds for `u`'s network. On a miss the network is
+    /// lowered to the kernel tape and, when it lowers, cached as a
+    /// kernel-only entry; no plan is compiled here.
     ///
     /// The "does not lower" verdict is memoized in the plan cache's
     /// persistent side table: closure-path networks whose plans churn
     /// through LRU eviction pay the futile lowering walk once, not on
     /// every recompile.
-    #[allow(clippy::type_complexity)]
-    fn timed_compile<T: Value>(
-        &mut self,
-        u: &Uncertain<T>,
-    ) -> (Arc<Plan<T>>, Option<Arc<Kernel<T>>>) {
-        #[cfg(feature = "obs")]
-        let start = std::time::Instant::now();
-        let plan = Arc::new(Plan::compile(u));
+    fn compiled<T: Value>(&mut self, u: &Uncertain<T>) -> Compiled<T> {
+        if let Some(found) = self.cache.lookup::<T>(u.id()) {
+            return found;
+        }
+        self.cache.misses += 1;
         let kernel = if self.cache.known_no_tape(u.id()) {
             None
         } else {
-            let kernel = self.lower_kernel(u);
-            if kernel.is_none() {
-                self.cache.note_no_tape(u.id());
+            let kernel = self.timed(|s| s.lower_kernel(u));
+            match &kernel {
+                Some(k) => self.cache.insert(u.id(), Some(k.clone()), None),
+                None => self.cache.note_no_tape(u.id()),
             }
             kernel
         };
-        #[cfg(feature = "obs")]
-        {
-            self.plan_build_ns += start.elapsed().as_nanos() as u64;
-        }
-        (plan, kernel)
+        Compiled { kernel, plan: None }
     }
 
-    /// The executor for `u`: the cached plan in the common case, a fresh
-    /// compile on miss, or the equivalent tree-walk when the network is too
-    /// deep to evaluate through nested plan closures without risking the
-    /// stack.
+    /// The executor for `u`'s batches and decisions: the kernel whenever
+    /// the network lowers, otherwise the closure path.
     fn executor<T: Value>(&mut self, u: &Uncertain<T>) -> Exec<T> {
-        if let Some((plan, kernel)) = self.cache.lookup::<T>(u.id()) {
-            return Exec::Plan { plan, kernel };
+        let Compiled { kernel, plan } = self.compiled(u);
+        match kernel {
+            Some(kernel) => Exec::Kernel(kernel),
+            None => self.closure_executor(u, plan),
         }
-        self.cache.misses += 1;
-        if network_depth(u) > MAX_PLAN_DEPTH {
-            return Exec::Tree(u.clone());
+    }
+
+    /// The closure-path executor for `u`: `plan` when the cache held one,
+    /// otherwise a fresh compile stored into `u`'s entry — or the
+    /// tree-walk, never cached, when the network is too deep for nested
+    /// plan closures.
+    fn closure_executor<T: Value>(
+        &mut self,
+        u: &Uncertain<T>,
+        plan: Option<Arc<Plan<T>>>,
+    ) -> Exec<T> {
+        if let Some(plan) = plan {
+            return Exec::Plan(plan);
         }
-        let (plan, kernel) = self.timed_compile(u);
-        self.cache.store(u.id(), plan.clone(), kernel.clone());
-        Exec::Plan { plan, kernel }
+        let exec = self.compile_closure(u);
+        if let Exec::Plan(plan) = &exec {
+            self.cache.store_plan(u.id(), plan.clone());
+        }
+        exec
+    }
+
+    /// Compiles `u`'s closure plan, or picks the equivalent tree-walk when
+    /// the network is deeper than [`MAX_PLAN_DEPTH`] — the depth probe and
+    /// the compile both charged to [`Session::plan_build_ns`]. Leaves the
+    /// cache alone.
+    fn compile_closure<T: Value>(&mut self, u: &Uncertain<T>) -> Exec<T> {
+        self.timed(|s| {
+            if network_depth(u) > MAX_PLAN_DEPTH {
+                Exec::Tree(u.clone())
+            } else {
+                Exec::Plan(s.compile_plan(u))
+            }
+        })
     }
 
     /// One seed drawn from the session's policy as its own query — used to
@@ -1050,8 +1123,9 @@ impl Session {
     // -- queries ----------------------------------------------------------
 
     /// Draws `n` joint samples of `exec` as one query. Shards across the
-    /// worker pool when the executor is a plan, the seeding policy is
-    /// index-based, and the batch is large enough to amortize spawning.
+    /// worker pool when the executor is a kernel or plan, the seeding
+    /// policy is index-based, and the batch is large enough to amortize
+    /// spawning.
     fn draw<T: Value>(&mut self, exec: &Exec<T>, n: usize) -> Vec<T> {
         self.joint_samples += n as u64;
         let threads = self.threads;
@@ -1059,15 +1133,16 @@ impl Session {
         let mut q = self.seeds.begin_query();
         if threads > 1 && n >= PAR_MIN_BATCH {
             if let Some(substream) = q.shardable() {
-                if let Some(k) = exec.kernel() {
-                    return kernel::sharded_batch(k, substream, 0, n, threads);
-                }
-                if let Some(plan) = exec.plan() {
-                    return sample_batch_sharded(plan, substream, 0, n, threads);
+                match exec {
+                    Exec::Kernel(k) => return kernel::sharded_batch(k, substream, 0, n, threads),
+                    Exec::Plan(plan) => {
+                        return sample_batch_sharded(plan, substream, 0, n, threads)
+                    }
+                    Exec::Tree(_) => {}
                 }
             }
         }
-        if let Some(k) = exec.kernel() {
+        if let Exec::Kernel(k) = exec {
             // Serial columnar path. Seeds still come off the query stream
             // one by one (a sequential-policy stream is order-dependent),
             // collected a chunk at a time so the tape runs column-wise
@@ -1095,8 +1170,13 @@ impl Session {
     }
 
     /// Draws one joint sample of the network rooted at `u`.
+    ///
+    /// Single draws always run on the closure path (the plan, compiled on
+    /// demand), so the opt-in reduced-precision kernel columns can never
+    /// change them.
     pub fn sample<T: Value>(&mut self, u: &Uncertain<T>) -> T {
-        let exec = self.executor(u);
+        let plan = self.compiled(u).plan;
+        let exec = self.closure_executor(u, plan);
         self.joint_samples += 1;
         let seed = self.seeds.derive_seed();
         exec.install(&mut self.ctx);
@@ -1365,7 +1445,7 @@ impl Session {
         let ctx = &mut self.ctx;
         let mut q = self.seeds.begin_query();
         let mut drawn = 0usize;
-        let outcome = if let Some(k) = exec.kernel().cloned() {
+        let outcome = if let Exec::Kernel(k) = &exec {
             // Columnar decision loop: one reused register file and bool
             // buffer across every batch of this decision, successes
             // counted straight off the root column.
@@ -1542,7 +1622,8 @@ impl Session {
     /// Returns `None` if the evidence never fired in `n` samples.
     ///
     /// The zipped pair is a fresh root per call, so it is deliberately
-    /// compiled outside the plan cache rather than polluting it.
+    /// lowered (or, when it does not lower, compiled) outside the plan
+    /// cache rather than polluting it.
     ///
     /// # Panics
     ///
@@ -1555,14 +1636,9 @@ impl Session {
     ) -> Option<f64> {
         assert!(n > 0, "probability estimate needs at least one sample");
         let joint = cond.zip(evidence);
-        let exec = if network_depth(&joint) > MAX_PLAN_DEPTH {
-            Exec::Tree(joint)
-        } else {
-            let kernel = self.lower_kernel(&joint);
-            Exec::Plan {
-                plan: Arc::new(Plan::compile(&joint)),
-                kernel,
-            }
+        let exec = match self.timed(|s| s.lower_kernel(&joint)) {
+            Some(kernel) => Exec::Kernel(kernel),
+            None => self.compile_closure(&joint),
         };
         let mut evidence_hits = 0u64;
         let mut both_hits = 0u64;
@@ -1792,22 +1868,126 @@ mod tests {
         let _ = Session::install_ambient(previous);
     }
 
-    #[test]
-    fn very_deep_networks_fall_back_to_the_tree_walk() {
-        // Evaluating a compiled plan nests closures to the network depth;
-        // a session must survive pathological chains by tree-walking them
-        // instead (the two paths are bitwise identical).
-        let x = Uncertain::point(1.0);
+    /// A chain `x + x + … + x` of `len` additions over one shared leaf:
+    /// deeper than [`MAX_PLAN_DEPTH`] for `len` in the thousands.
+    fn deep_chain(x: &Uncertain<f64>, len: usize) -> Uncertain<f64> {
         let mut expr = x.clone();
-        for _ in 0..3000 {
-            expr = expr + &x;
+        for _ in 0..len {
+            expr = expr + x;
         }
-        let mut s = Session::seeded(14);
-        assert_eq!(s.sample(&expr), 3001.0);
-        assert_eq!(s.samples(&expr, 3), vec![3001.0; 3]);
+        expr
+    }
+
+    #[test]
+    fn very_deep_lowerable_chains_run_on_the_kernel() {
+        // Lowering is iterative and the tape runs flat, so a chain too
+        // deep for nested plan closures still lowers: it is cached and
+        // runs on the kernel, drawing the tree-walk's bits.
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let expr = deep_chain(&x, 3000);
+        assert!(network_depth(&expr) > MAX_PLAN_DEPTH);
+        let mut s = Session::sequential(14);
+        let mut reference = Session::sequential(14);
+        let interpreted: Vec<f64> = (0..8)
+            .map(|_| reference.sample_interpreted(&expr))
+            .collect();
+        assert_eq!(s.samples(&expr, 5), interpreted[..5]);
+        assert_eq!(s.samples(&expr, 3), interpreted[5..]);
+        // Single draws stay on the closure path, which tree-walks a chain
+        // this deep — same bits again.
+        assert_eq!(s.sample(&expr), reference.sample_interpreted(&expr));
+        let stats = s.cache_stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 2));
+        assert_eq!(
+            s.plan_compiles, 0,
+            "too deep to plan, and the kernel needs none"
+        );
+        #[cfg(feature = "obs")]
+        {
+            s.evaluate(&expr.gt(0.0), 0.5);
+            assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
+        }
+    }
+
+    #[test]
+    fn very_deep_chains_that_do_not_lower_fall_back_to_the_tree_walk() {
+        // Over a `flat_map` leaf the chain has no tape; evaluating a plan
+        // would nest closures to the network depth, so a session must
+        // tree-walk it instead, never caching it.
+        let x = Uncertain::normal(0.0, 1.0)
+            .unwrap()
+            .flat_map("double", |v| Uncertain::point(2.0 * v));
+        let expr = deep_chain(&x, 3000);
+        let mut s = Session::sequential(15);
+        let mut reference = Session::sequential(15);
+        let interpreted: Vec<f64> = (0..4)
+            .map(|_| reference.sample_interpreted(&expr))
+            .collect();
+        assert_eq!(s.samples(&expr, 3), interpreted[..3]);
+        assert_eq!(s.sample(&expr), interpreted[3]);
         let stats = s.cache_stats();
         assert_eq!(stats.entries, 0, "too deep to plan-cache");
         assert_eq!(stats.hits, 0);
+        assert_eq!(s.lower_attempts, 1, "the no-tape verdict is memoized");
+        assert_eq!(s.plan_compiles, 0);
+        #[cfg(feature = "obs")]
+        {
+            s.evaluate(&expr.gt(0.0), 0.5);
+            assert_eq!(s.last_dispatch(), Some(Dispatch::Closure));
+        }
+    }
+
+    #[test]
+    fn lowerable_roots_compile_no_plan_on_the_hot_path() {
+        let (expr, cond) = ten_node_network();
+        let evidence = expr.lt(6.0);
+        let mut s = Session::seeded(40);
+        s.evaluate(&cond, 0.5);
+        s.e(&expr, 100);
+        s.samples(&evidence, 10);
+        s.probability_given(&cond, &evidence, 200);
+        s.evaluate(&cond, 0.5);
+        assert_eq!(
+            s.plan_compiles, 0,
+            "batches and decisions run on the kernel"
+        );
+        assert_eq!(s.lower_attempts, 4, "three roots plus the zipped pair");
+        #[cfg(feature = "obs")]
+        assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
+
+        // An evaluator borrows the plan: compiled once into the cached
+        // entry beside the kernel, then reused.
+        let lowered = s.lower_attempts;
+        let _first = crate::Evaluator::from_session(&mut s, &cond);
+        assert_eq!(s.plan_compiles, 1);
+        let _second = crate::Evaluator::from_session(&mut s, &cond);
+        assert_eq!(s.plan_compiles, 1, "the second evaluator reuses the plan");
+        assert_eq!(s.lower_attempts, lowered, "the kernel came from the cache");
+        assert_eq!(s.cache_stats().misses, 3);
+    }
+
+    #[test]
+    fn non_lowerable_roots_compile_one_plan_per_cache_residency() {
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let posterior = x.weight_by(|v| (-v * v).exp());
+        let other = Uncertain::normal(1.0, 1.0).unwrap();
+        let mut s = Session::seeded(41).with_cache_capacity(1);
+        for _ in 0..3 {
+            s.e(&posterior, 50);
+        }
+        assert_eq!((s.plan_compiles, s.lower_attempts), (1, 1));
+        assert_eq!(s.cache_stats().hits, 2);
+        for round in 1..=3 {
+            s.e(&other, 50); // capacity 1: evicts the posterior's plan
+            s.e(&posterior, 50);
+            s.e(&posterior, 50);
+            assert_eq!(s.plan_compiles, 1 + round, "one recompile per eviction");
+            assert_eq!(
+                s.lower_attempts,
+                1 + round,
+                "only `other` lowers; the no-tape memo skips the posterior"
+            );
+        }
     }
 
     #[test]
