@@ -82,7 +82,7 @@ fn bench_evaluator_vs_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("100-node chain, one joint sample");
     group.bench_function("Session tree-walk (fresh context)", |bencher| {
         let mut s = Session::seeded(4);
-        bencher.iter(|| black_box(s.sample_interpreted(&expr)));
+        bencher.iter(|| black_box(s.sample(&expr)));
     });
     group.bench_function("Evaluator (reused context)", |bencher| {
         let mut e = Evaluator::new(&expr, 4);

@@ -32,7 +32,7 @@ fn bench_single_sample(c: &mut Criterion) {
         let expr = network(n);
         group.bench_with_input(BenchmarkId::new("tree-walk", n), &expr, |bencher, e| {
             let mut s = Session::seeded(1);
-            bencher.iter(|| black_box(s.sample_interpreted(e)));
+            bencher.iter(|| black_box(s.sample(e)));
         });
         group.bench_with_input(BenchmarkId::new("plan", n), &expr, |bencher, e| {
             let mut eval = Evaluator::new(e, 1);

@@ -35,7 +35,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use uncertain_bench::{header, scaled};
-use uncertain_core::{Session, Uncertain};
+use uncertain_core::{Plan, Session, Uncertain};
 use uncertain_obs::{
     monotonic_ns, AttrValue, FlightConfig, FlightRecorder, RequestTrace, SpanEvent, TraceBuilder,
     TraceContext, TraceLog,
@@ -127,8 +127,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expr = network(n);
 
     // Hooks compiled in, dormant: what every default build pays.
+    let nodes = Plan::compile(&expr).slot_count();
     let mut disabled = Session::seeded(1);
-    let nodes = disabled.cached_plan(&expr).slot_count();
     let (disabled_ns, mut checksum) = measure(&mut disabled, &expr, reps, iters);
 
     // Hooks live: every decision appends a full LLR trajectory.
@@ -149,7 +149,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0);
     let mut dormant = Session::seeded(1);
-    dormant.cached_plan(&expr);
     for _ in 0..iters / 10 + 1 {
         checksum += dormant.pr(&expr, 0.5) as usize;
     }
@@ -172,7 +171,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flight = FlightRecorder::new(FlightConfig::default());
     let traced_log = TraceLog::new();
     let mut traced = Session::seeded(1).with_recorder(traced_log.clone());
-    traced.cached_plan(&expr);
     for _ in 0..iters / 10 + 1 {
         checksum += traced.pr(&expr, 0.5) as usize;
     }

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut checksum = 0usize;
         let tree_ns = median_ns(reps, iters, |k| {
             for _ in 0..k {
-                checksum += session.sample_interpreted(&expr) as usize;
+                checksum += session.sample(&expr) as usize;
             }
         });
         let plan_ns = median_ns(reps, iters, |k| {

@@ -18,7 +18,7 @@
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
-use uncertain_core::{Session, Uncertain};
+use uncertain_core::{Plan, Session, Uncertain};
 
 // The workload must stay line-for-line identical to `bench_obs`'s copy in
 // crates/bench/src/bin/bench_obs.rs: the same network family as
@@ -76,10 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stamp = SystemTime::now().duration_since(UNIX_EPOCH)?.as_secs();
 
         let expr = network(n);
+        let nodes = Plan::compile(&expr).slot_count();
         let mut session = Session::seeded(1);
-        let nodes = session.cached_plan(&expr).slot_count();
         let mut checksum = 0usize;
-        // Warm the plan cache and the branch predictors before timing.
+        // Warm the kernel cache and the branch predictors before timing.
         for _ in 0..iters / 10 + 1 {
             checksum += session.pr(&expr, 0.5) as usize;
         }

@@ -1,15 +1,16 @@
 //! A reusable evaluator for one network — the paper's "compile at the
 //! conditional" fast path, made literal.
 //!
-//! [`Sampler`](crate::Sampler) tree-walks the network with a fresh
-//! evaluation context per joint sample, which is the right default for
-//! one-off queries. A conditional, however, samples the *same* network tens
-//! to hundreds of times (§4.3); an [`Evaluator`] compiles the network once
-//! into a [`Plan`] — dense slot indices instead of a `NodeId` hash map, a
-//! flat reusable arena instead of per-sample boxing — and reuses one
-//! context across samples. This is the practical payoff of the paper's
-//! observation that "the runtime … much like a JIT, compiles those
-//! expression trees to executable code at conditionals."
+//! A single [`Session::sample`] tree-walks the network, probing a
+//! `NodeId` hash map and boxing every node's value, which is the right
+//! default for one-off draws. A conditional, however, samples the *same*
+//! network tens to hundreds of times (§4.3); an [`Evaluator`] compiles the
+//! network once into a [`Plan`] — dense slot indices instead of a
+//! `NodeId` hash map, a flat reusable arena instead of per-sample boxing —
+//! and reuses one context across samples, while its batches run on the
+//! columnar kernel whenever the network lowers. This is the practical
+//! payoff of the paper's observation that "the runtime … much like a JIT,
+//! compiles those expression trees to executable code at conditionals."
 
 use crate::condition::{EvalConfig, EvalStrategy, HypothesisOutcome, Provenance};
 use crate::context::SampleContext;
@@ -91,11 +92,13 @@ impl<T: Value> Evaluator<T> {
         Self::with_plan(network.clone(), Arc::new(Plan::compile(network)), seed)
     }
 
-    /// Builds an evaluator that **borrows the session's cached plan and
-    /// kernel** for `network` (compiling into the cache on first use)
-    /// instead of recompiling, and derives its deterministic seed from the
-    /// session's seeding policy. This is the cheap way to pin a long-lived
-    /// fast path for one network inside a session-based program.
+    /// Builds an evaluator that **borrows the session's cached kernel** for
+    /// `network` (lowering it into the cache on first use) instead of
+    /// re-lowering, compiles its own plan for the continuous
+    /// [`Evaluator::sample`] stream, and derives its deterministic seed
+    /// from the session's seeding policy. This is the cheap way to pin a
+    /// long-lived fast path for one network inside a session-based
+    /// program.
     ///
     /// # Examples
     ///
@@ -114,8 +117,9 @@ impl<T: Value> Evaluator<T> {
     /// # }
     /// ```
     pub fn from_session(session: &mut Session, network: &Uncertain<T>) -> Self {
-        let (plan, kernel) = session.cached_compiled(network);
+        let kernel = session.cached_kernel(network);
         let seed = session.derive_seed();
+        let plan = Arc::new(Plan::compile(network));
         Self::with_parts(network.clone(), plan, kernel, seed)
     }
 

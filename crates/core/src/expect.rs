@@ -135,7 +135,7 @@ impl Uncertain<f64> {
     /// session with workers: [`Session::with_threads`] shards large
     /// batches with the same per-index seeding, so
     /// `Session::seeded(seed).with_threads(threads)` gives the same
-    /// determinism guarantees through the cached-plan path.
+    /// determinism guarantees through the session's cached kernels.
     ///
     /// # Panics
     ///

@@ -30,7 +30,7 @@
 //! # Quick start
 //!
 //! Queries run inside a [`Session`] — the evaluation runtime that caches
-//! compiled plans across calls, owns the seeding policy, and shards large
+//! compiled kernels across calls, owns the seeding policy, and shards large
 //! sample batches across worker threads:
 //!
 //! ```
@@ -54,7 +54,7 @@
 //! let e = session.e(&c, 1000);
 //! assert!((e - 9.0).abs() < 0.2);
 //!
-//! // Re-deciding the same conditional reuses its cached evaluation plan.
+//! // Re-deciding the same conditional reuses its cached kernel.
 //! assert!(session.is_probable(&over_five));
 //! assert!(session.cache_stats().hits >= 1);
 //! # Ok(())

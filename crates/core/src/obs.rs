@@ -83,7 +83,8 @@ pub enum Dispatch {
     Exact,
     /// The columnar SSA kernel drove the SPRT sample loop.
     Kernel,
-    /// The compiled closure plan drove the SPRT sample loop.
+    /// The tree-walk interpreter drove the SPRT sample loop, because the
+    /// network does not lower to the kernel tape.
     Closure,
 }
 

@@ -171,13 +171,15 @@ pub(crate) fn sample_seed(root_seed: u64, index: u64) -> u64 {
 }
 
 /// Draws joint samples `start .. start + n` of the deterministic stream
-/// rooted at `seed`, sharded across `threads` scoped workers. Sample `i`'s
-/// RNG is seeded by [`sample_seed`]`(seed, i)`, so the output is a pure
-/// function of `(seed, start, n)` — bitwise identical for any thread
-/// count. Shared by [`ParSampler`] and the session runtime's batched
-/// queries.
+/// rooted at `seed`, sharded across `threads` scoped workers. Each worker
+/// reuses one context from `new_context`; sample `i` reseeds it with
+/// [`sample_seed`]`(seed, i)` and draws through `evaluate`, so the output
+/// is a pure function of `(seed, start, n)` — bitwise identical for any
+/// thread count. Shared by [`ParSampler`] (a plan) and the session
+/// runtime's tree-walk batches.
 pub(crate) fn sample_batch_sharded<T: Value>(
-    plan: &Plan<T>,
+    new_context: impl Fn() -> SampleContext + Sync,
+    evaluate: impl Fn(&mut SampleContext) -> T + Sync,
     seed: u64,
     start: u64,
     n: usize,
@@ -192,11 +194,12 @@ pub(crate) fn sample_batch_sharded<T: Value>(
     std::thread::scope(|scope| {
         for (w, chunk) in out.chunks_mut(chunk_len).enumerate() {
             let base = start + (w * chunk_len) as u64;
+            let (new_context, evaluate) = (&new_context, &evaluate);
             scope.spawn(move || {
-                let mut ctx = plan.new_context();
+                let mut ctx = new_context();
                 for (j, cell) in chunk.iter_mut().enumerate() {
                     ctx.reseed(sample_seed(seed, base + j as u64));
-                    *cell = Some(plan.evaluate(&mut ctx));
+                    *cell = Some(evaluate(&mut ctx));
                 }
             });
         }
@@ -408,7 +411,15 @@ impl<T: Value> ParSampler<T> {
     pub fn sample_batch(&mut self, n: usize) -> Vec<T> {
         let start = self.cursor;
         self.cursor += n as u64;
-        sample_batch_sharded(&self.plan, self.seed, start, n, self.threads)
+        let plan = &self.plan;
+        sample_batch_sharded(
+            || plan.new_context(),
+            |ctx| plan.evaluate(ctx),
+            self.seed,
+            start,
+            n,
+            self.threads,
+        )
     }
 }
 

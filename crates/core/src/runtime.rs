@@ -1,21 +1,22 @@
-//! The session evaluation runtime: cross-call plan caching, seeding
+//! The session evaluation runtime: cross-call kernel caching, seeding
 //! policy, and batched-sampling workers behind one handle.
 //!
-//! A [`Plan`](crate::Plan) makes *one* query on *one* pinned network fast,
-//! but the paper's programs ask the **same structural question thousands of
+//! The paper's programs ask the **same structural question thousands of
 //! times**: GPS-Walking re-decides its speed conditional on every fix,
-//! SensorLife re-tests liveness for every cell of every generation. Before
-//! this module, every `pr`/`expected_value`/`histogram` call site recompiled
-//! its plan from scratch. A [`Session`] owns everything those call sites
-//! were rebuilding per call:
+//! SensorLife re-tests liveness for every cell of every generation. A
+//! [`Session`] owns everything those call sites would otherwise rebuild
+//! per call:
 //!
-//! * a **plan cache** keyed by root [`NodeId`] — LRU with configurable
-//!   capacity, hit/miss/eviction counters ([`Session::cache_stats`]), and
-//!   explicit [`invalidate`](Session::invalidate)/[`clear_cache`](Session::clear_cache).
-//!   A miss lowers the network to the columnar kernel tape first; the
-//!   closure [`Plan`] is compiled only when something runs it (a network
-//!   that does not lower, a single [`Session::sample`], or an
-//!   [`Evaluator`](crate::Evaluator) borrowing it);
+//! * a **plan cache** of columnar kernel tapes keyed by root [`NodeId`] —
+//!   LRU with configurable capacity, hit/miss/eviction counters
+//!   ([`Session::cache_stats`]), and explicit
+//!   [`invalidate`](Session::invalidate)/[`clear_cache`](Session::clear_cache).
+//!   A miss lowers the network to the tape. A network the tape cannot
+//!   express (`flat_map`, `weight_by`, `condition_on`, `encapsulate`)
+//!   never becomes an entry: its queries, like every single
+//!   [`Session::sample`], run on the tree-walk reference interpreter, and
+//!   its "does not lower" verdict is memoized so the failed lowering walk
+//!   is paid once per root;
 //! * the **RNG seeding policy** — seeded or entropy roots, with per-query
 //!   SplitMix64 substreams so every result is bitwise-reproducible *and*
 //!   thread-count-invariant;
@@ -26,15 +27,15 @@
 //! Root `NodeId` is a sound cache key because node ids are process-wide
 //! unique (never reused) and networks are immutable once built: a root id
 //! names exactly one DAG, shared sub-expressions included, forever. A
-//! cached kernel or plan can therefore never be stale — eviction exists
-//! purely to bound memory.
+//! cached kernel can therefore never be stale — eviction exists purely to
+//! bound memory.
 //!
 //! The legacy [`Sampler`](crate::Sampler) is now a thin wrapper over a
 //! single-threaded `Session` in *sequential* seeding mode
 //! ([`Session::sequential`]), which reproduces the historical per-sample
 //! seed stream bit for bit — every seeded experiment in this repository
 //! produces the same numbers it always did, while transparently gaining the
-//! plan cache.
+//! kernel cache.
 
 use crate::condition::{EvalConfig, EvalStrategy, HypothesisOutcome, Provenance, StatsOutcome};
 use crate::context::SampleContext;
@@ -44,7 +45,7 @@ use crate::kernel::{self, Kernel, KERNEL_CHUNK};
 use crate::node::{NodeId, NodeInfo};
 #[cfg(feature = "obs")]
 use crate::obs::{DecisionTrace, Dispatch, Recorder, StoppingReason, TracePoint};
-use crate::plan::{sample_batch_sharded, sample_seed, Plan};
+use crate::plan::{sample_batch_sharded, sample_seed};
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -55,7 +56,7 @@ use std::fmt;
 use std::sync::Arc;
 use uncertain_stats::{Histogram, SequentialTest, StatsError, Summary, TestDecision};
 
-/// Default number of plans the cache retains before evicting.
+/// Default number of kernels a session's cache retains before evicting.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// Below this many samples a query stays on the calling thread even when
@@ -65,49 +66,6 @@ const PAR_MIN_BATCH: usize = 1024;
 /// Index used to derive the auxiliary raw-RNG stream of a substream
 /// session ([`Session::rng`]) so it never collides with query substreams.
 const AUX_STREAM_INDEX: u64 = 0xA0A0_A0A0_A0A0_A0A0;
-
-/// On the closure path, networks deeper than this are evaluated by the
-/// (bitwise-equivalent) tree-walk interpreter instead of a compiled plan.
-/// Compilation itself is work-stack driven and handles any depth, but
-/// *evaluating* a plan still nests one closure call per level, so a
-/// pathological chain tens of thousands of nodes deep would exhaust the
-/// stack at sample time. The kernel needs no such bound: lowering is
-/// iterative and the tape runs flat, so a deep chain that lowers runs on
-/// the kernel. Only throughput differs on the fallback path, never values.
-const MAX_PLAN_DEPTH: usize = 2500;
-
-/// Longest root-to-leaf path of the *static* network (the part a plan
-/// would compile), computed iteratively so the probe itself never
-/// recurses.
-fn network_depth<T: Value>(u: &Uncertain<T>) -> usize {
-    let root: Arc<dyn NodeInfo> = u.node().clone();
-    let mut depth: HashMap<NodeId, usize> = HashMap::new();
-    let mut stack: Vec<(Arc<dyn NodeInfo>, bool)> = vec![(root.clone(), false)];
-    while let Some((node, expanded)) = stack.pop() {
-        let id = node.id();
-        if depth.contains_key(&id) {
-            continue;
-        }
-        if expanded {
-            let d = 1 + node
-                .children()
-                .iter()
-                .filter_map(|c| depth.get(&c.id()))
-                .copied()
-                .max()
-                .unwrap_or(0);
-            depth.insert(id, d);
-        } else {
-            stack.push((node.clone(), true));
-            for child in node.children() {
-                if !depth.contains_key(&child.id()) {
-                    stack.push((child, false));
-                }
-            }
-        }
-    }
-    depth.get(&root.id()).copied().unwrap_or(0)
-}
 
 /// Synthesizes an exact [`Summary`] from a Gaussian scalar law: `n`
 /// observations placed at the law's mid-quantiles `(i + ½)/n` (a monotone
@@ -124,42 +82,18 @@ fn exact_summary(law: &ScalarLaw, n: usize) -> Result<Summary, StatsError> {
 }
 
 /// How a session evaluates one network's joint samples: the columnar
-/// kernel when the network lowers to the tape, otherwise the compiled
-/// closure plan, or the equivalent tree-walk for networks too deep to
-/// evaluate through nested plan closures.
+/// kernel when the network lowers to the tape, otherwise the tree-walk
+/// reference interpreter.
 enum Exec<T> {
     Kernel(Arc<Kernel<T>>),
-    Plan(Arc<Plan<T>>),
     Tree(Uncertain<T>),
 }
 
-impl<T: Value> Exec<T> {
-    fn install(&self, ctx: &mut SampleContext) {
-        if let Exec::Plan(plan) = self {
-            plan.install(ctx);
-        }
-    }
-
-    /// One joint sample on the closure path; the caller reseeds the
-    /// context first. Kernel executors run whole columns instead, so
-    /// every caller dispatches them before reaching here.
-    fn evaluate(&self, ctx: &mut SampleContext) -> T {
-        match self {
-            Exec::Plan(plan) => plan.evaluate(ctx),
-            Exec::Tree(u) => {
-                ctx.begin_joint_sample();
-                u.node().sample_value(ctx)
-            }
-            Exec::Kernel(_) => unreachable!("kernel executors run column-wise"),
-        }
-    }
-}
-
-/// What a session has compiled for one network: the kernel tape when the
-/// network lowers, and the closure plan once something has needed it.
-struct Compiled<T> {
-    kernel: Option<Arc<Kernel<T>>>,
-    plan: Option<Arc<Plan<T>>>,
+/// One joint sample of `u` through the tree-walk interpreter; the caller
+/// reseeds `ctx` first.
+fn tree_walk<T: Value>(u: &Uncertain<T>, ctx: &mut SampleContext) -> T {
+    ctx.begin_joint_sample();
+    u.node().sample_value(ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -251,22 +185,22 @@ impl QuerySeeds<'_> {
 
 /// Counters and occupancy of a session's plan cache.
 ///
-/// Each entry holds what the session compiled for one root: the kernel
-/// tape of a network that lowers (plus its closure plan once something
-/// has needed one), or the closure plan of a network that does not.
-/// Returned by [`Session::cache_stats`]; the hit/miss split is the direct
-/// observable for "is this workload reusing structure?".
+/// Each entry holds the kernel tape of one root network. A network that
+/// does not lower never becomes an entry, so every batch or decision
+/// query on it counts as a miss. Returned by [`Session::cache_stats`];
+/// the hit/miss split is the direct observable for "is this workload
+/// reusing structure?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Queries that found their network's entry in the cache (a plan
-    /// built on demand for a kernel-only entry still counts as a hit).
+    /// Queries that found their network's kernel in the cache.
     pub hits: u64,
-    /// Queries that found no entry and had to lower or compile the
-    /// network (including when caching is disabled).
+    /// Queries that found no kernel: the network was lowered, or it does
+    /// not lower and ran on the tree-walk (including when caching is
+    /// disabled).
     pub misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Entries currently cached.
+    /// Kernels currently cached.
     pub entries: usize,
     /// Maximum entries retained (`0` disables caching).
     pub capacity: usize,
@@ -313,12 +247,10 @@ impl std::iter::Sum for CacheStats {
     }
 }
 
-/// One root's cached [`Compiled`] forms, type-erased so networks of any
-/// payload type share the cache. An entry holds at least one of the two:
-/// the kernel of a network that lowers, the plan of one that does not.
+/// One root's cached kernel, type-erased so networks of any payload type
+/// share the cache.
 struct CacheEntry {
-    kernel: Option<Arc<dyn Any + Send + Sync>>,
-    plan: Option<Arc<dyn Any + Send + Sync>>,
+    kernel: Arc<dyn Any + Send + Sync>,
     last_used: u64,
 }
 
@@ -333,19 +265,18 @@ const NO_TAPE_MEMO_CAP: usize = 4096;
 /// no-tape memo: hitting the cap only re-pays one graph analysis per root.
 const EXACT_MEMO_CAP: usize = 4096;
 
-/// LRU cache of compiled kernels and plans, keyed by root [`NodeId`].
+/// LRU cache of lowered kernels, keyed by root [`NodeId`].
 struct PlanCache {
     entries: HashMap<NodeId, CacheEntry>,
     /// Roots known **not** to lower to a kernel tape. Node ids name
-    /// immutable DAGs, so this verdict can never go stale — and unlike
-    /// `entries` it is *not* evicted with the LRU: a closure-path tenant
-    /// whose plan churns in and out of the cache pays the (futile)
-    /// lowering walk once, not once per eviction.
+    /// immutable DAGs, so this verdict can never go stale. Such roots never
+    /// become entries, so this memo is what keeps a tree-walk tenant from
+    /// repeating the (futile) lowering walk on every query.
     no_tape: HashSet<NodeId>,
     /// Analytic verdicts for boolean roots: `Some(law)` when the graph
     /// reduced to a closed form, `None` when the analyzer declined. Like
     /// `no_tape`, immune to LRU eviction — node ids name immutable DAGs,
-    /// so a verdict can never go stale, and a root whose *plan* churns
+    /// so a verdict can never go stale, and a root whose *kernel* churns
     /// out of the cache keeps its (possibly negative) analysis verdict.
     exact_bool: HashMap<NodeId, Option<BoolLaw>>,
     /// Analytic verdicts for scalar roots, same lifecycle as `exact_bool`.
@@ -412,43 +343,21 @@ impl PlanCache {
         self.exact_f64.insert(id, verdict);
     }
 
-    /// The cached kernel and plan for `id`, bumping the hit counter and
-    /// LRU stamp.
-    fn lookup<T: Value>(&mut self, id: NodeId) -> Option<Compiled<T>> {
+    /// The cached kernel for `id`, bumping the hit counter and LRU stamp.
+    fn lookup<T: Value>(&mut self, id: NodeId) -> Option<Arc<Kernel<T>>> {
         self.tick += 1;
         let entry = self.entries.get_mut(&id)?;
         // Node ids are globally unique and typed, so a downcast can only
-        // fail if identity were violated; rebuild defensively then.
-        let kernel = entry
-            .kernel
-            .clone()
-            .and_then(|k| k.downcast::<Kernel<T>>().ok());
-        let plan = entry
-            .plan
-            .clone()
-            .and_then(|p| p.downcast::<Plan<T>>().ok());
+        // fail if identity were violated; re-lower defensively then.
+        let kernel = entry.kernel.clone().downcast::<Kernel<T>>().ok()?;
         entry.last_used = self.tick;
         self.hits += 1;
-        Some(Compiled { kernel, plan })
-    }
-
-    /// Attaches `plan` to `id`'s entry, creating the entry when there is
-    /// none (a network that does not lower).
-    fn store_plan<T: Value>(&mut self, id: NodeId, plan: Arc<Plan<T>>) {
-        match self.entries.get_mut(&id) {
-            Some(entry) => entry.plan = Some(plan),
-            None => self.insert(id, None, Some(plan)),
-        }
+        Some(kernel)
     }
 
     /// Inserts a new entry under `id`, evicting the least-recently-used
     /// entry at capacity. No-op when caching is disabled.
-    fn insert(
-        &mut self,
-        id: NodeId,
-        kernel: Option<Arc<dyn Any + Send + Sync>>,
-        plan: Option<Arc<dyn Any + Send + Sync>>,
-    ) {
+    fn insert(&mut self, id: NodeId, kernel: Arc<dyn Any + Send + Sync>) {
         if self.capacity == 0 {
             return;
         }
@@ -467,7 +376,6 @@ impl PlanCache {
             id,
             CacheEntry {
                 kernel,
-                plan,
                 last_used: self.tick,
             },
         );
@@ -495,12 +403,16 @@ thread_local! {
 /// The evaluation runtime for `Uncertain<T>` queries: plan cache + seeding
 /// policy + batching workers, in one reusable handle.
 ///
-/// Every query (`pr`, `e`, `stats`, `histogram`, …) routes through the
-/// session's plan cache: asking the same structural question twice compiles
-/// once. A session is also the unit of reproducibility — a seeded session
-/// answers an identical call sequence with identical bits, regardless of
-/// its worker count — and the unit you shard in a multi-tenant evaluation
-/// service (one session per shard, no shared mutable state).
+/// Every batch and decision query (`pr`, `e`, `stats`, `histogram`, …) on
+/// a network that lowers runs on its columnar kernel tape, cached by root:
+/// asking the same structural question twice lowers once. A network the
+/// tape cannot express runs on the tree-walk reference interpreter,
+/// uncached, and so does every single draw ([`Session::sample`]). Both
+/// executors draw the same bits. A session is also the unit of
+/// reproducibility — a seeded session answers an identical call sequence
+/// with identical bits, regardless of its worker count — and the unit you
+/// shard in a multi-tenant evaluation service (one session per shard, no
+/// shared mutable state).
 ///
 /// # Examples
 ///
@@ -544,16 +456,15 @@ pub struct Session {
     /// option once per decision and once per batch.
     #[cfg(feature = "obs")]
     recorder: Option<Box<dyn Recorder>>,
-    /// Cumulative nanoseconds spent compiling networks (kernel lowering,
-    /// the closure path's depth probe, plan compiles) — the compile phase
-    /// of a request, separable from sampling time by diffing this counter
-    /// around a query.
+    /// Cumulative nanoseconds spent lowering networks to kernel tapes —
+    /// the compile phase of a request, separable from sampling time by
+    /// diffing this counter around a query.
     #[cfg(feature = "obs")]
     plan_build_ns: u64,
     /// Which backend answered the most recent decision-family query
     /// ([`Session::last_dispatch`]). One enum store per decision — cheap
     /// enough to track unconditionally under `obs`, so request tracing
-    /// can attribute kernel-vs-closure-vs-exact dispatch without
+    /// can attribute kernel-vs-tree-walk-vs-exact dispatch without
     /// installing a recorder.
     #[cfg(feature = "obs")]
     last_dispatch: Option<Dispatch>,
@@ -566,11 +477,6 @@ pub struct Session {
     /// tests; a memo hit must not re-attempt lowering).
     #[cfg(test)]
     lower_attempts: u64,
-    /// Closure-plan compiles (observability for the kernel-first tests; a
-    /// network that lowers must not compile a plan on the batch and
-    /// decision paths).
-    #[cfg(test)]
-    plan_compiles: u64,
     /// Analytic-recognition walks (observability for the exact-memo
     /// tests; a memo hit must not re-walk the graph).
     #[cfg(test)]
@@ -621,8 +527,6 @@ impl Session {
             f32_columns: false,
             #[cfg(test)]
             lower_attempts: 0,
-            #[cfg(test)]
-            plan_compiles: 0,
             #[cfg(test)]
             exact_analyses: 0,
         }
@@ -719,7 +623,7 @@ impl Session {
     }
 
     /// Returns the session with the given plan-cache capacity. `0`
-    /// disables caching (every query compiles — the baseline the
+    /// disables caching (every query lowers its network — the baseline the
     /// `bench_session` binary compares against).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache = PlanCache::new(capacity);
@@ -773,7 +677,7 @@ impl Session {
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// let coin = Uncertain::bernoulli(0.9)?;
     /// let mut session = Session::seeded(7);
-    /// session.pr(&coin, 0.5); // first decision compiles: one miss
+    /// session.pr(&coin, 0.5); // first decision lowers: one miss
     /// session.pr(&coin, 0.5); // re-decision reuses it:   one hit
     /// let stats = session.cache_stats();
     /// assert_eq!((stats.misses, stats.hits), (1, 1));
@@ -812,11 +716,10 @@ impl Session {
         self
     }
 
-    /// Cumulative nanoseconds this session has spent compiling networks:
-    /// lowering the kernel tape on a cache miss and, on the closure path,
-    /// the depth probe and every plan compile — including a plan built on
-    /// demand for an entry that held only a kernel. A hit that needs
-    /// nothing built never touches this. Diff the counter around a query
+    /// Cumulative nanoseconds this session has spent lowering networks to
+    /// kernel tapes on cache misses, failed walks over networks that do
+    /// not lower included. A hit, and a query on a root already known not
+    /// to lower, never touch this. Diff the counter around a query
     /// to attribute its compile phase separately from sampling — how the
     /// serving stack splits request spans.
     #[cfg(feature = "obs")]
@@ -826,8 +729,8 @@ impl Session {
 
     /// Which backend answered the session's most recent decision-family
     /// query ([`Session::evaluate`], [`Session::pr`], …): the analytic
-    /// backend, the columnar kernel, or the closure plan. `None` until
-    /// the first decision.
+    /// backend, the columnar kernel, or the tree-walk interpreter
+    /// ([`Dispatch::Closure`]). `None` until the first decision.
     ///
     /// Purely observational — reading it never perturbs the sample
     /// stream; the serve layer attaches it to request spans.
@@ -836,8 +739,8 @@ impl Session {
         self.last_dispatch
     }
 
-    /// Drops the cached entry (kernel, plan, or both) for the network
-    /// rooted at `root`, if present. Returns whether an entry was evicted.
+    /// Drops the cached kernel for the network rooted at `root`, if
+    /// present. Returns whether an entry was evicted.
     /// (Cached entries are never *stale* — networks are immutable — so
     /// this is purely a memory-management hook.)
     pub fn invalidate(&mut self, root: NodeId) -> bool {
@@ -875,7 +778,7 @@ impl Session {
     /// `Session::seeded(s)` would have after `q` queries.
     ///
     /// Only the seeding stream is positioned; the plan cache starts cold
-    /// (plans are recompiled on demand, which changes throughput, never
+    /// (kernels are re-lowered on demand, which changes throughput, never
     /// values).
     ///
     /// # Panics
@@ -909,33 +812,6 @@ impl Session {
         self.seeds.raw_rng()
     }
 
-    /// The cached compiled plan for `u`'s network, compiling on first use.
-    ///
-    /// This is the hook [`Evaluator::from_session`](crate::Evaluator::from_session)
-    /// uses to borrow a plan instead of recompiling; it is public so callers
-    /// can pre-warm or inspect plans explicitly. A network that batch or
-    /// decision queries have cached holds only its kernel tape until the
-    /// first call here compiles the plan into the same entry.
-    pub fn cached_plan<T: Value>(&mut self, u: &Uncertain<T>) -> Arc<Plan<T>> {
-        self.cached_compiled(u).0
-    }
-
-    /// [`Session::cached_plan`] plus the network's columnar kernel (when
-    /// it lowers to one) — the full compiled artifact an
-    /// [`Evaluator`](crate::Evaluator) borrows.
-    pub(crate) fn cached_compiled<T: Value>(
-        &mut self,
-        u: &Uncertain<T>,
-    ) -> (Arc<Plan<T>>, Option<Arc<Kernel<T>>>) {
-        let Compiled { kernel, plan } = self.compiled(u);
-        let plan = plan.unwrap_or_else(|| {
-            let plan = self.timed(|s| s.compile_plan(u));
-            self.cache.store_plan(u.id(), plan.clone());
-            plan
-        });
-        (plan, kernel)
-    }
-
     /// Runs `build`, charging its wall time to the session's compile
     /// counter ([`Session::plan_build_ns`]) when the `obs` feature is on.
     fn timed<R>(&mut self, build: impl FnOnce(&mut Self) -> R) -> R {
@@ -964,83 +840,37 @@ impl Session {
         Kernel::lower(u).map(Arc::new)
     }
 
-    /// Compiles `u`'s closure plan. This is the one plan-compile entry
-    /// point, so the test-only compile counter sees every build.
-    fn compile_plan<T: Value>(&mut self, u: &Uncertain<T>) -> Arc<Plan<T>> {
-        #[cfg(test)]
-        {
-            self.plan_compiles += 1;
-        }
-        Arc::new(Plan::compile(u))
-    }
-
-    /// What the cache holds for `u`'s network. On a miss the network is
-    /// lowered to the kernel tape and, when it lowers, cached as a
-    /// kernel-only entry; no plan is compiled here.
+    /// The cached kernel for `u`'s network, lowering it on a miss; `None`
+    /// when the network does not lower. Used by batch and decision
+    /// queries and by [`Evaluator::from_session`](crate::Evaluator::from_session).
     ///
     /// The "does not lower" verdict is memoized in the plan cache's
-    /// persistent side table: closure-path networks whose plans churn
-    /// through LRU eviction pay the futile lowering walk once, not on
-    /// every recompile.
-    fn compiled<T: Value>(&mut self, u: &Uncertain<T>) -> Compiled<T> {
-        if let Some(found) = self.cache.lookup::<T>(u.id()) {
-            return found;
+    /// persistent side table: such a root never becomes an entry, so
+    /// without the memo every query on it would repeat the futile
+    /// lowering walk.
+    pub(crate) fn cached_kernel<T: Value>(&mut self, u: &Uncertain<T>) -> Option<Arc<Kernel<T>>> {
+        if let Some(kernel) = self.cache.lookup::<T>(u.id()) {
+            return Some(kernel);
         }
         self.cache.misses += 1;
-        let kernel = if self.cache.known_no_tape(u.id()) {
-            None
-        } else {
-            let kernel = self.timed(|s| s.lower_kernel(u));
-            match &kernel {
-                Some(k) => self.cache.insert(u.id(), Some(k.clone()), None),
-                None => self.cache.note_no_tape(u.id()),
-            }
-            kernel
-        };
-        Compiled { kernel, plan: None }
+        if self.cache.known_no_tape(u.id()) {
+            return None;
+        }
+        let kernel = self.timed(|s| s.lower_kernel(u));
+        match &kernel {
+            Some(k) => self.cache.insert(u.id(), k.clone()),
+            None => self.cache.note_no_tape(u.id()),
+        }
+        kernel
     }
 
     /// The executor for `u`'s batches and decisions: the kernel whenever
-    /// the network lowers, otherwise the closure path.
+    /// the network lowers, otherwise the tree-walk.
     fn executor<T: Value>(&mut self, u: &Uncertain<T>) -> Exec<T> {
-        let Compiled { kernel, plan } = self.compiled(u);
-        match kernel {
+        match self.cached_kernel(u) {
             Some(kernel) => Exec::Kernel(kernel),
-            None => self.closure_executor(u, plan),
+            None => Exec::Tree(u.clone()),
         }
-    }
-
-    /// The closure-path executor for `u`: `plan` when the cache held one,
-    /// otherwise a fresh compile stored into `u`'s entry — or the
-    /// tree-walk, never cached, when the network is too deep for nested
-    /// plan closures.
-    fn closure_executor<T: Value>(
-        &mut self,
-        u: &Uncertain<T>,
-        plan: Option<Arc<Plan<T>>>,
-    ) -> Exec<T> {
-        if let Some(plan) = plan {
-            return Exec::Plan(plan);
-        }
-        let exec = self.compile_closure(u);
-        if let Exec::Plan(plan) = &exec {
-            self.cache.store_plan(u.id(), plan.clone());
-        }
-        exec
-    }
-
-    /// Compiles `u`'s closure plan, or picks the equivalent tree-walk when
-    /// the network is deeper than [`MAX_PLAN_DEPTH`] — the depth probe and
-    /// the compile both charged to [`Session::plan_build_ns`]. Leaves the
-    /// cache alone.
-    fn compile_closure<T: Value>(&mut self, u: &Uncertain<T>) -> Exec<T> {
-        self.timed(|s| {
-            if network_depth(u) > MAX_PLAN_DEPTH {
-                Exec::Tree(u.clone())
-            } else {
-                Exec::Plan(s.compile_plan(u))
-            }
-        })
     }
 
     /// One seed drawn from the session's policy as its own query — used to
@@ -1123,9 +953,8 @@ impl Session {
     // -- queries ----------------------------------------------------------
 
     /// Draws `n` joint samples of `exec` as one query. Shards across the
-    /// worker pool when the executor is a kernel or plan, the seeding
-    /// policy is index-based, and the batch is large enough to amortize
-    /// spawning.
+    /// worker pool when the seeding policy is index-based and the batch is
+    /// large enough to amortize spawning.
     fn draw<T: Value>(&mut self, exec: &Exec<T>, n: usize) -> Vec<T> {
         self.joint_samples += n as u64;
         let threads = self.threads;
@@ -1133,77 +962,68 @@ impl Session {
         let mut q = self.seeds.begin_query();
         if threads > 1 && n >= PAR_MIN_BATCH {
             if let Some(substream) = q.shardable() {
-                match exec {
-                    Exec::Kernel(k) => return kernel::sharded_batch(k, substream, 0, n, threads),
-                    Exec::Plan(plan) => {
-                        return sample_batch_sharded(plan, substream, 0, n, threads)
-                    }
-                    Exec::Tree(_) => {}
+                return match exec {
+                    Exec::Kernel(k) => kernel::sharded_batch(k, substream, 0, n, threads),
+                    Exec::Tree(u) => sample_batch_sharded(
+                        || SampleContext::from_seed(0),
+                        |ctx| tree_walk(u, ctx),
+                        substream,
+                        0,
+                        n,
+                        threads,
+                    ),
+                };
+            }
+        }
+        match exec {
+            Exec::Kernel(k) => {
+                // Serial columnar path. Seeds still come off the query
+                // stream one by one (a sequential-policy stream is
+                // order-dependent), collected a chunk at a time so the
+                // tape runs column-wise over bounded buffers.
+                let mut out = Vec::with_capacity(n);
+                let mut state = k.new_state();
+                let mut seeds: Vec<u64> = Vec::with_capacity(KERNEL_CHUNK.min(n));
+                let mut done = 0;
+                while done < n {
+                    let take = KERNEL_CHUNK.min(n - done);
+                    seeds.clear();
+                    seeds.extend((0..take).map(|_| q.next()));
+                    k.run_into(&seeds, &mut state, &mut out);
+                    done += take;
                 }
+                out
             }
+            Exec::Tree(u) => (0..n)
+                .map(|_| {
+                    ctx.reseed(q.next());
+                    tree_walk(u, ctx)
+                })
+                .collect(),
         }
-        if let Exec::Kernel(k) = exec {
-            // Serial columnar path. Seeds still come off the query stream
-            // one by one (a sequential-policy stream is order-dependent),
-            // collected a chunk at a time so the tape runs column-wise
-            // over bounded buffers.
-            let mut out = Vec::with_capacity(n);
-            let mut state = k.new_state();
-            let mut seeds: Vec<u64> = Vec::with_capacity(KERNEL_CHUNK.min(n));
-            let mut done = 0;
-            while done < n {
-                let take = KERNEL_CHUNK.min(n - done);
-                seeds.clear();
-                seeds.extend((0..take).map(|_| q.next()));
-                k.run_into(&seeds, &mut state, &mut out);
-                done += take;
-            }
-            return out;
-        }
-        exec.install(ctx);
-        (0..n)
-            .map(|_| {
-                ctx.reseed(q.next());
-                exec.evaluate(ctx)
-            })
-            .collect()
     }
 
-    /// Draws one joint sample of the network rooted at `u`.
+    /// Draws one joint sample of the network rooted at `u` through the
+    /// tree-walk interpreter — the reference semantics the kernel and
+    /// every compiled [`Plan`](crate::Plan) reproduce bitwise.
     ///
-    /// Single draws always run on the closure path (the plan, compiled on
-    /// demand), so the opt-in reduced-precision kernel columns can never
-    /// change them.
+    /// Consumes one seed from the session's stream, like a one-sample
+    /// [`Session::samples`] query, and draws the same value; the plan
+    /// cache is left alone. So a single draw never lowers a network, and
+    /// the opt-in reduced-precision kernel columns can never change it.
+    /// Repeated draws of one network belong on [`Session::samples`] or an
+    /// [`Evaluator`](crate::Evaluator).
     pub fn sample<T: Value>(&mut self, u: &Uncertain<T>) -> T {
-        let plan = self.compiled(u).plan;
-        let exec = self.closure_executor(u, plan);
         self.joint_samples += 1;
         let seed = self.seeds.derive_seed();
-        exec.install(&mut self.ctx);
         self.ctx.reseed(seed);
-        exec.evaluate(&mut self.ctx)
+        tree_walk(u, &mut self.ctx)
     }
 
     /// Draws `n` joint samples of the network rooted at `u`.
     pub fn samples<T: Value>(&mut self, u: &Uncertain<T>, n: usize) -> Vec<T> {
         let exec = self.executor(u);
         self.draw(&exec, n)
-    }
-
-    /// One joint sample through the uncompiled tree-walk interpreter — the
-    /// reference semantics every compiled [`Plan`] must reproduce bitwise.
-    ///
-    /// Consumes one seed from the session's stream exactly like
-    /// [`Session::sample`], so seeded experiments may interleave the two
-    /// forms freely; only throughput differs. The plan cache is bypassed
-    /// entirely. Exposed for equivalence tests and the interpreter-vs-plan
-    /// benchmarks.
-    pub fn sample_interpreted<T: Value>(&mut self, u: &Uncertain<T>) -> T {
-        let exec = Exec::Tree(u.clone());
-        self.joint_samples += 1;
-        let seed = self.seeds.derive_seed();
-        self.ctx.reseed(seed);
-        exec.evaluate(&mut self.ctx)
     }
 
     /// The paper's `E` operator: the mean of `n` joint samples — or the
@@ -1445,75 +1265,77 @@ impl Session {
         let ctx = &mut self.ctx;
         let mut q = self.seeds.begin_query();
         let mut drawn = 0usize;
-        let outcome = if let Exec::Kernel(k) = &exec {
-            // Columnar decision loop: one reused register file and bool
-            // buffer across every batch of this decision, successes
-            // counted straight off the root column.
-            #[cfg(feature = "obs")]
-            {
-                self.last_dispatch = Some(Dispatch::Kernel);
+        let outcome = match &exec {
+            Exec::Kernel(k) => {
+                // Columnar decision loop: one reused register file and bool
+                // buffer across every batch of this decision, successes
+                // counted straight off the root column.
+                #[cfg(feature = "obs")]
+                {
+                    self.last_dispatch = Some(Dispatch::Kernel);
+                }
+                let mut state = k.new_state();
+                let mut seeds: Vec<u64> = Vec::new();
+                let mut batch: Vec<bool> = Vec::new();
+                test.run_counted_while(
+                    |take| {
+                        drawn += take;
+                        batch.clear();
+                        let mut done = 0;
+                        while done < take {
+                            let chunk = KERNEL_CHUNK.min(take - done);
+                            seeds.clear();
+                            seeds.extend((0..chunk).map(|_| q.next()));
+                            k.run_into(&seeds, &mut state, &mut batch);
+                            done += chunk;
+                        }
+                        let successes = batch.iter().filter(|&&b| b).count() as u64;
+                        #[cfg(feature = "obs")]
+                        if tracing {
+                            traced_successes += successes;
+                            points.push(TracePoint {
+                                samples: drawn,
+                                successes: traced_successes,
+                                llr: test
+                                    .sprt()
+                                    .log_likelihood_ratio(traced_successes, drawn as u64),
+                            });
+                        }
+                        successes
+                    },
+                    keep_going,
+                )
             }
-            let mut state = k.new_state();
-            let mut seeds: Vec<u64> = Vec::new();
-            let mut batch: Vec<bool> = Vec::new();
-            test.run_counted_while(
-                |take| {
-                    drawn += take;
-                    batch.clear();
-                    let mut done = 0;
-                    while done < take {
-                        let chunk = KERNEL_CHUNK.min(take - done);
-                        seeds.clear();
-                        seeds.extend((0..chunk).map(|_| q.next()));
-                        k.run_into(&seeds, &mut state, &mut batch);
-                        done += chunk;
-                    }
-                    let successes = batch.iter().filter(|&&b| b).count() as u64;
-                    #[cfg(feature = "obs")]
-                    if tracing {
-                        traced_successes += successes;
-                        points.push(TracePoint {
-                            samples: drawn,
-                            successes: traced_successes,
-                            llr: test
-                                .sprt()
-                                .log_likelihood_ratio(traced_successes, drawn as u64),
-                        });
-                    }
-                    successes
-                },
-                keep_going,
-            )
-        } else {
-            #[cfg(feature = "obs")]
-            {
-                self.last_dispatch = Some(Dispatch::Closure);
+            Exec::Tree(u) => {
+                #[cfg(feature = "obs")]
+                {
+                    self.last_dispatch = Some(Dispatch::Closure);
+                }
+                test.run_batched_while(
+                    |k| {
+                        drawn += k;
+                        let batch: Vec<bool> = (0..k)
+                            .map(|_| {
+                                ctx.reseed(q.next());
+                                tree_walk(u, ctx)
+                            })
+                            .collect();
+                        #[cfg(feature = "obs")]
+                        if tracing {
+                            traced_successes += batch.iter().filter(|&&b| b).count() as u64;
+                            points.push(TracePoint {
+                                samples: drawn,
+                                successes: traced_successes,
+                                llr: test
+                                    .sprt()
+                                    .log_likelihood_ratio(traced_successes, drawn as u64),
+                            });
+                        }
+                        batch
+                    },
+                    keep_going,
+                )
             }
-            exec.install(ctx);
-            test.run_batched_while(
-                |k| {
-                    drawn += k;
-                    let batch: Vec<bool> = (0..k)
-                        .map(|_| {
-                            ctx.reseed(q.next());
-                            exec.evaluate(ctx)
-                        })
-                        .collect();
-                    #[cfg(feature = "obs")]
-                    if tracing {
-                        traced_successes += batch.iter().filter(|&&b| b).count() as u64;
-                        points.push(TracePoint {
-                            samples: drawn,
-                            successes: traced_successes,
-                            llr: test
-                                .sprt()
-                                .log_likelihood_ratio(traced_successes, drawn as u64),
-                        });
-                    }
-                    batch
-                },
-                keep_going,
-            )
         };
         // Aborted tests still drew their completed batches; count them.
         self.joint_samples += drawn as u64;
@@ -1622,7 +1444,7 @@ impl Session {
     /// Returns `None` if the evidence never fired in `n` samples.
     ///
     /// The zipped pair is a fresh root per call, so it is deliberately
-    /// lowered (or, when it does not lower, compiled) outside the plan
+    /// lowered (or, when it does not lower, tree-walked) outside the plan
     /// cache rather than polluting it.
     ///
     /// # Panics
@@ -1638,7 +1460,7 @@ impl Session {
         let joint = cond.zip(evidence);
         let exec = match self.timed(|s| s.lower_kernel(&joint)) {
             Some(kernel) => Exec::Kernel(kernel),
-            None => self.compile_closure(&joint),
+            None => Exec::Tree(joint),
         };
         let mut evidence_hits = 0u64;
         let mut both_hits = 0u64;
@@ -1717,15 +1539,62 @@ mod tests {
 
     #[test]
     fn interpreted_samples_match_planned_samples() {
+        // A sequential stream spends one seed per joint sample, so a
+        // 50-sample kernel batch and 50 single tree-walk draws consume the
+        // same seeds.
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let expr = (&x + &x) * &x;
-        let mut a = Session::seeded(31);
-        let mut b = Session::seeded(31);
-        let planned: Vec<f64> = (0..50).map(|_| a.sample(&expr)).collect();
-        let interpreted: Vec<f64> = (0..50).map(|_| b.sample_interpreted(&expr)).collect();
-        assert_eq!(planned, interpreted);
-        assert_eq!(b.cache_stats().misses, 0, "interpreter bypasses the cache");
+        let mut a = Session::sequential(31);
+        let mut b = Session::sequential(31);
+        let batched = a.samples(&expr, 50);
+        let interpreted: Vec<f64> = (0..50).map(|_| b.sample(&expr)).collect();
+        assert_eq!(batched, interpreted);
+        assert_eq!(b.cache_stats().misses, 0, "single draws bypass the cache");
         assert_eq!(b.joint_samples(), 50);
+    }
+
+    #[test]
+    fn single_draws_skip_the_cache_and_match_one_row_batches() {
+        let (expr, _) = ten_node_network();
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let posterior = x.weight_by(|v| (-v * v).exp());
+        let mut single = Session::sequential(42);
+        let mut batched = Session::sequential(42);
+        for _ in 0..20 {
+            assert_eq!(single.sample(&expr), batched.samples(&expr, 1)[0]);
+            assert_eq!(single.sample(&posterior), batched.samples(&posterior, 1)[0]);
+        }
+        assert_eq!(
+            single.cache_stats(),
+            Session::sequential(42).cache_stats(),
+            "single draws leave every cache counter untouched"
+        );
+        assert_eq!(single.lower_attempts, 0, "a single draw never lowers");
+        assert_eq!(single.joint_samples(), batched.joint_samples());
+        let stats = batched.cache_stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 19, 21));
+    }
+
+    #[test]
+    fn tree_walk_batches_shard_without_changing_values() {
+        // `weight_by` does not lower, so a seeded multi-worker session
+        // shards this batch through the tree-walk.
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let posterior = x.weight_by(|v| (-v * v).exp());
+        let n = 1500;
+        assert!(n >= PAR_MIN_BATCH, "large enough to shard");
+        let mut serial = Session::seeded(43).with_threads(1);
+        let mut sharded = Session::seeded(43).with_threads(8);
+        for _ in 0..2 {
+            let a = serial.samples(&posterior, n);
+            let b = sharded.samples(&posterior, n);
+            assert_eq!(a.len(), n);
+            assert!(
+                a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()),
+                "sharding must not change a single bit"
+            );
+        }
+        assert_eq!(sharded.lower_attempts, 1, "the no-tape verdict is memoized");
     }
 
     #[test]
@@ -1761,12 +1630,12 @@ mod tests {
         let y = Uncertain::normal(1.0, 1.0).unwrap();
         let z = Uncertain::normal(2.0, 1.0).unwrap();
         let mut s = Session::seeded(5).with_cache_capacity(2);
-        s.sample(&x); // miss {x}
-        s.sample(&y); // miss {x, y}
-        s.sample(&x); // hit (x now most recent)
-        s.sample(&z); // miss; evicts y
+        s.samples(&x, 1); // miss {x}
+        s.samples(&y, 1); // miss {x, y}
+        s.samples(&x, 1); // hit (x now most recent)
+        s.samples(&z, 1); // miss; evicts y
         assert_eq!(s.cache_stats().evictions, 1);
-        s.sample(&y); // miss again (was evicted)
+        s.samples(&y, 1); // miss again (was evicted)
         let stats = s.cache_stats();
         assert_eq!(stats.misses, 4);
         assert_eq!(stats.hits, 1);
@@ -1791,8 +1660,8 @@ mod tests {
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let y = Uncertain::normal(1.0, 1.0).unwrap();
         let mut s = Session::seeded(2);
-        s.sample(&x);
-        s.sample(&y);
+        s.samples(&x, 1);
+        s.samples(&y, 1);
         assert_eq!(s.cache_stats().entries, 2);
         assert!(s.invalidate(x.id()));
         assert!(!s.invalidate(x.id()), "already gone");
@@ -1868,8 +1737,7 @@ mod tests {
         let _ = Session::install_ambient(previous);
     }
 
-    /// A chain `x + x + … + x` of `len` additions over one shared leaf:
-    /// deeper than [`MAX_PLAN_DEPTH`] for `len` in the thousands.
+    /// A chain `x + x + … + x` of `len` additions over one shared leaf.
     fn deep_chain(x: &Uncertain<f64>, len: usize) -> Uncertain<f64> {
         let mut expr = x.clone();
         for _ in 0..len {
@@ -1880,28 +1748,21 @@ mod tests {
 
     #[test]
     fn very_deep_lowerable_chains_run_on_the_kernel() {
-        // Lowering is iterative and the tape runs flat, so a chain too
-        // deep for nested plan closures still lowers: it is cached and
-        // runs on the kernel, drawing the tree-walk's bits.
+        // Lowering is iterative and the tape runs flat, so a 3 001-node
+        // chain lowers: it is cached and runs on the kernel, drawing the
+        // tree-walk's bits.
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let expr = deep_chain(&x, 3000);
-        assert!(network_depth(&expr) > MAX_PLAN_DEPTH);
         let mut s = Session::sequential(14);
         let mut reference = Session::sequential(14);
-        let interpreted: Vec<f64> = (0..8)
-            .map(|_| reference.sample_interpreted(&expr))
-            .collect();
+        let interpreted: Vec<f64> = (0..8).map(|_| reference.sample(&expr)).collect();
         assert_eq!(s.samples(&expr, 5), interpreted[..5]);
         assert_eq!(s.samples(&expr, 3), interpreted[5..]);
-        // Single draws stay on the closure path, which tree-walks a chain
-        // this deep — same bits again.
-        assert_eq!(s.sample(&expr), reference.sample_interpreted(&expr));
+        // A single draw tree-walks the chain and skips the cache — same
+        // bits again.
+        assert_eq!(s.sample(&expr), reference.sample(&expr));
         let stats = s.cache_stats();
-        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 2));
-        assert_eq!(
-            s.plan_compiles, 0,
-            "too deep to plan, and the kernel needs none"
-        );
+        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 1));
         #[cfg(feature = "obs")]
         {
             s.evaluate(&expr.gt(0.0), 0.5);
@@ -1911,25 +1772,24 @@ mod tests {
 
     #[test]
     fn very_deep_chains_that_do_not_lower_fall_back_to_the_tree_walk() {
-        // Over a `flat_map` leaf the chain has no tape; evaluating a plan
-        // would nest closures to the network depth, so a session must
-        // tree-walk it instead, never caching it.
+        // Over a `flat_map` leaf the chain has no tape, so a session
+        // tree-walks it, never caching it.
         let x = Uncertain::normal(0.0, 1.0)
             .unwrap()
             .flat_map("double", |v| Uncertain::point(2.0 * v));
         let expr = deep_chain(&x, 3000);
         let mut s = Session::sequential(15);
         let mut reference = Session::sequential(15);
-        let interpreted: Vec<f64> = (0..4)
-            .map(|_| reference.sample_interpreted(&expr))
-            .collect();
+        let interpreted: Vec<f64> = (0..4).map(|_| reference.sample(&expr)).collect();
         assert_eq!(s.samples(&expr, 3), interpreted[..3]);
         assert_eq!(s.sample(&expr), interpreted[3]);
         let stats = s.cache_stats();
-        assert_eq!(stats.entries, 0, "too deep to plan-cache");
+        assert_eq!(
+            stats.entries, 0,
+            "a network that does not lower is never cached"
+        );
         assert_eq!(stats.hits, 0);
         assert_eq!(s.lower_attempts, 1, "the no-tape verdict is memoized");
-        assert_eq!(s.plan_compiles, 0);
         #[cfg(feature = "obs")]
         {
             s.evaluate(&expr.gt(0.0), 0.5);
@@ -1947,47 +1807,47 @@ mod tests {
         s.samples(&evidence, 10);
         s.probability_given(&cond, &evidence, 200);
         s.evaluate(&cond, 0.5);
-        assert_eq!(
-            s.plan_compiles, 0,
-            "batches and decisions run on the kernel"
-        );
         assert_eq!(s.lower_attempts, 4, "three roots plus the zipped pair");
         #[cfg(feature = "obs")]
         assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
 
-        // An evaluator borrows the plan: compiled once into the cached
-        // entry beside the kernel, then reused.
+        // An evaluator borrows the cached kernel: one hit, no new lowering.
         let lowered = s.lower_attempts;
-        let _first = crate::Evaluator::from_session(&mut s, &cond);
-        assert_eq!(s.plan_compiles, 1);
-        let _second = crate::Evaluator::from_session(&mut s, &cond);
-        assert_eq!(s.plan_compiles, 1, "the second evaluator reuses the plan");
+        let before = s.cache_stats();
+        let _eval = crate::Evaluator::from_session(&mut s, &cond);
+        let after = s.cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
         assert_eq!(s.lower_attempts, lowered, "the kernel came from the cache");
         assert_eq!(s.cache_stats().misses, 3);
     }
 
     #[test]
-    fn non_lowerable_roots_compile_one_plan_per_cache_residency() {
+    fn non_lowerable_roots_never_become_cache_entries() {
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let posterior = x.weight_by(|v| (-v * v).exp());
-        let other = Uncertain::normal(1.0, 1.0).unwrap();
+        let a = Uncertain::normal(1.0, 1.0).unwrap();
+        let b = Uncertain::normal(2.0, 1.0).unwrap();
         let mut s = Session::seeded(41).with_cache_capacity(1);
         for _ in 0..3 {
             s.e(&posterior, 50);
         }
-        assert_eq!((s.plan_compiles, s.lower_attempts), (1, 1));
-        assert_eq!(s.cache_stats().hits, 2);
+        let stats = s.cache_stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (0, 0, 3));
+        assert_eq!(s.lower_attempts, 1);
         for round in 1..=3 {
-            s.e(&other, 50); // capacity 1: evicts the posterior's plan
+            s.e(&a, 50);
+            s.e(&b, 50); // capacity 1: evicts `a`
             s.e(&posterior, 50);
-            s.e(&posterior, 50);
-            assert_eq!(s.plan_compiles, 1 + round, "one recompile per eviction");
+            assert_eq!(s.cache_stats().entries, 1, "only `b` is resident");
             assert_eq!(
                 s.lower_attempts,
-                1 + round,
-                "only `other` lowers; the no-tape memo skips the posterior"
+                1 + 2 * round,
+                "`a` and `b` re-lower after every eviction; the posterior never does"
             );
         }
+        assert!(!s.invalidate(posterior.id()), "the posterior has no entry");
+        let stats = s.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 12, 5));
     }
 
     #[test]
@@ -2127,18 +1987,18 @@ mod tests {
         let a = Uncertain::normal(1.0, 1.0).unwrap();
         let b = Uncertain::normal(2.0, 1.0).unwrap();
         let mut s = Session::seeded(33).with_cache_capacity(1);
-        s.sample(&dynamic);
-        assert!(s.lower_attempts >= 1, "first compile attempts to lower");
+        s.samples(&dynamic, 1);
+        assert!(s.lower_attempts >= 1, "first query attempts to lower");
         for _ in 0..3 {
-            s.sample(&a);
-            s.sample(&b); // capacity 1: dynamic's plan is long evicted
+            s.samples(&a, 1);
+            s.samples(&b, 1); // capacity 1: churn the cache
             let attempts = s.lower_attempts;
             let misses = s.cache_stats().misses;
-            s.sample(&dynamic);
+            s.samples(&dynamic, 1);
             assert_eq!(
                 s.cache_stats().misses,
                 misses + 1,
-                "plan really was evicted and recompiled"
+                "a root that does not lower is never cached, so it misses"
             );
             assert_eq!(
                 s.lower_attempts, attempts,
@@ -2153,19 +2013,19 @@ mod tests {
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let expr = &x + &x;
         let mut s = Session::seeded(34).with_cache_capacity(1);
-        s.sample(&expr);
+        s.samples(&expr, 1);
         let attempts = s.lower_attempts;
         let other = Uncertain::normal(5.0, 1.0).unwrap();
-        s.sample(&other); // evicts expr
-        s.sample(&expr); // recompile must re-lower (it tapes fine)
+        s.samples(&other, 1); // evicts expr
+        s.samples(&expr, 1); // a miss must re-lower (it tapes fine)
         assert_eq!(s.lower_attempts, attempts + 2);
     }
 
     #[test]
     fn exact_verdict_survives_eviction_churn() {
         // The analytic verdict is memoized beside the no-tape memo:
-        // immune to LRU plan eviction, so a hot analytic root pays the
-        // recognition walk once, not once per churned plan.
+        // immune to LRU eviction, so a hot analytic root pays the
+        // recognition walk once, not once per churned kernel.
         let chain = {
             let x = Uncertain::normal(0.0, 1.0).unwrap();
             let mut sum = x.clone();
@@ -2184,8 +2044,8 @@ mod tests {
         assert_eq!(first.samples, 0);
         assert_eq!(s.exact_analyses, 1);
         for _ in 0..3 {
-            s.sample(&a);
-            s.sample(&b); // capacity 1: churn the plan cache hard
+            s.samples(&a, 1);
+            s.samples(&b, 1); // capacity 1: churn the cache hard
             let outcome = s.try_evaluate(&chain, 0.5, &config).unwrap();
             assert_eq!(outcome.samples, 0);
             assert_eq!(s.exact_analyses, 1, "memoized verdict skips re-analysis");
@@ -2197,8 +2057,8 @@ mod tests {
     fn disabled_cache_always_compiles() {
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let mut s = Session::seeded(10).with_cache_capacity(0);
-        s.sample(&x);
-        s.sample(&x);
+        s.samples(&x, 1);
+        s.samples(&x, 1);
         let stats = s.cache_stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 2);

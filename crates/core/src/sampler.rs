@@ -7,7 +7,7 @@
 //! one shared `StdRng`, one `u64` drawn per joint sample, in call order —
 //! the exact stream the pre-runtime implementation drew — so `Sampler`
 //! results are bitwise identical to every prior release while
-//! transparently gaining the session's plan cache.
+//! transparently gaining the session's kernel cache.
 //!
 //! New code should construct a [`Session`] directly; [`Sampler::session`]
 //! / [`Sampler::session_mut`] are the in-place migration path.

@@ -1,6 +1,6 @@
 //! Service observability, built on the `uncertain-obs` primitives:
 //! lock-light per-shard counters/gauges, log-bucketed latency histograms
-//! splitting each request into queue-wait / plan-compile / sampling time,
+//! splitting each request into queue-wait / compile / sampling time,
 //! and the aggregated snapshot handed to callers — renderable as a
 //! Prometheus scrape body via [`ServeMetrics::render_prometheus`].
 
@@ -30,7 +30,7 @@ pub(crate) struct ShardStats {
     sessions_evicted: Gauge,
     /// Time from admission to dequeue, per request.
     pub(crate) queue_wait_ns: LogHistogram,
-    /// Plan-compilation time per executed request (0 on a warm cache).
+    /// Kernel-lowering time per executed request (0 on a warm cache).
     pub(crate) compile_ns: LogHistogram,
     /// Execution time net of compilation, per executed request.
     pub(crate) sampling_ns: LogHistogram,
@@ -185,8 +185,9 @@ pub struct ShardMetrics {
     pub sessions_evicted: u64,
     /// Admission-to-dequeue latency, per request (nanoseconds).
     pub queue_wait: HistogramSnapshot,
-    /// Plan-compilation time per executed request (nanoseconds; 0 when
-    /// every plan came from the session's cache).
+    /// Kernel-lowering time per executed request (nanoseconds; 0 when
+    /// every kernel came from the session's cache, or its network was
+    /// already known not to lower).
     pub compile: HistogramSnapshot,
     /// Execution time net of compilation, per executed request
     /// (nanoseconds) — SPRT sampling for `evaluate`/`pr`, chunked
@@ -250,7 +251,7 @@ impl ServeMetrics {
         self.shards.iter().map(|s| s.cache).sum()
     }
 
-    /// Fraction of plan-cache lookups served without recompiling,
+    /// Fraction of plan-cache lookups that found the network's kernel,
     /// service-wide (`0.0` before any lookup happened).
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache().hit_rate()
@@ -334,27 +335,27 @@ impl ServeMetrics {
         );
         w.counter(
             "uncertain_plan_cache_hits_total",
-            "Plan-cache lookups served without recompiling.",
+            "Plan-cache lookups that found the network's kernel.",
             cache.hits,
         );
         w.counter(
             "uncertain_plan_cache_misses_total",
-            "Plan-cache lookups that compiled a fresh plan.",
+            "Plan-cache lookups that found no kernel (lowered, or run on the tree-walk).",
             cache.misses,
         );
         w.counter(
             "uncertain_plan_cache_evictions_total",
-            "Compiled plans dropped by cache pressure.",
+            "Cached kernels dropped by cache pressure.",
             cache.evictions,
         );
         w.gauge(
             "uncertain_plan_cache_hit_rate",
-            "Fraction of plan-cache lookups served without recompiling.",
+            "Fraction of plan-cache lookups that found the network's kernel.",
             self.cache_hit_rate(),
         );
         w.gauge(
             "uncertain_plan_cache_entries",
-            "Compiled plans currently resident across live sessions.",
+            "Kernels currently cached across live sessions.",
             cache.entries as f64,
         );
         w.gauge(
@@ -385,7 +386,7 @@ impl ServeMetrics {
         );
         w.summary(
             "uncertain_compile_ns",
-            "Plan-compilation time per executed request.",
+            "Kernel-lowering time per executed request.",
             &self.compile(),
         );
         w.summary(

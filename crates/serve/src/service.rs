@@ -304,7 +304,7 @@ fn process(
                     .map(Response::Summary)
             }
         };
-        // Split the request's execution time into its plan-compile share
+        // Split the request's execution time into its compile share
         // (the session counts compile nanoseconds monotonically; the delta
         // is this request's share, 0 on a warm cache) and everything else
         // — which on this path is sampling.

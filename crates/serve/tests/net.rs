@@ -197,6 +197,24 @@ fn http_scrape_returns_prometheus_metrics() {
     service.shutdown();
 }
 
+/// Repeats `try_once`, a 1 ms, 30M-sample `e`, until `service`'s shard has
+/// executed one try, which its deadline then aborted mid-run. The shard counts
+/// executed requests in its sampling histogram before it replies. A try
+/// that expires while still queued consumes no query index, so the
+/// retries cannot move the tenant's stream.
+fn abort_one_mid_run(service: &Service, mut try_once: impl FnMut() -> Result<f64, ServeError>) {
+    let executed = || service.metrics().shards[0].sampling.count;
+    let before = executed();
+    for _ in 0..100 {
+        let err = try_once().expect_err("a 30M-sample request cannot finish in 1ms");
+        assert_eq!(err, ServeError::Timeout);
+        if executed() > before {
+            return;
+        }
+    }
+    panic!("100 tries all expired in the shard queue; none was aborted mid-run");
+}
+
 #[test]
 fn deadlines_cross_the_wire_and_abort_cooperatively() {
     let service = Service::start(ServeConfig::default().with_shards(1).with_seed(11));
@@ -204,16 +222,16 @@ fn deadlines_cross_the_wire_and_abort_cooperatively() {
     let tcp = ServeClient::connect(listener.local_addr()).expect("connect");
 
     let expr = expr();
-    let err = tcp
-        .e_within(1, &expr, 30_000_000, Duration::from_millis(1))
-        .expect_err("a 30M-sample request cannot finish in 1ms");
-    assert_eq!(err, ServeError::Timeout);
+    let within_1ms = Duration::from_millis(1);
+    abort_one_mid_run(&service, || tcp.e_within(1, &expr, 30_000_000, within_1ms));
 
-    // The tenant's stream position is deterministic regardless of where
-    // the abort landed: the next request matches in-process exactly.
+    // A mid-run abort consumes the whole request's query indices wherever
+    // it landed, so the next request matches in-process exactly.
     let reference = Service::start(ServeConfig::default().with_shards(1).with_seed(11));
     let local = reference.client();
-    let _ = local.e_within(1, &expr, 30_000_000, Duration::from_millis(1));
+    abort_one_mid_run(&reference, || {
+        local.e_within(1, &expr, 30_000_000, within_1ms)
+    });
     let a = local.e(1, &expr, 500).expect("local");
     let b = tcp.e(1, &expr, 500).expect("tcp");
     assert_eq!(a.to_bits(), b.to_bits());

@@ -94,11 +94,7 @@ fn budget_capped_decision_traces_and_matches_a_treewalk_reference() {
         cfg.max_samples,
     )
     .unwrap();
-    let reference = test.run_batched(|k| {
-        (0..k)
-            .map(|_| interpreter.sample_interpreted(&cond))
-            .collect()
-    });
+    let reference = test.run_batched(|k| (0..k).map(|_| interpreter.sample(&cond)).collect());
 
     assert_eq!(outcome.samples, reference.samples);
     assert_eq!(outcome.estimate.to_bits(), reference.estimate.to_bits());
