@@ -21,15 +21,11 @@
 //! Every query comes in two forms (one convention across the crate): the
 //! ergonomic method (`pr`, `is_probable`) uses the thread's ambient
 //! [`Session`], and the explicit `*_in(&mut Session, ..)` form names the
-//! session — which is what seeded experiments and services use. The old
-//! `*_with(&mut Sampler, ..)` names are deprecated shims over the same
-//! machinery.
+//! session — which is what seeded experiments and services use.
 
 use crate::error::ConfigError;
 use crate::exact::ExactMethod;
 use crate::runtime::Session;
-#[cfg(feature = "legacy-sampler")]
-use crate::sampler::Sampler;
 use crate::uncertain::Uncertain;
 use std::error::Error;
 use std::fmt;
@@ -456,13 +452,6 @@ impl Uncertain<bool> {
         session.pr(self, threshold)
     }
 
-    /// Deprecated `Sampler` form of [`Uncertain::pr_in`].
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(since = "0.2.0", note = "use `pr_in(&mut Session, threshold)`")]
-    pub fn pr_with(&self, threshold: f64, sampler: &mut Sampler) -> bool {
-        sampler.session_mut().pr(self, threshold)
-    }
-
     /// The paper's **implicit conditional operator**: "more likely than
     /// not", i.e. `Pr[self] > 0.5`, in the thread's ambient [`Session`].
     pub fn is_probable(&self) -> bool {
@@ -472,13 +461,6 @@ impl Uncertain<bool> {
     /// Implicit conditional in a named session.
     pub fn is_probable_in(&self, session: &mut Session) -> bool {
         session.is_probable(self)
-    }
-
-    /// Deprecated `Sampler` form of [`Uncertain::is_probable_in`].
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(since = "0.2.0", note = "use `is_probable_in(&mut Session)`")]
-    pub fn is_probable_with(&self, sampler: &mut Sampler) -> bool {
-        sampler.session_mut().is_probable(self)
     }
 
     /// Runs the hypothesis test in a named session and returns the
@@ -498,21 +480,6 @@ impl Uncertain<bool> {
         session.evaluate(self, threshold)
     }
 
-    /// Deprecated `Sampler` form of [`Uncertain::evaluate_in`].
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `evaluate_in(&mut Session, threshold)` with `Session::with_config`"
-    )]
-    pub fn evaluate(
-        &self,
-        threshold: f64,
-        sampler: &mut Sampler,
-        config: &EvalConfig,
-    ) -> HypothesisOutcome {
-        sampler.session_mut().evaluate_with(self, threshold, config)
-    }
-
     /// Fixed-size estimate of the Bernoulli parameter `Pr[self]` from `n`
     /// joint samples (no early stopping). Used by the evaluation harness
     /// to plot evidence curves (e.g. Fig. 4's ticket probabilities).
@@ -522,13 +489,6 @@ impl Uncertain<bool> {
     /// Panics if `n == 0`.
     pub fn probability_in(&self, session: &mut Session, n: usize) -> f64 {
         session.probability(self, n)
-    }
-
-    /// Deprecated `Sampler` form of [`Uncertain::probability_in`].
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(since = "0.2.0", note = "use `probability_in(&mut Session, n)`")]
-    pub fn probability_with(&self, sampler: &mut Sampler, n: usize) -> f64 {
-        sampler.session_mut().probability(self, n)
     }
 
     /// Conditional-probability estimate `Pr[self | evidence]` from `n`
@@ -567,21 +527,6 @@ impl Uncertain<bool> {
         n: usize,
     ) -> Option<f64> {
         session.probability_given(self, evidence, n)
-    }
-
-    /// Deprecated `Sampler` form of [`Uncertain::probability_given_in`].
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `probability_given_in(&evidence, &mut Session, n)`"
-    )]
-    pub fn probability_given(
-        &self,
-        evidence: &Uncertain<bool>,
-        sampler: &mut Sampler,
-        n: usize,
-    ) -> Option<f64> {
-        sampler.session_mut().probability_given(self, evidence, n)
     }
 }
 
@@ -690,50 +635,33 @@ mod builder_tests {
     }
 }
 
-#[cfg(all(test, feature = "legacy-sampler"))]
+#[cfg(test)]
 mod tests {
-    // The deprecated `*_with` shims are exercised on purpose: they are the
-    // compatibility contract for seeded experiments.
-    #![allow(deprecated)]
-
     use super::*;
 
     #[test]
-    fn session_and_sampler_forms_agree() {
-        // A seeded Session::sequential and the Sampler shim with the same
-        // seed must make identical decisions (the shim is the same session
-        // underneath).
-        let b = Uncertain::bernoulli(0.8).unwrap();
-        let mut session = Session::sequential(77);
-        let mut sampler = Sampler::seeded(77);
-        let via_session = b.evaluate_in(&mut session, 0.5);
-        let via_sampler = b.evaluate(0.5, &mut sampler, &EvalConfig::default());
-        assert_eq!(via_session, via_sampler);
-    }
-
-    #[test]
     fn implicit_operator_is_majority_vote() {
-        let mut s = Sampler::seeded(1);
+        let mut s = Session::sequential(1);
         let likely = Uncertain::bernoulli(0.8).unwrap();
         let unlikely = Uncertain::bernoulli(0.2).unwrap();
-        assert!(likely.is_probable_with(&mut s));
-        assert!(!unlikely.is_probable_with(&mut s));
+        assert!(likely.is_probable_in(&mut s));
+        assert!(!unlikely.is_probable_in(&mut s));
     }
 
     #[test]
     fn explicit_operator_demands_stronger_evidence() {
         // Pr = 0.8: passes the 0.5 test but must fail the 0.95 test.
-        let mut s = Sampler::seeded(2);
+        let mut s = Session::sequential(2);
         let b = Uncertain::bernoulli(0.8).unwrap();
-        assert!(b.pr_with(0.5, &mut s));
-        assert!(!b.pr_with(0.95, &mut s));
+        assert!(b.pr_in(&mut s, 0.5));
+        assert!(!b.pr_in(&mut s, 0.95));
     }
 
     #[test]
     fn evaluate_reports_sample_count_and_estimate() {
-        let mut s = Sampler::seeded(3);
+        let mut s = Session::sequential(3);
         let b = Uncertain::bernoulli(0.9).unwrap();
-        let o = b.evaluate(0.5, &mut s, &EvalConfig::default());
+        let o = b.evaluate_in(&mut s, 0.5);
         assert!(o.is_true());
         assert!(o.samples >= EvalConfig::default().batch);
         assert!(o.samples <= EvalConfig::default().max_samples);
@@ -744,7 +672,7 @@ mod tests {
     #[test]
     fn marginal_conditional_is_inconclusive() {
         // Evidence exactly at the threshold: the cap should hit.
-        let mut s = Sampler::seeded(4);
+        let mut s = Session::sequential(4);
         let b = Uncertain::bernoulli(0.5).unwrap();
         let not_b = !&b;
         let cfg = EvalConfig::default().with_max_samples(100);
@@ -755,12 +683,12 @@ mod tests {
         let mut inconclusive = 0;
         let mut complement_inconclusive = 0;
         for _ in 0..20 {
-            let o = b.evaluate(0.5, &mut s, &cfg);
+            let o = s.evaluate_with(&b, 0.5, &cfg);
             if o.is_inconclusive() {
                 inconclusive += 1;
                 assert_eq!(o.samples, 100);
             }
-            if not_b.evaluate(0.5, &mut s, &cfg).is_inconclusive() {
+            if s.evaluate_with(&not_b, 0.5, &cfg).is_inconclusive() {
                 complement_inconclusive += 1;
             }
         }
@@ -773,25 +701,25 @@ mod tests {
 
     #[test]
     fn easy_conditionals_stop_early() {
-        let mut s = Sampler::seeded(5);
+        let mut s = Session::sequential(5);
         let b = Uncertain::bernoulli(0.99).unwrap();
-        let o = b.evaluate(0.5, &mut s, &EvalConfig::default());
+        let o = b.evaluate_in(&mut s, 0.5);
         assert!(o.samples <= 30, "easy test took {} samples", o.samples);
     }
 
     #[test]
     #[should_panic(expected = "invalid conditional threshold")]
     fn invalid_threshold_panics() {
-        let mut s = Sampler::seeded(6);
+        let mut s = Session::sequential(6);
         let b = Uncertain::bernoulli(0.5).unwrap();
-        let _ = b.evaluate(1.5, &mut s, &EvalConfig::default());
+        let _ = b.evaluate_in(&mut s, 1.5);
     }
 
     #[test]
     fn probability_estimate_converges() {
-        let mut s = Sampler::seeded(7);
+        let mut s = Session::sequential(7);
         let b = Uncertain::bernoulli(0.3).unwrap();
-        let p = b.probability_with(&mut s, 30_000);
+        let p = b.probability_in(&mut s, 30_000);
         assert!((p - 0.3).abs() < 0.01, "p={p}");
     }
 
@@ -805,9 +733,9 @@ mod tests {
         let phone = earthquake.flat_map("phone|eq", |eq| {
             Uncertain::bernoulli(if eq { 0.7 } else { 0.99 }).unwrap()
         });
-        let mut s = Sampler::seeded(9);
+        let mut s = Session::sequential(9);
         let p = phone
-            .probability_given(&alarm, &mut s, 60_000)
+            .probability_given_in(&alarm, &mut s, 60_000)
             .expect("alarm fires often enough at boosted rates");
         // Analytic: Pr[eq|alarm] ≈ 0.01/(0.01+0.99·0.01) ≈ 0.5025 →
         // p ≈ 0.5025·0.7 + 0.4975·0.99 ≈ 0.844.
@@ -818,8 +746,8 @@ mod tests {
     fn impossible_evidence_returns_none() {
         let never = Uncertain::bernoulli(0.0).unwrap();
         let anything = Uncertain::bernoulli(0.5).unwrap();
-        let mut s = Sampler::seeded(10);
-        assert_eq!(anything.probability_given(&never, &mut s, 1000), None);
+        let mut s = Session::sequential(10);
+        assert_eq!(anything.probability_given_in(&never, &mut s, 1000), None);
     }
 
     #[test]
@@ -827,12 +755,12 @@ mod tests {
         // Paper Fig. 4: true speed 57 mph, ε = 4 m over 1 s ⇒ the naive
         // conditional Speed > 60 has a substantial false-positive rate,
         // but demanding 90% evidence suppresses it.
-        let mut s = Sampler::seeded(8);
+        let mut s = Session::sequential(8);
         // Speed error ≈ Gaussian-ish with large σ; model directly.
         let speed = Uncertain::normal(57.0, 6.0).unwrap();
         let over_limit = speed.gt(60.0);
-        let naive_fp = over_limit.probability_with(&mut s, 5000);
+        let naive_fp = over_limit.probability_in(&mut s, 5000);
         assert!(naive_fp > 0.2, "naive false-positive rate = {naive_fp}");
-        assert!(!over_limit.pr_with(0.9, &mut s));
+        assert!(!over_limit.pr_in(&mut s, 0.9));
     }
 }

@@ -29,11 +29,11 @@ use uncertain_stats::{SequentialTest, TestDecision};
 /// Draws repeated joint samples of one pinned network through a compiled
 /// [`Plan`] with a reused evaluation context.
 ///
-/// Semantically identical to calling [`Sampler::sample`](crate::Sampler::sample)
-/// in a loop (each call is one independent joint sample; sharing within a
-/// sample is preserved); the difference is that the per-node hash-map
-/// probes, heap boxing, and downcasts of the tree-walk interpreter are gone
-/// from the inner loop.
+/// Semantically identical to calling [`Session::sample`] in a loop (each
+/// call is one independent joint sample; sharing within a sample is
+/// preserved); the difference is that the per-node hash-map probes, heap
+/// boxing, and downcasts of the tree-walk interpreter are gone from the
+/// inner loop.
 ///
 /// # Examples
 ///
@@ -455,8 +455,6 @@ impl Evaluator<f64> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::ParSampler;
 

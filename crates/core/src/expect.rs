@@ -9,13 +9,10 @@
 //!
 //! As everywhere on the eval surface: the ergonomic method
 //! ([`Uncertain::expected_value`]) uses the thread's ambient [`Session`],
-//! `*_in(&mut Session, ..)` is the explicit deterministic form, and the
-//! old `*_with(&mut Sampler, ..)` names are deprecated shims.
+//! and `*_in(&mut Session, ..)` is the explicit deterministic form.
 
 use crate::error::Error;
 use crate::runtime::Session;
-#[cfg(feature = "legacy-sampler")]
-use crate::sampler::Sampler;
 use crate::uncertain::{Uncertain, Value};
 use uncertain_stats::{Histogram, StatsError, Summary};
 
@@ -39,17 +36,6 @@ impl Uncertain<f64> {
     /// Panics if `n == 0`.
     pub fn expected_value_in(&self, session: &mut Session, n: usize) -> f64 {
         session.e(self, n)
-    }
-
-    /// Deprecated `Sampler` form of [`Uncertain::expected_value_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(since = "0.2.0", note = "use `expected_value_in(&mut Session, n)`")]
-    pub fn expected_value_with(&self, sampler: &mut Sampler, n: usize) -> f64 {
-        sampler.session_mut().e(self, n)
     }
 
     /// A full descriptive summary (mean, variance, quantiles, coverage
@@ -81,18 +67,6 @@ impl Uncertain<f64> {
         session.stats(self, n)
     }
 
-    /// Deprecated `Sampler` form of [`Uncertain::stats_in`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `n == 0` or sampling produced non-finite
-    /// values.
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(since = "0.2.0", note = "use `stats_in(&mut Session, n)`")]
-    pub fn stats_with(&self, sampler: &mut Sampler, n: usize) -> Result<Summary, Error> {
-        sampler.session_mut().stats(self, n)
-    }
-
     /// A sampled histogram of this variable on `[low, high)` — the
     /// terminal "plot" the figure binaries print.
     ///
@@ -109,50 +83,6 @@ impl Uncertain<f64> {
     ) -> Result<Histogram, StatsError> {
         session.histogram(self, n, low, high, bins)
     }
-
-    /// Deprecated `Sampler` form of [`Uncertain::histogram_in`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError`] if the histogram bounds/bins are invalid.
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `histogram_in(&mut Session, n, low, high, bins)`"
-    )]
-    pub fn histogram_with(
-        &self,
-        sampler: &mut Sampler,
-        n: usize,
-        low: f64,
-        high: f64,
-        bins: usize,
-    ) -> Result<Histogram, StatsError> {
-        sampler.session_mut().histogram(self, n, low, high, bins)
-    }
-
-    /// The `E` operator evaluated on several OS threads. Superseded by a
-    /// session with workers: [`Session::with_threads`] shards large
-    /// batches with the same per-index seeding, so
-    /// `Session::seeded(seed).with_threads(threads)` gives the same
-    /// determinism guarantees through the session's cached kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `threads == 0`.
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `expected_value_in` on a `Session::seeded(..).with_threads(..)`"
-    )]
-    pub fn expected_value_parallel(&self, seed: u64, n: usize, threads: usize) -> f64 {
-        assert!(n > 0, "expected value needs at least one sample");
-        assert!(threads > 0, "need at least one thread");
-        // Kept on the ParSampler path so historical (seed, n) results are
-        // bitwise stable for existing callers.
-        let values = crate::plan::ParSampler::with_threads(self, seed, threads).sample_batch(n);
-        values.iter().sum::<f64>() / n as f64
-    }
 }
 
 impl<T: Value> Uncertain<T> {
@@ -167,56 +97,25 @@ impl<T: Value> Uncertain<T> {
     pub fn expect_by_in(&self, session: &mut Session, n: usize, score: impl Fn(&T) -> f64) -> f64 {
         session.expect_by(self, n, score)
     }
-
-    /// Deprecated `Sampler` form of [`Uncertain::expect_by_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[cfg(feature = "legacy-sampler")]
-    #[deprecated(since = "0.2.0", note = "use `expect_by_in(&mut Session, n, score)`")]
-    pub fn expect_by(&self, sampler: &mut Sampler, n: usize, score: impl Fn(&T) -> f64) -> f64 {
-        sampler.session_mut().expect_by(self, n, score)
-    }
 }
 
-#[cfg(all(test, feature = "legacy-sampler"))]
+#[cfg(test)]
 mod tests {
-    // The deprecated `*_with` shims are exercised on purpose: they are the
-    // compatibility contract for seeded experiments.
-    #![allow(deprecated)]
-
     use super::*;
 
     #[test]
     fn expected_value_of_point_mass_is_exact() {
         let x = Uncertain::point(4.25);
-        let mut s = Sampler::seeded(0);
-        assert_eq!(x.expected_value_with(&mut s, 10), 4.25);
+        let mut s = Session::sequential(0);
+        assert_eq!(x.expected_value_in(&mut s, 10), 4.25);
     }
 
     #[test]
     fn expected_value_converges() {
         let x = Uncertain::normal(-3.0, 2.0).unwrap();
-        let mut s = Sampler::seeded(1);
-        let e = x.expected_value_with(&mut s, 20_000);
+        let mut s = Session::sequential(1);
+        let e = x.expected_value_in(&mut s, 20_000);
         assert!((e + 3.0).abs() < 0.05, "e={e}");
-    }
-
-    #[test]
-    fn session_form_matches_sampler_shim() {
-        let x = Uncertain::normal(1.0, 1.0).unwrap();
-        let expr = &x * &x + 0.5;
-        let mut session = Session::sequential(21);
-        let mut sampler = Sampler::seeded(21);
-        assert_eq!(
-            expr.expected_value_in(&mut session, 1000),
-            expr.expected_value_with(&mut sampler, 1000)
-        );
-        assert_eq!(
-            expr.stats_in(&mut session, 1000).unwrap().mean(),
-            expr.stats_with(&mut sampler, 1000).unwrap().mean()
-        );
     }
 
     #[test]
@@ -224,16 +123,16 @@ mod tests {
         let a = Uncertain::normal(1.0, 1.0).unwrap();
         let b = Uncertain::normal(2.0, 1.0).unwrap();
         let sum = &a + &b;
-        let mut s = Sampler::seeded(2);
-        let e = sum.expected_value_with(&mut s, 20_000);
+        let mut s = Session::sequential(2);
+        let e = sum.expected_value_in(&mut s, 20_000);
         assert!((e - 3.0).abs() < 0.05, "e={e}");
     }
 
     #[test]
     fn stats_capture_spread() {
         let x = Uncertain::uniform(0.0, 12.0).unwrap();
-        let mut s = Sampler::seeded(3);
-        let st = x.stats_with(&mut s, 20_000).unwrap();
+        let mut s = Session::sequential(3);
+        let st = x.stats_in(&mut s, 20_000).unwrap();
         assert!((st.mean() - 6.0).abs() < 0.1);
         assert!((st.variance() - 12.0).abs() < 0.5);
         assert!(st.min() >= 0.0 && st.max() < 12.0);
@@ -242,9 +141,9 @@ mod tests {
     #[test]
     fn expect_by_projects_components() {
         let pair = Uncertain::point((3.0_f64, 4.0_f64));
-        let mut s = Sampler::seeded(4);
-        let first = pair.expect_by(&mut s, 5, |(a, _)| *a);
-        let second = pair.expect_by(&mut s, 5, |(_, b)| *b);
+        let mut s = Session::sequential(4);
+        let first = pair.expect_by_in(&mut s, 5, |(a, _)| *a);
+        let second = pair.expect_by_in(&mut s, 5, |(_, b)| *b);
         assert_eq!(first, 3.0);
         assert_eq!(second, 4.0);
     }
@@ -252,40 +151,17 @@ mod tests {
     #[test]
     fn histogram_with_counts_everything() {
         let x = Uncertain::uniform(0.0, 1.0).unwrap();
-        let mut s = Sampler::seeded(6);
-        let h = x.histogram_with(&mut s, 500, 0.0, 1.0, 10).unwrap();
+        let mut s = Session::sequential(6);
+        let h = x.histogram_in(&mut s, 500, 0.0, 1.0, 10).unwrap();
         assert_eq!(h.total(), 500);
         assert_eq!(h.underflow() + h.overflow(), 0);
-    }
-
-    #[test]
-    fn parallel_expectation_matches_serial() {
-        let x = Uncertain::normal(4.0, 2.0).unwrap();
-        let par = x.expected_value_parallel(9, 40_000, 4);
-        assert!((par - 4.0).abs() < 0.05, "par={par}");
-        // Deterministic for fixed (seed, n, threads).
-        assert_eq!(par, x.expected_value_parallel(9, 40_000, 4));
-        // Bitwise identical for any thread count.
-        assert_eq!(par, x.expected_value_parallel(9, 40_000, 1));
-        assert_eq!(par, x.expected_value_parallel(9, 40_000, 7));
-        // Different seeds differ.
-        assert_ne!(par, x.expected_value_parallel(10, 40_000, 4));
-    }
-
-    #[test]
-    fn parallel_expectation_shares_the_network() {
-        // A shared-dependence expression evaluated across threads keeps
-        // its semantics (x − x ≡ 0).
-        let x = Uncertain::normal(0.0, 5.0).unwrap();
-        let zero = &x - &x;
-        assert_eq!(zero.expected_value_parallel(3, 1000, 8), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_panics() {
         let x = Uncertain::point(1.0);
-        let mut s = Sampler::seeded(5);
-        let _ = x.expected_value_with(&mut s, 0);
+        let mut s = Session::sequential(5);
+        let _ = x.expected_value_in(&mut s, 0);
     }
 }

@@ -86,8 +86,6 @@ mod obs;
 mod ops;
 mod plan;
 mod runtime;
-#[cfg(feature = "legacy-sampler")]
-mod sampler;
 mod uncertain;
 mod wire;
 
@@ -107,8 +105,6 @@ pub use obs::{
 };
 pub use plan::{ParSampler, Plan};
 pub use runtime::{CacheStats, Session, DEFAULT_CACHE_CAPACITY};
-#[cfg(feature = "legacy-sampler")]
-pub use sampler::Sampler;
 pub use uncertain::{IntoUncertain, Uncertain, Value};
 pub use wire::WireGraph;
 
@@ -132,8 +128,6 @@ pub use uncertain_stats as stats;
 /// # }
 /// ```
 pub mod prelude {
-    #[cfg(feature = "legacy-sampler")]
-    pub use crate::Sampler;
     pub use crate::{
         CacheStats, ConfigError, Error, EvalConfig, EvalConfigBuilder, EvalStrategy, Evaluator,
         ExactMethod, HypothesisOutcome, InconclusiveError, IntoUncertain, NetworkView,

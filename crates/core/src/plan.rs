@@ -217,11 +217,11 @@ pub(crate) fn sample_batch_sharded<T: Value>(
 /// Sync`, so one plan can drive any number of contexts — including worker
 /// threads ([`ParSampler`]) — concurrently.
 ///
-/// Plans are used internally by [`Evaluator`](crate::Evaluator),
-/// [`ParSampler`], and every sampling helper that evaluates one network
-/// many times (`evaluate`, `probability_with`, `expected_value_with`,
-/// `stats_with`, …). The type is exposed so callers can amortize
-/// compilation explicitly and inspect its footprint.
+/// Plans run [`Evaluator`](crate::Evaluator)'s continuous sample stream
+/// and [`ParSampler`]'s batches; a [`Session`](crate::Session) runs its
+/// queries on the columnar kernel or the tree-walk instead. The type is
+/// exposed so callers can amortize compilation explicitly and inspect its
+/// footprint.
 ///
 /// # Examples
 ///

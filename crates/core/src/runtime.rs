@@ -30,12 +30,10 @@
 //! cached kernel can therefore never be stale — eviction exists purely to
 //! bound memory.
 //!
-//! The legacy [`Sampler`](crate::Sampler) is now a thin wrapper over a
-//! single-threaded `Session` in *sequential* seeding mode
-//! ([`Session::sequential`]), which reproduces the historical per-sample
-//! seed stream bit for bit — every seeded experiment in this repository
-//! produces the same numbers it always did, while transparently gaining the
-//! kernel cache.
+//! A session in *sequential* seeding mode ([`Session::sequential`]) draws
+//! one `u64` per joint sample from `StdRng::seed_from_u64(seed)`, in call
+//! order. The seeded figures and test suites depend on that stream bit for
+//! bit, so neither the kernel cache nor the choice of executor may move it.
 
 use crate::condition::{EvalConfig, EvalStrategy, HypothesisOutcome, Provenance, StatsOutcome};
 use crate::context::SampleContext;
@@ -103,10 +101,9 @@ fn tree_walk<T: Value>(u: &Uncertain<T>, ctx: &mut SampleContext) -> T {
 /// How a session turns "the next joint sample" into an RNG seed.
 enum SeedPolicy {
     /// One shared `StdRng` stream; each joint sample consumes the next
-    /// `u64`. This is the historical [`Sampler`](crate::Sampler) behavior —
-    /// bitwise-compatible with every seeded experiment in the repository —
-    /// but it is order-dependent, so sequential sessions never shard
-    /// batches across workers.
+    /// `u64`. The seeded figures and suites depend on this stream, but it
+    /// is order-dependent, so sequential sessions never shard batches
+    /// across workers.
     Sequential { rng: StdRng },
     /// Pure counter-mode seeding: query `q` gets the SplitMix64 substream
     /// `sample_seed(root, q)`, and sample `i` of that query is seeded by
@@ -548,26 +545,17 @@ impl Session {
         })
     }
 
-    /// Creates a session that reproduces the legacy
-    /// [`Sampler`](crate::Sampler) seed stream bit for bit: one shared
-    /// `StdRng`, one `u64` per joint sample, in call order. Sequential
+    /// Creates a session on one shared stream: `StdRng::seed_from_u64(seed)`
+    /// yields one `u64` per joint sample, in call order. The seeded figures
+    /// and test suites depend on this stream bit for bit. Sequential
     /// sessions are inherently single-threaded (the stream is
     /// order-dependent), so they never shard batches.
     ///
-    /// Use this when migrating a seeded experiment whose recorded numbers
+    /// Use this to reproduce a seeded experiment whose recorded numbers
     /// must not move; new code should prefer [`Session::seeded`].
     pub fn sequential(seed: u64) -> Self {
         Self::with_policy(SeedPolicy::Sequential {
             rng: StdRng::seed_from_u64(seed),
-        })
-    }
-
-    /// Sequential-mode session seeded from OS entropy (the legacy
-    /// `Sampler::new()` behavior).
-    #[cfg(feature = "legacy-sampler")]
-    pub(crate) fn sequential_from_entropy() -> Self {
-        Self::with_policy(SeedPolicy::Sequential {
-            rng: StdRng::from_entropy(),
         })
     }
 
@@ -806,8 +794,9 @@ impl Session {
 
     /// An auxiliary raw RNG for code that mixes plain random draws with
     /// network queries (workload generators, simulated sensors). In a
-    /// sequential session this is the legacy shared stream; in a substream
-    /// session it is a dedicated stream derived from the root seed.
+    /// sequential session this is the shared per-sample stream; in a
+    /// substream session it is a dedicated stream derived from the root
+    /// seed.
     pub fn rng(&mut self) -> &mut dyn RngCore {
         self.seeds.raw_rng()
     }
@@ -877,20 +866,6 @@ impl Session {
     /// spawn derived deterministic components (evaluators, sub-sessions).
     pub(crate) fn derive_seed(&mut self) -> u64 {
         self.seeds.derive_seed()
-    }
-
-    /// Legacy shim hook: one per-sample seed from the session's stream
-    /// (sequential mode: the next `u64` of the shared stream). Only the
-    /// stream-equivalence tests drive the legacy protocol directly now.
-    #[cfg(all(test, feature = "legacy-sampler"))]
-    pub(crate) fn next_stream_seed(&mut self) -> u64 {
-        self.seeds.derive_seed()
-    }
-
-    /// Legacy shim hook: bumps the joint-sample counter by `n`.
-    #[cfg(all(test, feature = "legacy-sampler"))]
-    pub(crate) fn count_joint_samples(&mut self, n: u64) {
-        self.joint_samples += n;
     }
 
     // -- analytic backend -------------------------------------------------
@@ -1674,16 +1649,16 @@ mod tests {
 
     #[test]
     fn sequential_mode_matches_legacy_sampler_stream() {
-        // The compatibility claim that keeps every seeded experiment
-        // stable: Session::sequential(s) draws the exact stream the
-        // pre-runtime Sampler::seeded(s) drew.
+        // The claim that keeps every seeded experiment stable:
+        // Session::sequential(s) draws the exact stream the pre-runtime
+        // sampler drew.
         let x = Uncertain::normal(0.0, 1.0).unwrap();
         let expr = &x * &x - &x;
         let mut session = Session::sequential(17);
         let via_session = session.samples(&expr, 25);
-        // Reference: seed a StdRng the way Sampler::seeded did and replay
-        // the historical per-sample protocol (one u64 per joint sample,
-        // fresh tree-walk context each).
+        // Reference: seed a StdRng with `s` and replay the historical
+        // per-sample protocol (one u64 per joint sample, fresh tree-walk
+        // context each).
         let mut rng = StdRng::seed_from_u64(17);
         let via_legacy: Vec<f64> = (0..25)
             .map(|_| {
@@ -1692,6 +1667,23 @@ mod tests {
             })
             .collect();
         assert_eq!(via_session, via_legacy);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let mut a = Session::sequential(1);
+        let mut b = Session::sequential(2);
+        assert_ne!(a.samples(&x, 5), b.samples(&x, 5));
+    }
+
+    #[test]
+    fn joint_samples_are_independent_across_calls() {
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let mut s = Session::sequential(3);
+        let a = s.sample(&x);
+        let b = s.sample(&x);
+        assert_ne!(a, b, "separate joint samples must redraw the leaves");
     }
 
     #[test]

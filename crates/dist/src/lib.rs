@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_debug_implementations)]
 
 pub mod column;

@@ -56,6 +56,8 @@
 //! # }
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 mod client;
 mod config;
 mod metrics;

@@ -119,7 +119,9 @@ mod imp {
     const EPOLL_CLOEXEC: c_int = 0o2000000;
 
     /// The kernel's `struct epoll_event`. Packed on x86 so the 64-bit data
-    /// field sits at offset 4, matching the ABI `epoll_wait` fills.
+    /// field sits at offset 4, matching the ABI `epoll_wait` fills; every
+    /// pointer handed to `epoll_ctl`/`epoll_wait` below relies on this
+    /// layout.
     #[cfg_attr(any(target_arch = "x86_64", target_arch = "x86"), repr(C, packed))]
     #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "x86")), repr(C))]
     #[derive(Clone, Copy, Debug)]
@@ -171,6 +173,9 @@ mod imp {
 
     impl Poller {
         pub fn new() -> io::Result<Self> {
+            // SAFETY: `epoll_create1` takes no pointers. A non-negative
+            // return is a fresh fd that this poller owns from here on and
+            // closes exactly once, in `Drop`.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(Self {
                 epfd,
@@ -183,6 +188,9 @@ mod imp {
                 events: mask(interest),
                 data: token,
             };
+            // SAFETY: `self.epfd` is the open epoll fd this poller owns, and
+            // `&mut ev` points to a live `EpollEvent` with the kernel's
+            // layout, which the kernel only reads during the call.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) }).map(|_| ())
         }
 
@@ -191,11 +199,15 @@ mod imp {
                 events: mask(interest),
                 data: token,
             };
+            // SAFETY: as in `add`: the owned epoll fd and a pointer to a
+            // live, kernel-layout `EpollEvent` that is only read.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) }).map(|_| ())
         }
 
         pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `add`. `EPOLL_CTL_DEL` ignores the event, but
+            // kernels before 2.6.9 reject a null pointer, so pass a valid one.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
         }
 
@@ -206,6 +218,10 @@ mod imp {
         ) -> io::Result<()> {
             events.clear();
             let n = loop {
+                // SAFETY: `self.buf` holds `self.buf.len()` initialized
+                // kernel-layout `EpollEvent`s, so the pointer/length pair
+                // covers exactly the memory the kernel may write, and
+                // `self.epfd` is the open epoll fd this poller owns.
                 let ret = unsafe {
                     epoll_wait(
                         self.epfd,
@@ -235,6 +251,9 @@ mod imp {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: `self.epfd` came from `epoll_create1` in `new`, no
+            // other value owns it, and `drop` runs once, so the fd is
+            // closed exactly once.
             unsafe {
                 close(self.epfd);
             }
@@ -331,6 +350,10 @@ mod imp {
                 })
                 .collect();
             loop {
+                // SAFETY: `fds` is a live `Vec` of `repr(C)` `PollFd`s laid
+                // out as `struct pollfd`, and the pointer/length pair covers
+                // exactly that allocation, whose `revents` the kernel writes
+                // during the call.
                 let ret =
                     unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms(timeout)) };
                 if ret >= 0 {

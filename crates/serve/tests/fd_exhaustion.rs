@@ -7,6 +7,7 @@
 //! alone in its own integration-test binary.
 
 #![cfg(target_os = "linux")]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -51,6 +52,8 @@ struct LimitGuard(RLimit);
 
 impl Drop for LimitGuard {
     fn drop(&mut self) {
+        // SAFETY: `&self.0` points to a live `RLimit` laid out as
+        // `struct rlimit`, which `setrlimit` only reads.
         unsafe { setrlimit(RLIMIT_NOFILE, &self.0) };
     }
 }
@@ -89,10 +92,14 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
     // The client socket is created *before* the limit drops — connect(2)
     // on an existing fd allocates nothing, while the server's accept(2)
     // must allocate and will hit EMFILE.
+    // SAFETY: `socket` takes no pointers; the returned fd is owned here
+    // until `from_raw_fd` below hands it to a `TcpStream`.
     let fd = unsafe { socket(AF_INET, SOCK_STREAM, 0) };
     assert!(fd >= 0, "pre-created client socket");
 
     let mut old = RLimit { cur: 0, max: 0 };
+    // SAFETY: `&mut old` points to a live `RLimit` laid out as
+    // `struct rlimit`, which `getrlimit` fills in.
     assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut old) }, 0);
     let _guard = LimitGuard(old);
     let lowered = RLimit {
@@ -100,6 +107,7 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
         max: old.max,
     };
     assert_eq!(
+        // SAFETY: `&lowered` points to a live `struct rlimit`, only read.
         unsafe { setrlimit(RLIMIT_NOFILE, &lowered) },
         0,
         "lower fd limit to current usage"
@@ -112,6 +120,9 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
         zero: [0; 8],
     };
     assert_eq!(
+        // SAFETY: `fd` is the open socket created above, and the pointer
+        // and length describe exactly `sockaddr`, a live `repr(C)`
+        // `struct sockaddr_in` that `connect` only reads.
         unsafe { connect(fd, &sockaddr, std::mem::size_of::<SockAddrIn>() as u32) },
         0,
         "handshake completes in the backlog even though accept cannot run"
@@ -130,8 +141,11 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
 
     // Free descriptors again; within one backoff the loop resumes and
     // the parked connection gets accepted and served.
+    // SAFETY: `&old` points to a live `struct rlimit`, only read.
     assert_eq!(unsafe { setrlimit(RLIMIT_NOFILE, &old) }, 0);
 
+    // SAFETY: `fd` is an open, connected socket that nothing else owns or
+    // closes, so the stream becomes its sole owner.
     let mut stream = unsafe { TcpStream::from_raw_fd(fd) };
     stream.write_all(&MAGIC).expect("preamble");
     let payload = wire::encode_request(

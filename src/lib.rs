@@ -26,8 +26,6 @@
 //! # }
 //! ```
 
-#[cfg(feature = "legacy-sampler")]
-pub use uncertain_core::Sampler;
 pub use uncertain_core::{
     BoolLaw, CacheStats, ConfigError, DecisionTrace, Error, EvalConfig, EvalConfigBuilder,
     EvalStrategy, Evaluator, ExactMethod, HypothesisOutcome, InconclusiveError, IntoUncertain,
@@ -49,3 +47,8 @@ pub use uncertain_neural as neural;
 pub use uncertain_obs as obs;
 pub use uncertain_serve as serve;
 pub use uncertain_stats as stats;
+
+/// `docs/TUTORIAL.md`, whose code blocks run as this crate's doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/TUTORIAL.md")]
+pub struct Tutorial;

@@ -11,7 +11,7 @@ use uncertain_suite::dist::{
     Rician, StudentT, Triangular, Truncated, Uniform,
 };
 use uncertain_suite::stats::ks_test;
-use uncertain_suite::{Sampler, Uncertain};
+use uncertain_suite::{Session, Uncertain};
 
 const N: usize = 4000;
 const ALPHA: f64 = 0.001; // loose enough to be stable, tight enough to catch bugs
@@ -24,8 +24,8 @@ where
 {
     let cdf = dist.clone();
     let leaf = Uncertain::from_distribution(dist);
-    let mut sampler = Sampler::seeded(seed);
-    let sample = sampler.samples(&leaf, N);
+    let mut session = Session::sequential(seed);
+    let sample = session.samples(&leaf, N);
     let outcome = ks_test(&sample, |x| cdf.cdf(x)).expect("finite samples");
     assert!(
         outcome.fits(ALPHA),
@@ -126,8 +126,8 @@ fn arithmetic_results_are_calibrated_too() {
     let analytic = Gaussian::new(-2.0, (4.0_f64 + 2.25).sqrt()).unwrap();
     // Seed chosen to avoid a ~1-in-5000 KS false alarm under the vendored
     // xoshiro256++ streams (seed 15 lands on p ≈ 2e-4 < α by bad luck).
-    let mut sampler = Sampler::seeded(18);
-    let sample = sampler.samples(&sum, N);
+    let mut session = Session::sequential(18);
+    let sample = session.samples(&sum, N);
     let outcome = ks_test(&sample, |x| analytic.cdf(x)).unwrap();
     assert!(outcome.fits(ALPHA), "sum: p = {}", outcome.p_value);
 }
@@ -138,8 +138,8 @@ fn scaled_variable_is_calibrated() {
     let x = Uncertain::normal(0.0, 1.0).unwrap();
     let y = &x * 3.0 + 1.0;
     let analytic = Gaussian::new(1.0, 3.0).unwrap();
-    let mut sampler = Sampler::seeded(16);
-    let outcome = ks_test(&sampler.samples(&y, N), |v| analytic.cdf(v)).unwrap();
+    let mut session = Session::sequential(16);
+    let outcome = ks_test(&session.samples(&y, N), |v| analytic.cdf(v)).unwrap();
     assert!(outcome.fits(ALPHA), "affine: p = {}", outcome.p_value);
 }
 
@@ -151,9 +151,9 @@ fn gps_distance_is_rayleigh_calibrated() {
     let fix = GpsReading::new(GeoCoordinate::new(47.6, -122.3), 6.0).unwrap();
     let location = fix.location();
     let radial = Rayleigh::from_gps_accuracy(6.0).unwrap();
-    let mut sampler = Sampler::seeded(17);
+    let mut session = Session::sequential(17);
     let dists: Vec<f64> = (0..N)
-        .map(|_| fix.center().distance_meters(&sampler.sample(&location)))
+        .map(|_| fix.center().distance_meters(&session.sample(&location)))
         .collect();
     let outcome = ks_test(&dists, |x| radial.cdf(x)).unwrap();
     assert!(outcome.fits(ALPHA), "gps radial: p = {}", outcome.p_value);

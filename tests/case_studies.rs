@@ -3,10 +3,6 @@
 //! paper's evaluation, at reduced scale (the figure binaries run the full
 //! scale).
 
-// This suite pins the recorded seed streams, so it deliberately keeps
-// driving the deprecated `Sampler`-era surface.
-#![allow(deprecated)]
-
 use uncertain_suite::gps::{
     naive_speed, priors, uncertain_speed, Action, GeoCoordinate, GpsReading, SimulatedGps,
     WalkExperiment,
@@ -15,7 +11,7 @@ use uncertain_suite::life::{LifeExperiment, Variant};
 use uncertain_suite::neural::eval::{parakeet_precision_recall, parrot_confusion};
 use uncertain_suite::neural::sobel::generate_dataset;
 use uncertain_suite::neural::{Parakeet, Parrot};
-use uncertain_suite::{Sampler, Session};
+use uncertain_suite::Session;
 
 // ---------------------------------------------------------------------- GPS
 
@@ -61,8 +57,8 @@ fn compounding_error_quantified() {
     let a = GpsReading::new(start, 4.0).unwrap();
     let b = GpsReading::new(start.destination(1.34, 90.0), 4.0).unwrap();
     let speed = uncertain_speed(&a, &b, 1.0);
-    let mut s = Sampler::seeded(12);
-    let stats = speed.stats_with(&mut s, 5000).unwrap();
+    let mut s = Session::sequential(12);
+    let stats = speed.stats_in(&mut s, 5000).unwrap();
     let (lo, hi) = stats.coverage_interval(0.95);
     assert!(hi - lo > 10.0, "interval = [{lo:.1}, {hi:.1}]");
 }
@@ -73,7 +69,7 @@ fn stationary_user_naive_speed_is_biased() {
     // noise; its mean is far from zero.
     let gps = SimulatedGps::new(4.0).unwrap();
     let truth = GeoCoordinate::new(47.6, -122.3);
-    let mut s = Sampler::seeded(13);
+    let mut s = Session::sequential(13);
     let mut total = 0.0;
     let n = 200;
     for _ in 0..n {
@@ -89,7 +85,7 @@ fn walking_prior_is_a_library_preset() {
     // §3.5: experts ship preset priors; applications apply them in one line.
     let noisy = uncertain_suite::Uncertain::normal(20.0, 30.0).unwrap();
     let improved = priors::apply(&noisy, priors::walking_speed());
-    let mut s = Sampler::seeded(14);
+    let mut s = Session::sequential(14);
     for _ in 0..500 {
         let v = s.sample(&improved);
         assert!((0.0..=8.0).contains(&v), "prior support violated: {v}");
@@ -140,8 +136,8 @@ fn parakeet_beats_parrot_on_precision() {
     let parakeet = Parakeet::train_tuned(&train, 50, 34, &mut rng);
 
     let parrot_m = parrot_confusion(&parrot, &test);
-    // Session::sequential(35) draws the exact stream Sampler::seeded(35)
-    // drew, so the recorded qualitative outcome is unchanged.
+    // Session::sequential(35) draws the recorded seed stream, so the
+    // qualitative outcome is unchanged.
     let mut s = Session::sequential(35);
     let points = parakeet_precision_recall(&parakeet, &test, &[0.8], 120, &mut s);
 

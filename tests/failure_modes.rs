@@ -3,23 +3,19 @@
 //! degenerate workloads. A library for uncertain data must itself fail
 //! predictably.
 
-// This suite pins the recorded seed streams, so it deliberately keeps
-// driving the deprecated `Sampler`-era surface.
-#![allow(deprecated)]
-
 use uncertain_suite::dist::{Empirical, ParamError};
 use uncertain_suite::stats::{StatsError, Summary};
-use uncertain_suite::{EvalConfig, Sampler, Uncertain};
+use uncertain_suite::{Session, Uncertain};
 
 #[test]
 fn division_by_zero_mass_surfaces_as_stats_error() {
-    // A denominator with mass exactly at 0 produces infinities; stats_with
+    // A denominator with mass exactly at 0 produces infinities; stats_in
     // must refuse rather than return a garbage mean.
     let numerator = Uncertain::point(1.0);
     let denominator = Uncertain::point(0.0);
     let ratio = &numerator / &denominator;
-    let mut s = Sampler::seeded(1);
-    let result = ratio.stats_with(&mut s, 100);
+    let mut s = Session::sequential(1);
+    let result = ratio.stats_in(&mut s, 100);
     assert!(result.is_err(), "non-finite samples must not summarize");
 }
 
@@ -27,11 +23,11 @@ fn division_by_zero_mass_surfaces_as_stats_error() {
 fn nan_producing_map_is_caught_by_summary() {
     let x = Uncertain::normal(0.0, 1.0).unwrap();
     let sqrt = x.sqrt(); // NaN for roughly half the samples
-    let mut s = Sampler::seeded(2);
-    assert!(sqrt.stats_with(&mut s, 200).is_err());
+    let mut s = Session::sequential(2);
+    assert!(sqrt.stats_in(&mut s, 200).is_err());
     // The calibrated alternative: clamp the domain first.
     let safe = x.abs().sqrt();
-    assert!(safe.stats_with(&mut s, 200).is_ok());
+    assert!(safe.stats_in(&mut s, 200).is_ok());
 }
 
 #[test]
@@ -41,9 +37,9 @@ fn comparisons_with_nan_are_well_defined_booleans() {
     let nan = Uncertain::point(f64::NAN);
     let gt = nan.gt(0.0);
     let lt = nan.lt(0.0);
-    let mut s = Sampler::seeded(3);
-    assert_eq!(gt.probability_with(&mut s, 100), 0.0);
-    assert_eq!(lt.probability_with(&mut s, 100), 0.0);
+    let mut s = Session::sequential(3);
+    assert_eq!(gt.probability_in(&mut s, 100), 0.0);
+    assert_eq!(lt.probability_in(&mut s, 100), 0.0);
 }
 
 #[test]
@@ -51,7 +47,7 @@ fn comparisons_with_nan_are_well_defined_booleans() {
 fn impossible_hard_evidence_panics_with_context() {
     let x = Uncertain::uniform(0.0, 1.0).unwrap();
     let impossible = x.condition_on(|v| *v > 2.0, 16);
-    let mut s = Sampler::seeded(4);
+    let mut s = Session::sequential(4);
     let _ = s.sample(&impossible);
 }
 
@@ -79,8 +75,8 @@ fn empty_data_is_an_error_everywhere() {
 #[should_panic(expected = "invalid conditional threshold")]
 fn out_of_range_threshold_panics_at_the_conditional() {
     let b = Uncertain::bernoulli(0.5).unwrap();
-    let mut s = Sampler::seeded(5);
-    let _ = b.evaluate(0.0, &mut s, &EvalConfig::default());
+    let mut s = Session::sequential(5);
+    let _ = b.evaluate_in(&mut s, 0.0);
 }
 
 #[test]
@@ -88,9 +84,9 @@ fn degenerate_point_mass_conditionals_decide_instantly() {
     // Pr is exactly 0 or 1: the SPRT crosses a boundary on the first batch.
     let always = Uncertain::point(true);
     let never = Uncertain::point(false);
-    let mut s = Sampler::seeded(6);
-    let o1 = always.evaluate(0.5, &mut s, &EvalConfig::default());
-    let o2 = never.evaluate(0.5, &mut s, &EvalConfig::default());
+    let mut s = Session::sequential(6);
+    let o1 = always.evaluate_in(&mut s, 0.5);
+    let o2 = never.evaluate_in(&mut s, 0.5);
     assert!(o1.is_true() && o1.samples <= 20);
     assert!(o2.is_false() && o2.samples <= 20);
 }
@@ -98,7 +94,7 @@ fn degenerate_point_mass_conditionals_decide_instantly() {
 #[test]
 fn weight_by_tolerates_pathological_weight_functions() {
     let x = Uncertain::uniform(0.0, 1.0).unwrap();
-    let mut s = Sampler::seeded(7);
+    let mut s = Session::sequential(7);
     // NaN weights are treated as zero (with fallback), not propagated.
     let nan_weights = x.weight_by(|_| f64::NAN);
     let v = s.sample(&nan_weights);
@@ -119,12 +115,12 @@ fn weight_by_tolerates_pathological_weight_functions() {
 fn extreme_magnitudes_flow_through_the_network() {
     let tiny = Uncertain::normal(1e-300, 1e-301).unwrap();
     let huge = Uncertain::normal(1e300, 1e299).unwrap();
-    let mut s = Sampler::seeded(8);
+    let mut s = Session::sequential(8);
     assert!(s.sample(&tiny).is_finite());
     assert!(s.sample(&huge).is_finite());
     // Product overflows to infinity — detected by stats, not hidden.
     let product = &huge * &huge;
-    assert!(product.stats_with(&mut s, 50).is_err());
+    assert!(product.stats_in(&mut s, 50).is_err());
 }
 
 #[test]
@@ -133,7 +129,7 @@ fn sampler_state_is_isolated_between_variables() {
     // interleaved sampling matches isolated sampling statistically.
     let a = Uncertain::normal(0.0, 1.0).unwrap();
     let b = Uncertain::uniform(0.0, 1.0).unwrap();
-    let mut s = Sampler::seeded(9);
+    let mut s = Session::sequential(9);
     let mut a_sum = 0.0;
     for i in 0..4000 {
         if i % 2 == 0 {

@@ -3,13 +3,9 @@
 //! logic, and Bayesian conditioning — the paper's §3/§4 guarantees,
 //! exercised through the public API only.
 
-// This suite pins the recorded seed streams, so it deliberately keeps
-// driving the deprecated `Sampler`-era surface.
-#![allow(deprecated)]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use uncertain_suite::{EvalConfig, Sampler, Uncertain};
+use uncertain_suite::{EvalConfig, Session, Uncertain};
 
 #[test]
 fn construction_is_lazy_sampling_is_not() {
@@ -27,7 +23,7 @@ fn construction_is_lazy_sampling_is_not() {
 
     // One joint sample evaluates the leaf exactly once (memoized), even
     // though the expression references it twice.
-    let mut s = Sampler::seeded(1);
+    let mut s = Session::sequential(1);
     let v = s.sample(&expr);
     assert_eq!(v, (1.0 + 1.0) * 2.0 - 1.0);
     assert_eq!(calls.load(Ordering::SeqCst), 1, "shared leaf sampled once");
@@ -50,8 +46,8 @@ fn figure_8_network_and_variance() {
     assert_eq!(view.node_count(), 4);
 
     // Semantics: Var[Y + 2X] = 5, not the wrong network's 3.
-    let mut s = Sampler::seeded(2);
-    let stats = b.stats_with(&mut s, 30_000).unwrap();
+    let mut s = Session::sequential(2);
+    let stats = b.stats_in(&mut s, 30_000).unwrap();
     assert!((stats.variance() - 5.0).abs() < 0.3, "{}", stats.variance());
 }
 
@@ -60,7 +56,7 @@ fn correlation_flows_through_arbitrary_combinators() {
     // (x·3 − x) / x == 2 exactly, whatever x sampled.
     let x = Uncertain::uniform(1.0, 9.0).unwrap();
     let expr = (&x * 3.0 - &x) / &x;
-    let mut s = Sampler::seeded(3);
+    let mut s = Session::sequential(3);
     for _ in 0..200 {
         assert!((s.sample(&expr) - 2.0).abs() < 1e-12);
     }
@@ -72,7 +68,7 @@ fn zip_and_flat_map_share_context() {
     let x = Uncertain::uniform(0.0, 1.0).unwrap();
     let doubled = x.flat_map("double", |v| Uncertain::point(v * 2.0));
     let pair = x.zip(&doubled);
-    let mut s = Sampler::seeded(4);
+    let mut s = Session::sequential(4);
     for _ in 0..100 {
         let (raw, dbl) = s.sample(&pair);
         assert!((dbl - 2.0 * raw).abs() < 1e-12);
@@ -86,11 +82,11 @@ fn ternary_logic_on_marginal_comparisons() {
     let a = Uncertain::normal(0.0, 1.0).unwrap();
     let b = Uncertain::normal(0.02, 1.0).unwrap();
     let cfg = EvalConfig::default().with_max_samples(60);
-    let mut s = Sampler::seeded(5);
+    let mut s = Session::sequential(5);
     let mut neither = 0;
     for _ in 0..20 {
-        let lt = a.lt(&b).evaluate(0.5, &mut s, &cfg);
-        let ge = a.ge(&b).evaluate(0.5, &mut s, &cfg);
+        let lt = s.evaluate_with(&a.lt(&b), 0.5, &cfg);
+        let ge = s.evaluate_with(&a.ge(&b), 0.5, &cfg);
         if lt.is_inconclusive() && ge.is_inconclusive() {
             neither += 1;
         }
@@ -105,8 +101,8 @@ fn ternary_logic_on_marginal_comparisons() {
 fn conclusive_comparisons_on_separated_distributions() {
     let lo = Uncertain::normal(0.0, 1.0).unwrap();
     let hi = Uncertain::normal(5.0, 1.0).unwrap();
-    let mut s = Sampler::seeded(6);
-    let o = lo.lt(&hi).evaluate(0.5, &mut s, &EvalConfig::default());
+    let mut s = Session::sequential(6);
+    let o = lo.lt(&hi).evaluate_in(&mut s, 0.5);
     assert!(o.is_true());
     assert!(
         o.samples <= 50,
@@ -125,13 +121,13 @@ fn conditioning_composes_with_computation() {
     let pair_sum = &die + &die.encapsulate();
     // Observe: the sum is at least 10 (so 10, 11 or 12).
     let high = pair_sum.condition_on_default(|s| *s >= 10.0);
-    let mut s = Sampler::seeded(7);
-    let e = high.expected_value_with(&mut s, 4000);
+    let mut s = Session::sequential(7);
+    let e = high.expected_value_in(&mut s, 4000);
     // Analytic: E[sum | sum ≥ 10] = (10·3 + 11·2 + 12·1)/6 = 64/6 ≈ 10.67.
     assert!((e - 64.0 / 6.0).abs() < 0.1, "e={e}");
     // And downstream arithmetic still works.
     let halved = high / 2.0;
-    let eh = halved.expected_value_with(&mut s, 4000);
+    let eh = halved.expected_value_in(&mut s, 4000);
     assert!((eh - 32.0 / 6.0).abs() < 0.1, "eh={eh}");
 }
 
@@ -144,9 +140,9 @@ fn priors_and_conditionals_interact_correctly() {
         // Unnormalized N(6, 1) density.
         (-0.5 * (v - 6.0) * (v - 6.0)).exp()
     });
-    let mut s = Sampler::seeded(8);
-    assert!(posterior.gt(3.0).is_probable_with(&mut s));
-    assert!(!raw.gt(3.0).is_probable_with(&mut s));
+    let mut s = Session::sequential(8);
+    assert!(posterior.gt(3.0).is_probable_in(&mut s));
+    assert!(!raw.gt(3.0).is_probable_in(&mut s));
 }
 
 #[test]
@@ -169,7 +165,7 @@ fn networks_render_to_dot_with_shaded_leaves() {
 #[test]
 fn sampler_counts_joint_samples_across_conditionals() {
     let b = Uncertain::bernoulli(0.95).unwrap();
-    let mut s = Sampler::seeded(9);
-    let o = b.evaluate(0.5, &mut s, &EvalConfig::default());
+    let mut s = Session::sequential(9);
+    let o = b.evaluate_in(&mut s, 0.5);
     assert_eq!(s.joint_samples() as usize, o.samples);
 }

@@ -1,13 +1,9 @@
-//! Property-based tests (proptest) that compiled evaluation plans agree
-//! with the tree-walk interpreter, and that parallel batch sampling is
-//! deterministic regardless of worker count.
-
-// This suite pins the recorded seed streams, so it deliberately keeps
-// driving the deprecated `Sampler`-era surface.
-#![allow(deprecated)]
+//! Property-based tests (proptest) that compiled evaluation plans and the
+//! columnar kernel agree with the tree-walk interpreter, and that parallel
+//! batch sampling is deterministic regardless of worker count.
 
 use proptest::prelude::*;
-use uncertain_suite::{Evaluator, ParSampler, Sampler, Uncertain};
+use uncertain_suite::{Evaluator, ParSampler, Session, Uncertain};
 
 /// An arbitrary expression shape mixing shared leaves, scalar ops, and a
 /// nonlinearity — the shapes a compiled plan must reproduce exactly.
@@ -42,24 +38,25 @@ proptest! {
         prop_assert!(batch.iter().all(|&v| v == 0.0));
     }
 
-    /// Plan and tree-walk draw bitwise-identical sample streams for the
-    /// same sampler seed, across arbitrary expression shapes.
+    /// The columnar kernel and the tree-walk draw bitwise-identical sample
+    /// streams for the same sequential seed, across arbitrary expression
+    /// shapes.
     #[test]
-    fn plan_matches_treewalk_stream(
+    fn kernel_matches_treewalk_stream(
         mean in -10.0_f64..10.0,
         sd in 0.1_f64..5.0,
         n_ops in 0usize..12,
         seed in 0u64..1000,
     ) {
         let expr = build_expr(mean, sd, n_ops);
-        let mut tree = Sampler::seeded(seed);
-        let mut planned = Sampler::seeded(seed);
-        // `samples` goes through the tree-walk; `expected_value_with` goes
-        // through the plan — both consume one sampler seed per draw.
-        let walked = tree.samples(&expr, 16);
-        let mean_walked = walked.iter().sum::<f64>() / 16.0;
-        let mean_planned = expr.expected_value_with(&mut planned, 16);
-        prop_assert_eq!(mean_walked, mean_planned);
+        // A batch runs on the cached kernel; a single draw always runs on
+        // the tree-walk. Both consume one seed per joint sample.
+        let mut kernel = Session::sequential(seed);
+        let batch: Vec<u64> = kernel.samples(&expr, 16).iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(kernel.cache_stats().entries, 1, "every shape lowers");
+        let mut tree = Session::sequential(seed);
+        let walked: Vec<u64> = (0..16).map(|_| tree.sample(&expr).to_bits()).collect();
+        prop_assert_eq!(batch, walked);
     }
 
     /// Encapsulation decorrelates under the plan exactly as it does under

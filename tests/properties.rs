@@ -1,14 +1,10 @@
 //! Property-based tests (proptest) over the core invariants of the
 //! `Uncertain<T>` runtime and its substrates.
 
-// This suite pins the recorded seed streams, so it deliberately keeps
-// driving the deprecated `Sampler`-era surface.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use uncertain_suite::dist::{Continuous, Gaussian, Rayleigh, Uniform};
 use uncertain_suite::stats::{wilson_interval, Summary};
-use uncertain_suite::{Sampler, Uncertain};
+use uncertain_suite::{Session, Uncertain};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -21,7 +17,7 @@ proptest! {
     ) {
         let ua = Uncertain::point(a);
         let ub = Uncertain::point(b);
-        let mut s = Sampler::seeded(0);
+        let mut s = Session::sequential(0);
         prop_assert_eq!(s.sample(&(&ua + &ub)), a + b);
         prop_assert_eq!(s.sample(&(&ua - &ub)), a - b);
         prop_assert_eq!(s.sample(&(&ua * &ub)), a * b);
@@ -34,7 +30,7 @@ proptest! {
         let x = Uncertain::normal(mean, sd).unwrap();
         let zero = &x - &x;
         let pair = (&x + &x).zip(&(&x * 2.0));
-        let mut s = Sampler::seeded(seed);
+        let mut s = Session::sequential(seed);
         prop_assert_eq!(s.sample(&zero), 0.0);
         let (sum2, twice) = s.sample(&pair);
         prop_assert!((sum2 - twice).abs() < 1e-12);
@@ -50,7 +46,7 @@ proptest! {
         let le = a.le(&b);
         let both = &gt & &le;
         let either = &gt | &le;
-        let mut s = Sampler::seeded(seed);
+        let mut s = Session::sequential(seed);
         prop_assert!(!s.sample(&both));
         prop_assert!(s.sample(&either));
     }
@@ -60,8 +56,8 @@ proptest! {
     fn determinism(seed in 0u64..1000, scale in 0.5_f64..5.0) {
         let x = Uncertain::normal(0.0, scale).unwrap();
         let expr = (&x * 2.0 + 1.0).map("sin", f64::sin);
-        let mut s1 = Sampler::seeded(seed);
-        let mut s2 = Sampler::seeded(seed);
+        let mut s1 = Session::sequential(seed);
+        let mut s2 = Session::sequential(seed);
         prop_assert_eq!(s1.samples(&expr, 8), s2.samples(&expr, 8));
     }
 
@@ -86,7 +82,7 @@ proptest! {
     fn uniform_support(lo in -100.0_f64..0.0, width in 0.1_f64..100.0, seed in 0u64..100) {
         let u = Uniform::new(lo, lo + width).unwrap();
         let x = Uncertain::from_distribution(u);
-        let mut s = Sampler::seeded(seed);
+        let mut s = Session::sequential(seed);
         for v in s.samples(&x, 50) {
             prop_assert!(v >= lo && v < lo + width);
         }
@@ -121,8 +117,8 @@ proptest! {
     fn constant_weight_is_noop(c in 0.1_f64..10.0) {
         let x = Uncertain::normal(5.0, 1.0).unwrap();
         let w = x.weight_by(move |_| c);
-        let mut s = Sampler::seeded(7);
-        let e = w.expected_value_with(&mut s, 3000);
+        let mut s = Session::sequential(7);
+        let e = w.expected_value_in(&mut s, 3000);
         prop_assert!((e - 5.0).abs() < 0.15, "e={e}");
     }
 
@@ -159,8 +155,8 @@ proptest! {
         let x = Uncertain::normal(1.0, 1.0).unwrap();
         let y = Uncertain::normal(-2.0, 2.0).unwrap();
         let combo = &x * a + &y * b;
-        let mut s = Sampler::seeded(11);
-        let e = combo.expected_value_with(&mut s, 20_000);
+        let mut s = Session::sequential(11);
+        let e = combo.expected_value_in(&mut s, 20_000);
         let expect = a * 1.0 + b * -2.0;
         prop_assert!((e - expect).abs() < 0.15 * (1.0 + a.abs() + b.abs()), "{e} vs {expect}");
     }
@@ -169,8 +165,8 @@ proptest! {
     #[test]
     fn sprt_correct_when_separated(p in 0.75_f64..0.95, seed in 0u64..100) {
         let b = Uncertain::bernoulli(p).unwrap();
-        let mut s = Sampler::seeded(seed);
-        prop_assert!(b.is_probable_with(&mut s));
-        prop_assert!(!(!&b).is_probable_with(&mut s));
+        let mut s = Session::sequential(seed);
+        prop_assert!(b.is_probable_in(&mut s));
+        prop_assert!(!(!&b).is_probable_in(&mut s));
     }
 }

@@ -6,7 +6,7 @@
 //! and sampling behavior.
 
 use proptest::prelude::*;
-use uncertain_suite::{Sampler, Uncertain};
+use uncertain_suite::{Session, Uncertain};
 
 /// A serializable description of an expression tree (proptest shrinks
 /// these, then we build the real network).
@@ -101,8 +101,8 @@ proptest! {
         prop_assert!(dot.starts_with("digraph"));
 
         // Sampling invariants.
-        let mut s1 = Sampler::seeded(seed);
-        let mut s2 = Sampler::seeded(seed);
+        let mut s1 = Session::sequential(seed);
+        let mut s2 = Session::sequential(seed);
         for _ in 0..8 {
             let v1 = s1.sample(&u);
             let v2 = s2.sample(&u);
@@ -119,7 +119,7 @@ proptest! {
         let u = tree.build();
         let zero = &u - &u;
         let doubled_diff = (&u + &u) - &u * 2.0;
-        let mut s = Sampler::seeded(seed);
+        let mut s = Session::sequential(seed);
         for _ in 0..8 {
             prop_assert_eq!(s.sample(&zero), 0.0);
             let d = s.sample(&doubled_diff);
@@ -133,7 +133,7 @@ proptest! {
         let u = tree.build();
         let ge_self = u.ge(&u);
         let gt_self = u.gt(&u);
-        let mut s = Sampler::seeded(seed);
+        let mut s = Session::sequential(seed);
         for _ in 0..8 {
             prop_assert!(s.sample(&ge_self));
             prop_assert!(!s.sample(&gt_self));

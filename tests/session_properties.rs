@@ -1,16 +1,10 @@
 //! Property-based tests (proptest) over the [`Session`] runtime: the plan
 //! cache must be invisible to the sample stream (hit, miss, eviction, and
-//! explicit invalidation all draw the same values), substream seeding must
-//! be thread-count invariant, and the deprecated `Sampler` shim must make
-//! the same decisions as the session it wraps.
-
-// Half of these properties pin the deprecated `Sampler`-era surface
-// against the Session API on purpose.
-#![allow(deprecated)]
+//! explicit invalidation all draw the same values), and substream seeding
+//! must be thread-count invariant.
 
 use proptest::prelude::*;
-use uncertain_suite::gps::{uncertain_speed, GeoCoordinate, GpsReading, MPS_TO_MPH};
-use uncertain_suite::{Sampler, Session, Uncertain};
+use uncertain_suite::{Session, Uncertain};
 
 /// An arbitrary expression shape mixing shared leaves, scalar ops, and a
 /// nonlinearity — the shapes whose plans the session caches.
@@ -26,16 +20,6 @@ fn build_expr(mean: f64, sd: f64, n_ops: usize) -> Uncertain<f64> {
         };
     }
     expr
-}
-
-/// The paper's Fig. 9 evidence network: walking-speed distribution from
-/// two ε = 4 m GPS fixes one second apart.
-fn fig9_speed(true_mph: f64) -> Uncertain<f64> {
-    let start = GeoCoordinate::new(47.6, -122.3);
-    let end = start.destination(true_mph / MPS_TO_MPH, 90.0);
-    let a = GpsReading::new(start, 4.0).unwrap();
-    let b = GpsReading::new(end, 4.0).unwrap();
-    uncertain_speed(&a, &b, 1.0)
 }
 
 proptest! {
@@ -120,37 +104,6 @@ proptest! {
         prop_assert_eq!(first, reference);
         prop_assert_eq!(invalidated.cache_stats().misses, 2);
         prop_assert_eq!(unbroken.cache_stats().misses, 1);
-    }
-
-    /// The deprecated `Sampler` shim and `Session::sequential` make
-    /// identical decisions on the Fig. 9 evidence network — the whole
-    /// compatibility contract of the wrapper, over arbitrary true speeds,
-    /// thresholds, and seeds.
-    #[test]
-    fn sampler_shim_matches_sequential_session_decisions(
-        true_mph in 1.0_f64..8.0,
-        threshold in 0.5_f64..0.95,
-        seed in 0u64..500,
-    ) {
-        let over = fig9_speed(true_mph).gt(4.0);
-
-        let mut shim = Sampler::seeded(seed);
-        let mut session = Session::sequential(seed);
-
-        // Same call order on both sides so the streams stay aligned.
-        prop_assert_eq!(
-            over.pr_with(threshold, &mut shim),
-            over.pr_in(&mut session, threshold)
-        );
-        prop_assert_eq!(
-            over.probability_with(&mut shim, 400),
-            over.probability_in(&mut session, 400)
-        );
-        prop_assert_eq!(
-            over.is_probable_with(&mut shim),
-            over.is_probable_in(&mut session)
-        );
-        prop_assert_eq!(shim.joint_samples(), session.joint_samples());
     }
 }
 
