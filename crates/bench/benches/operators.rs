@@ -71,10 +71,9 @@ fn bench_expected_value(c: &mut Criterion) {
     group.finish();
 }
 
-/// Session (interpreted, fresh memo walk) vs Evaluator (compiled plan,
-/// reused context) on a 100-node chain — the allocation-churn ablation.
-fn bench_evaluator_vs_sampler(c: &mut Criterion) {
-    use uncertain_core::Evaluator;
+/// One tree-walk joint sample of a 100-node chain (a fresh memo walk per
+/// draw) — the per-sample interpreter cost the kernel batches amortize.
+fn bench_tree_walk_chain(c: &mut Criterion) {
     let mut expr = Uncertain::normal(0.0, 1.0).unwrap();
     for _ in 0..100 {
         expr = expr + Uncertain::normal(0.0, 1.0).unwrap();
@@ -83,10 +82,6 @@ fn bench_evaluator_vs_sampler(c: &mut Criterion) {
     group.bench_function("Session tree-walk (fresh context)", |bencher| {
         let mut s = Session::seeded(4);
         bencher.iter(|| black_box(s.sample(&expr)));
-    });
-    group.bench_function("Evaluator (reused context)", |bencher| {
-        let mut e = Evaluator::new(&expr, 4);
-        bencher.iter(|| black_box(e.sample()));
     });
     group.finish();
 }
@@ -97,6 +92,6 @@ criterion_group!(
     bench_chain_sampling,
     bench_shared_vs_independent,
     bench_expected_value,
-    bench_evaluator_vs_sampler
+    bench_tree_walk_chain
 );
 criterion_main!(benches);

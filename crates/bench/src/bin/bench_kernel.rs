@@ -1,14 +1,14 @@
-//! Measures the columnar batch kernel against the closure-compiled plan
-//! on the SPRT hot path — batched sampling of the same network, same
-//! seeds, same substream indexing — and appends one machine-readable JSON
-//! line per (workload, batch size) to `BENCH_kernel.json` (in the working
-//! directory).
+//! Measures the columnar batch kernel against the tree-walk reference
+//! interpreter on the SPRT hot path — batched `Session::samples` queries
+//! against single `Session::sample` draws of the same network — and
+//! appends one machine-readable JSON line per (workload, batch size) to
+//! `BENCH_kernel.json` (in the working directory).
 //!
 //! Three workloads spanning the shapes the kernel targets:
 //!
 //! - `fig9_gps`: the literal Fig. 9 conditional (`Speed < 4 mph` from two
 //!   ε = 4 m fixes), transcendental-heavy with shared subexpressions.
-//! - `evidence_chain`: the 159-node chain the `bench_plan`/`bench_serve`
+//! - `evidence_chain`: the 159-node chain the `bench_session`/`bench_serve`
 //!   family uses — long dependency chains, cheap per-node math.
 //! - `wide_dag`: a 129-node network: a balanced reduction over 64 Gaussian leaves —
 //!   maximum instruction-level breadth per tape step.
@@ -22,9 +22,12 @@
 //! batching win with no arithmetic in the way.
 //!
 //! Both paths draw identical sample streams (asserted bitwise before
-//! timing), so the speedup column is pure evaluation-strategy delta:
-//! register-tape columns and per-instruction loops versus one nested
-//! closure call tree per sample.
+//! timing: a `Session::sequential` kernel batch against the same number of
+//! tree-walk draws on a second `Session::sequential`), so the speedup
+//! column is pure evaluation-strategy delta: register-tape columns and
+//! per-instruction loops versus one memoized tree walk per sample. The
+//! tree-walk has no batch size, so its `treewalk_ns_per_sample` is timed
+//! once per workload and repeated on each of that workload's rows.
 //!
 //! Run `cargo run --release --bin bench_kernel`; `--quick` (or `QUICK=1`)
 //! shrinks the sample budget for smoke runs.
@@ -36,7 +39,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use uncertain_bench::{header, scaled};
 use uncertain_core::dist::{Bernoulli, Exponential, Gaussian, Rayleigh, Uniform};
 use uncertain_core::prelude::Distribution;
-use uncertain_core::{Evaluator, ParSampler, Uncertain, Value};
+use uncertain_core::{Session, Uncertain, Value};
 use uncertain_gps::{uncertain_speed, GeoCoordinate, GpsReading, MPS_TO_MPH};
 
 const SEED: u64 = 2014;
@@ -106,6 +109,16 @@ fn median_ns(reps: usize, batches: usize, batch: usize, mut run: impl FnMut(usiz
     times[times.len() / 2]
 }
 
+/// Median ns/sample of `Session::samples` batches of `batch` rows on a
+/// session whose kernel for `net` is already cached.
+fn kernel_ns<T: Value>(net: &Uncertain<T>, reps: usize, batches: usize, batch: usize) -> f64 {
+    let mut session = Session::sequential(SEED);
+    session.samples(net, batch); // lower into the cache, warm
+    median_ns(reps, batches, batch, |k| {
+        std::hint::black_box(session.samples(net, k));
+    })
+}
+
 /// One `leaf_bound` row: times a single-leaf network through the kernel's
 /// vectorized column fill (`tagged`) and its per-element scalar fallback
 /// (`closure`), and appends the comparison as JSON. Both leaves sample the
@@ -124,23 +137,13 @@ fn leaf_bound_row<T: Value + PartialEq + std::fmt::Debug>(
     let batches = (budget / batch).max(1);
 
     assert_eq!(
-        Evaluator::new(&closure, SEED).sample_batch(10_000),
-        Evaluator::new(&tagged, SEED).sample_batch(10_000),
+        Session::sequential(SEED).samples(&closure, 10_000),
+        Session::sequential(SEED).samples(&tagged, 10_000),
         "vectorized and scalar leaf fills disagree for {dist}"
     );
 
-    let mut scalar_eval = Evaluator::new(&closure, SEED);
-    let mut buf = Vec::with_capacity(batch);
-    scalar_eval.sample_batch_into(&mut buf, batch); // warm
-    let scalar_ns = median_ns(reps, batches, batch, |k| {
-        scalar_eval.sample_batch_into(&mut buf, k);
-    });
-
-    let mut vector_eval = Evaluator::new(&tagged, SEED);
-    vector_eval.sample_batch_into(&mut buf, batch); // warm
-    let vector_ns = median_ns(reps, batches, batch, |k| {
-        vector_eval.sample_batch_into(&mut buf, k);
-    });
+    let scalar_ns = kernel_ns(&closure, reps, batches, batch);
+    let vector_ns = kernel_ns(&tagged, reps, batches, batch);
 
     let speedup = scalar_ns / vector_ns;
     println!("{dist:>12} {scalar_ns:>14.2} {vector_ns:>14.2} {speedup:>8.2}x");
@@ -160,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if std::env::args().any(|a| a == "--quick") {
         std::env::set_var("QUICK", "1");
     }
-    header("Columnar kernel vs closure plan: batched sampling (appends BENCH_kernel.json)");
+    header("Columnar kernel vs tree-walk: batched sampling (appends BENCH_kernel.json)");
     // Per-repetition sample budget; batches = budget / batch size.
     let budget = scaled(262_144, 8_192);
     let reps = 7;
@@ -178,41 +181,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut records = 0usize;
     for (workload, net) in &workloads {
-        // Determinism witness first: the two paths must agree bitwise
-        // before their timings are comparable at all.
-        let reference = ParSampler::with_threads(net, SEED, 1).sample_batch(10_000);
-        let columnar = Evaluator::new(net, SEED).sample_batch(10_000);
-        assert_eq!(reference, columnar, "kernel and closure paths disagree");
+        // Determinism witness first: the kernel batch and the tree-walk
+        // draws must agree bitwise before their timings are comparable.
+        let mut kernel = Session::sequential(SEED);
+        let columnar = kernel.samples(net, 10_000);
+        assert_eq!(kernel.cache_stats().entries, 1, "{workload} lowers");
+        let mut tree = Session::sequential(SEED);
+        let reference: Vec<bool> = (0..10_000).map(|_| tree.sample(net)).collect();
+        assert_eq!(reference, columnar, "kernel and tree-walk disagree");
+
+        let treewalk_ns = median_ns(reps, budget, 1, |_| {
+            std::hint::black_box(tree.sample(net));
+        });
 
         println!("\n[{workload}] ({} nodes)", net.network().node_count());
         println!(
             "{:>6} {:>14} {:>14} {:>9}",
-            "batch", "closure ns", "kernel ns", "speedup"
+            "batch", "tree-walk ns", "kernel ns", "speedup"
         );
         for batch in [32usize, 256, 4096] {
             let batches = (budget / batch).max(1);
-
-            let mut closure = ParSampler::with_threads(net, SEED, 1);
-            closure.sample_batch(batch); // warm
-            let closure_ns = median_ns(reps, batches, batch, |k| {
-                let _ = closure.sample_batch(k);
-            });
-
-            let mut eval = Evaluator::new(net, SEED);
-            let mut buf = Vec::with_capacity(batch);
-            eval.sample_batch_into(&mut buf, batch); // warm
-            let kernel_ns = median_ns(reps, batches, batch, |k| {
-                eval.sample_batch_into(&mut buf, k);
-            });
-
-            let speedup = closure_ns / kernel_ns;
-            println!("{batch:>6} {closure_ns:>14.1} {kernel_ns:>14.1} {speedup:>8.2}x");
+            let kernel_ns = kernel_ns(net, reps, batches, batch);
+            let speedup = treewalk_ns / kernel_ns;
+            println!("{batch:>6} {treewalk_ns:>14.1} {kernel_ns:>14.1} {speedup:>8.2}x");
             writeln!(
                 out,
                 "{{\"bench\":\"kernel_columnar\",\"workload\":\"{workload}\",\
                  \"unix_time\":{stamp},\"nodes\":{nodes},\"batch\":{batch},\
                  \"samples\":{samples},\"threads\":1,\
-                 \"closure_ns_per_sample\":{closure_ns:.2},\
+                 \"treewalk_ns_per_sample\":{treewalk_ns:.2},\
                  \"kernel_ns_per_sample\":{kernel_ns:.2},\"speedup\":{speedup:.3}}}",
                 nodes = net.network().node_count(),
                 samples = batches * batch,

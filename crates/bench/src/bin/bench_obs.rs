@@ -35,7 +35,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use uncertain_bench::{header, scaled};
-use uncertain_core::{Plan, Session, Uncertain};
+use uncertain_core::{Session, Uncertain};
 use uncertain_obs::{
     monotonic_ns, AttrValue, FlightConfig, FlightRecorder, RequestTrace, SpanEvent, TraceBuilder,
     TraceContext, TraceLog,
@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expr = network(n);
 
     // Hooks compiled in, dormant: what every default build pays.
-    let nodes = Plan::compile(&expr).slot_count();
+    let nodes = expr.network().node_count();
     let mut disabled = Session::seeded(1);
     let (disabled_ns, mut checksum) = measure(&mut disabled, &expr, reps, iters);
 

@@ -15,7 +15,7 @@
 //! the workload's cold/hot decision-cost ratio:
 //!
 //! - `evidence_chain`: a 159-node GPS-flavored evidence conditional (the
-//!   `bench_session`/`bench_plan` family), where plan compilation
+//!   `bench_session`/`bench_kernel` family), where plan compilation
 //!   dominates a decision. This is where sharding's capacity effect
 //!   shows: ≳4× decision throughput from 1 → 4 shards.
 //! - `fig9_gps`: the literal Fig. 9 network (`Speed < 4 mph` on the GPS
@@ -57,8 +57,8 @@ fn fig9_gps() -> Uncertain<bool> {
     uncertain_speed(&a, &b, 1.0).lt(4.0)
 }
 
-/// A `3n + 7`-node GPS-flavored evidence conditional — the same
-/// shared-leaf family as `bench_session` and `bench_plan`. The comparison
+/// A `3n + 9`-node GPS-flavored evidence conditional — the same
+/// shared-leaf family as `bench_session` and `bench_kernel`. The comparison
 /// margin keeps the conditional decisive (minimum SPRT budget), so plan
 /// compilation, not sampling, dominates a cold decision: the workload
 /// where a session cache's capacity is worth the most.

@@ -17,11 +17,11 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use uncertain_bench::{header, scaled};
-use uncertain_core::{Plan, Session, Uncertain};
+use uncertain_core::{Session, Uncertain};
 
-/// A GPS-flavored conditional of `3n + 7` slotted nodes: shared-leaf
-/// arithmetic chains on each side of a comparison, conjoined — the same
-/// family as `bench_plan` and the `plan_vs_treewalk` Criterion bench.
+/// A GPS-flavored conditional of `3n + 9` nodes: shared-leaf arithmetic
+/// chains on each side of a comparison, conjoined — the same family as
+/// `bench_kernel`'s `evidence_chain` and `bench_serve`.
 /// The comparison margin makes the conditional decisive, so the SPRT
 /// terminates at its minimum budget: the repeated-decision hot loop where
 /// per-call plan compilation, not sampling, is the dominant cost.
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for n in [5usize, 50, 500] {
         let expr = network(n);
 
-        let nodes = Plan::compile(&expr).slot_count();
+        let nodes = expr.network().node_count();
         let mut cached = Session::seeded(1);
         // One untimed decision caches the kernel, so every timed one hits.
         let mut checksum = cached.pr(&expr, 0.5) as usize;

@@ -18,11 +18,11 @@
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
-use uncertain_core::{Plan, Session, Uncertain};
+use uncertain_core::{Session, Uncertain};
 
 // The workload must stay line-for-line identical to `bench_obs`'s copy in
 // crates/bench/src/bin/bench_obs.rs: the same network family as
-// bench_session (3n + 7 slotted nodes, decisive conditional) at n = 50,
+// bench_session (3n + 9 nodes, decisive conditional) at n = 50,
 // decided repeatedly on one cached session.
 
 fn network(n: usize) -> Uncertain<bool> {
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stamp = SystemTime::now().duration_since(UNIX_EPOCH)?.as_secs();
 
         let expr = network(n);
-        let nodes = Plan::compile(&expr).slot_count();
+        let nodes = expr.network().node_count();
         let mut session = Session::seeded(1);
         let mut checksum = 0usize;
         // Warm the kernel cache and the branch predictors before timing.

@@ -11,6 +11,13 @@
 //! columnar kernel whenever the network lowers. This is the practical
 //! payoff of the paper's observation that "the runtime … much like a JIT,
 //! compiles those expression trees to executable code at conditionals."
+//!
+//! Deprecated: [`Session`] now does all of this itself — its batches and
+//! decisions run on the cached kernel, and [`Session::kernel_profile`]
+//! profiles it — so the closure plan underneath this type has no callers
+//! left and goes in the next release.
+
+#![allow(deprecated)]
 
 use crate::condition::{EvalConfig, EvalStrategy, HypothesisOutcome, Provenance};
 use crate::context::SampleContext;
@@ -50,6 +57,11 @@ use uncertain_stats::{SequentialTest, TestDecision};
 /// # Ok(())
 /// # }
 /// ```
+#[deprecated(
+    note = "use `Session`: `samples`/`try_evaluate` run on its cached kernel, \
+            `Session::sample` is the tree-walk draw, and `Session::kernel_profile` \
+            replaces `kernel_profile`"
+)]
 pub struct Evaluator<T> {
     network: Uncertain<T>,
     plan: Arc<Plan<T>>,
@@ -315,23 +327,14 @@ impl<T: Value> Evaluator<T> {
             Some(k) => Arc::clone(k),
             None => Arc::new(Kernel::lower(&self.network)?),
         };
-        let mut state = kernel.new_state();
-        let mut ns = vec![0u64; kernel.len()];
-        let mut out: Vec<T> = Vec::with_capacity(KERNEL_CHUNK.min(n));
-        let mut done = 0;
-        while done < n {
-            let take = KERNEL_CHUNK.min(n - done);
-            let base = self.batch_cursor + done as u64;
-            self.seed_buf.clear();
-            self.seed_buf
-                .extend((0..take as u64).map(|i| sample_seed(self.seed, base + i)));
-            out.clear();
-            kernel.run_profiled_into(&self.seed_buf, &mut state, &mut out, &mut ns);
-            done += take;
-        }
+        let (seed, mut index) = (self.seed, self.batch_cursor);
+        let profile = kernel.profiled_run(n, || {
+            index += 1;
+            sample_seed(seed, index - 1)
+        });
         self.batch_cursor += n as u64;
         self.samples_drawn += n as u64;
-        Some(kernel.profile(&ns, n as u64))
+        Some(profile)
     }
 
     /// Joint samples drawn so far.

@@ -1,11 +1,12 @@
 //! The columnar batch backend: a network lowered to a flat instruction
 //! tape and evaluated column-wise (one operation over a whole batch).
 //!
-//! [`Plan`](crate::Plan) evaluates one joint sample at a time through a
-//! tree of boxed closures — per sample per node it pays virtual dispatch,
-//! slot-epoch bookkeeping, and memo probes. The SPRT hot path never wants
-//! one sample; it wants a *batch*. A [`Kernel`] is the batch-shaped
-//! compilation of the same network:
+//! The tree-walk reference interpreter evaluates one joint sample at a
+//! time — per sample per node it pays a `NodeId` memo probe, a boxed
+//! value, and a downcast. The SPRT hot path never wants one sample; it
+//! wants a *batch*. A [`Kernel`] is the batch-shaped compilation of the
+//! same network, and the executor a [`Session`](crate::Session) runs for
+//! every batch and decision on a network that lowers:
 //!
 //! * **Tape**: a post-order walk over the deduplicated DAG emits one
 //!   SSA-style instruction per [`NodeId`]. Shared sub-expressions (the
@@ -16,11 +17,12 @@
 //!   Because emission is post-order, an instruction's destination index is
 //!   strictly greater than its sources' — `split_at_mut` gives the
 //!   disjoint mutable/shared views without unsafe code.
-//! * **Leaves** fill their column from per-sample-index RNGs seeded by the
-//!   same SplitMix64 substream derivation as [`ParSampler`]
-//!   (`plan::sample_seed`), and instructions consume each sample's RNG in
-//!   exactly the order the closure path visits nodes — so a kernel batch
-//!   is **bitwise identical** to the closure path, sample for sample.
+//! * **Leaves** fill their column from per-sample RNGs seeded exactly as
+//!   the tree-walk seeds each joint sample (the session's query stream,
+//!   or `plan::sample_seed` substreams for sharded batches), and
+//!   instructions consume each sample's RNG in exactly the order the
+//!   tree-walk visits nodes — so a kernel batch is **bitwise identical**
+//!   to the tree-walk, sample for sample.
 //! * **Tagged arithmetic** (`+ - * / %`, comparisons, boolean ops, and the
 //!   `f64` method lifts) runs as tight monomorphic loops over columns that
 //!   the compiler can unroll and vectorize. Untagged `map`/`map2` closures
@@ -31,8 +33,9 @@
 //! machinery — `flat_map` (fresh memo scope per outer draw),
 //! `encapsulate` (forked RNG), `weight_by` (SIR loop), `condition_on`
 //! (rejection loop) — do not lower; [`Kernel::lower`] returns `None` and
-//! callers keep the closure path. The fallback is per *network*, never per
-//! sample, so a network always takes one path and stays reproducible.
+//! the session runs them on the tree-walk. The fallback is per *network*,
+//! never per sample, so a network always takes one path and stays
+//! reproducible.
 
 use crate::node::{LeafNode, Map2Node, MapNode, NodeId, NodeInfo};
 use crate::plan::sample_seed;
@@ -443,7 +446,7 @@ fn dst_and_srcs(regs: &mut [Box<dyn Col>], dst: usize) -> (&mut dyn Col, &[Box<d
 /// instruction in place: leaves consume per-sample RNG draws, and every
 /// sample's RNG is shared across the whole tape in tape order — dropping,
 /// merging, or reordering a leaf would shift every later leaf's draws and
-/// break bitwise equality with the closure path.
+/// break bitwise equality with the tree-walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum InstrKind {
     Leaf,
@@ -896,310 +899,6 @@ impl Instr for MulKAddF64 {
 }
 
 // ---------------------------------------------------------------------------
-// f32 column mode (feature = "f32-columns")
-// ---------------------------------------------------------------------------
-//
-// The opt-in reduced-precision mode: after the bitwise-preserving
-// optimizer runs, the tape's *arithmetic interior* — tagged `f64`
-// unary/binary/fused instructions, except the root — is demoted to
-// operate on `Vec<f32>` register columns, halving column memory traffic
-// and doubling SIMD lane width. Explicit cast instructions bridge the
-// boundaries: leaf/point/opaque outputs are narrowed once where the
-// demoted interior reads them, and widened back (exactly — every f32 is
-// representable as f64) where comparisons, opaque closures, or the root
-// need `f64` again. This mode deliberately trades the bitwise-equality
-// contract for speed; it is off by default and never changes behavior
-// unless a session opts in (`Session::with_f32_columns`).
-
-#[cfg(feature = "f32-columns")]
-impl UnOp {
-    /// `f32` twin of [`UnOp::fill`]; scalar captures are narrowed once.
-    fn fill_f32(self, a: &[f32], out: &mut Vec<f32>, n: usize) {
-        #[inline]
-        fn loop_fill(a: &[f32], out: &mut Vec<f32>, n: usize, f: impl Fn(f32) -> f32) {
-            out.clear();
-            out.extend(a[..n].iter().map(|&x| f(x)));
-        }
-        match self {
-            UnOp::Neg => loop_fill(a, out, n, |x| -x),
-            UnOp::Abs => loop_fill(a, out, n, f32::abs),
-            UnOp::Sqrt => loop_fill(a, out, n, f32::sqrt),
-            UnOp::Exp => loop_fill(a, out, n, f32::exp),
-            UnOp::Ln => loop_fill(a, out, n, f32::ln),
-            UnOp::Sin => loop_fill(a, out, n, f32::sin),
-            UnOp::Cos => loop_fill(a, out, n, f32::cos),
-            UnOp::Asin => loop_fill(a, out, n, f32::asin),
-            UnOp::Atan => loop_fill(a, out, n, f32::atan),
-            UnOp::ToRadians => loop_fill(a, out, n, f32::to_radians),
-            UnOp::ToDegrees => loop_fill(a, out, n, f32::to_degrees),
-            UnOp::AddK(k) => loop_fill(a, out, n, |x| x + k as f32),
-            UnOp::SubK(k) => loop_fill(a, out, n, |x| x - k as f32),
-            UnOp::RsubK(k) => loop_fill(a, out, n, |x| k as f32 - x),
-            UnOp::MulK(k) => loop_fill(a, out, n, |x| x * k as f32),
-            UnOp::DivK(k) => loop_fill(a, out, n, |x| x / k as f32),
-            UnOp::RdivK(k) => loop_fill(a, out, n, |x| k as f32 / x),
-            UnOp::RemK(k) => loop_fill(a, out, n, |x| x % k as f32),
-            UnOp::RremK(k) => loop_fill(a, out, n, |x| k as f32 % x),
-            UnOp::PowiK(k) => loop_fill(a, out, n, |x| x.powi(k)),
-            UnOp::PowfK(k) => loop_fill(a, out, n, |x| x.powf(k as f32)),
-            UnOp::ClampK(lo, hi) => loop_fill(a, out, n, |x| x.clamp(lo as f32, hi as f32)),
-        }
-    }
-}
-
-#[cfg(feature = "f32-columns")]
-impl BinOp {
-    /// `f32` twin of [`BinOp::fill`].
-    fn fill_f32(self, a: &[f32], b: &[f32], out: &mut Vec<f32>, n: usize) {
-        #[inline]
-        fn loop_fill(
-            a: &[f32],
-            b: &[f32],
-            out: &mut Vec<f32>,
-            n: usize,
-            f: impl Fn(f32, f32) -> f32,
-        ) {
-            out.clear();
-            out.extend(a[..n].iter().zip(&b[..n]).map(|(&x, &y)| f(x, y)));
-        }
-        match self {
-            BinOp::Add => loop_fill(a, b, out, n, |x, y| x + y),
-            BinOp::Sub => loop_fill(a, b, out, n, |x, y| x - y),
-            BinOp::Mul => loop_fill(a, b, out, n, |x, y| x * y),
-            BinOp::Div => loop_fill(a, b, out, n, |x, y| x / y),
-            BinOp::Rem => loop_fill(a, b, out, n, |x, y| x % y),
-            BinOp::Max => loop_fill(a, b, out, n, f32::max),
-            BinOp::Min => loop_fill(a, b, out, n, f32::min),
-            BinOp::Atan2 => loop_fill(a, b, out, n, f32::atan2),
-        }
-    }
-}
-
-#[cfg(feature = "f32-columns")]
-struct UnF32 {
-    op: UnOp,
-    src: usize,
-    dst: usize,
-}
-
-#[cfg(feature = "f32-columns")]
-impl Instr for UnF32 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f32>(srcs[self.src].as_ref());
-        self.op.fill_f32(a, col_mut::<f32>(dst), n);
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.src]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(UnF32 {
-            op: self.op,
-            src: map[self.src],
-            dst,
-        })
-    }
-}
-
-#[cfg(feature = "f32-columns")]
-struct BinF32 {
-    op: BinOp,
-    a: usize,
-    b: usize,
-    dst: usize,
-}
-
-#[cfg(feature = "f32-columns")]
-impl Instr for BinF32 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f32>(srcs[self.a].as_ref());
-        let b = col_ref::<f32>(srcs[self.b].as_ref());
-        self.op.fill_f32(a, b, col_mut::<f32>(dst), n);
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(BinF32 {
-            op: self.op,
-            a: map[self.a],
-            b: map[self.b],
-            dst,
-        })
-    }
-}
-
-#[cfg(feature = "f32-columns")]
-struct MulAddF32 {
-    a: usize,
-    b: usize,
-    c: usize,
-    c_first: bool,
-    dst: usize,
-}
-
-#[cfg(feature = "f32-columns")]
-impl Instr for MulAddF32 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f32>(srcs[self.a].as_ref());
-        let b = col_ref::<f32>(srcs[self.b].as_ref());
-        let c = col_ref::<f32>(srcs[self.c].as_ref());
-        let out = col_mut::<f32>(dst);
-        out.clear();
-        let it = a[..n].iter().zip(&b[..n]).zip(&c[..n]);
-        if self.c_first {
-            out.extend(it.map(|((&x, &y), &z)| z + x * y));
-        } else {
-            out.extend(it.map(|((&x, &y), &z)| x * y + z));
-        }
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b, self.c]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(MulAddF32 {
-            a: map[self.a],
-            b: map[self.b],
-            c: map[self.c],
-            c_first: self.c_first,
-            dst,
-        })
-    }
-}
-
-#[cfg(feature = "f32-columns")]
-struct MulKAddF32 {
-    k: f32,
-    a: usize,
-    c: usize,
-    c_first: bool,
-    dst: usize,
-}
-
-#[cfg(feature = "f32-columns")]
-impl Instr for MulKAddF32 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f32>(srcs[self.a].as_ref());
-        let c = col_ref::<f32>(srcs[self.c].as_ref());
-        let out = col_mut::<f32>(dst);
-        out.clear();
-        let k = self.k;
-        let it = a[..n].iter().zip(&c[..n]);
-        if self.c_first {
-            out.extend(it.map(|(&x, &z)| z + x * k));
-        } else {
-            out.extend(it.map(|(&x, &z)| x * k + z));
-        }
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.c]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(MulKAddF32 {
-            k: self.k,
-            a: map[self.a],
-            c: map[self.c],
-            c_first: self.c_first,
-            dst,
-        })
-    }
-}
-
-/// Narrows an `f64` column to `f32` where the demoted interior reads it.
-#[cfg(feature = "f32-columns")]
-struct CastF64F32 {
-    src: usize,
-    dst: usize,
-}
-
-#[cfg(feature = "f32-columns")]
-impl Instr for CastF64F32 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f64>(srcs[self.src].as_ref());
-        let out = col_mut::<f32>(dst);
-        out.clear();
-        out.extend(a[..n].iter().map(|&x| x as f32));
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.src]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(CastF64F32 {
-            src: map[self.src],
-            dst,
-        })
-    }
-}
-
-/// Widens a demoted `f32` column back to `f64` (exact) for comparisons,
-/// opaque closures, or the root.
-#[cfg(feature = "f32-columns")]
-struct CastF32F64 {
-    src: usize,
-    dst: usize,
-}
-
-#[cfg(feature = "f32-columns")]
-impl Instr for CastF32F64 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f32>(srcs[self.src].as_ref());
-        let out = col_mut::<f64>(dst);
-        out.clear();
-        out.extend(a[..n].iter().map(|&x| x as f64));
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.src]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(CastF32F64 {
-            src: map[self.src],
-            dst,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
 
@@ -1394,19 +1093,6 @@ impl<T: Value> Kernel<T> {
         Some(k)
     }
 
-    /// [`Kernel::lower`] followed by demotion of the arithmetic interior
-    /// to `f32` columns — the opt-in reduced-precision column mode. The
-    /// root register and everything RNG- or comparison-facing stays
-    /// `f64`; see [`Kernel::demote_to_f32`] for the exact rules and the
-    /// accuracy trade.
-    #[cfg(feature = "f32-columns")]
-    pub(crate) fn lower_f32(network: &Uncertain<T>) -> Option<Self> {
-        let mut k = Self::lower_raw(network)?;
-        k.optimize();
-        k.demote_to_f32();
-        Some(k)
-    }
-
     /// Lowers a network to a tape without running the optimizer — the
     /// raw one-instruction-per-node form. Kept for tests and baselines
     /// that compare pre- and post-optimizer tapes.
@@ -1459,7 +1145,7 @@ impl<T: Value> Kernel<T> {
     /// contraction). No pass ever drops, merges, or reorders a `Leaf`
     /// instruction: leaves consume per-sample RNG draws in tape order, so
     /// they stay pinned even when their value is dead, keeping the draw
-    /// sequence identical to the closure path.
+    /// sequence identical to the tree-walk.
     fn optimize(&mut self) {
         let n = self.instrs.len();
         let mut kinds: Vec<InstrKind> = self.instrs.iter().map(|i| i.kind()).collect();
@@ -1728,7 +1414,7 @@ impl<T: Value> Kernel<T> {
 
     /// Dead-register elimination + compaction: drops every instruction
     /// whose column nobody (transitively) reads — except leaves, which
-    /// stay so each sample's RNG draw sequence matches the closure path
+    /// stay so each sample's RNG draw sequence matches the tree-walk
     /// (which also samples dead leaves) — then renumbers the survivors
     /// densely so the register file shrinks with the tape.
     fn dce_compact(&mut self, kinds: &[InstrKind]) {
@@ -1771,142 +1457,6 @@ impl<T: Value> Kernel<T> {
         self.root = map[self.root];
     }
 
-    /// Demotes the tape's arithmetic interior to `f32` columns (see the
-    /// "f32 column mode" section docs for what that buys and costs).
-    ///
-    /// Rules: every tagged `f64` unary/binary/fused instruction except
-    /// the root register is rebuilt as its `f32` twin writing a
-    /// `Vec<f32>` column. A `CastF64F32` is emitted right after any
-    /// undemoted `f64` producer (leaf, point, opaque, root-adjacent) the
-    /// interior reads, and a `CastF32F64` right after any demoted
-    /// producer that an `f64` consumer (comparison, opaque closure, the
-    /// root position) reads — widening is exact, so a comparison sees
-    /// precisely the `f32` value the interior computed. Emission order
-    /// preserves topological order, keeping the `dst > srcs` register
-    /// invariant.
-    #[cfg(feature = "f32-columns")]
-    fn demote_to_f32(&mut self) {
-        let n = self.instrs.len();
-        let kinds: Vec<InstrKind> = self.instrs.iter().map(|i| i.kind()).collect();
-        let arith = |k: &InstrKind| {
-            matches!(
-                k,
-                InstrKind::Un(..)
-                    | InstrKind::Bin(..)
-                    | InstrKind::MulAdd { .. }
-                    | InstrKind::MulKAdd { .. }
-            )
-        };
-        let demote: Vec<bool> = kinds
-            .iter()
-            .enumerate()
-            .map(|(i, k)| i != self.root && arith(k))
-            .collect();
-        if !demote.iter().any(|&d| d) {
-            return;
-        }
-        // Which old registers need a view in the other precision.
-        let mut need_f32 = vec![false; n];
-        let mut need_f64 = vec![false; n];
-        for i in 0..n {
-            for s in self.instrs[i].srcs() {
-                if demote[i] && !demote[s] {
-                    need_f32[s] = true;
-                }
-                if !demote[i] && demote[s] {
-                    need_f64[s] = true;
-                }
-            }
-        }
-        let old_root = self.root;
-        let instrs = std::mem::take(&mut self.instrs);
-        let metas = std::mem::take(&mut self.metas);
-        let makers = std::mem::take(&mut self.makers);
-        // New register holding old `i`'s column at f64 (for undemoted
-        // producers: the instruction itself; for demoted ones: the
-        // widening cast) and at f32 respectively.
-        let mut f64_reg = vec![usize::MAX; n];
-        let mut f32_reg = vec![usize::MAX; n];
-        for (i, ((ins, meta), maker)) in instrs.into_iter().zip(metas).zip(makers).enumerate() {
-            let cast_meta = (need_f32[i] || need_f64[i]).then(|| InstrMeta {
-                node: meta.node,
-                label: meta.label.clone(),
-                op: "cast",
-            });
-            if demote[i] {
-                let dst = self.instrs.len();
-                let ins32: Box<dyn Instr> = match kinds[i] {
-                    InstrKind::Un(op, s) => Box::new(UnF32 {
-                        op,
-                        src: f32_reg[s],
-                        dst,
-                    }),
-                    InstrKind::Bin(op, a, b) => Box::new(BinF32 {
-                        op,
-                        a: f32_reg[a],
-                        b: f32_reg[b],
-                        dst,
-                    }),
-                    InstrKind::MulAdd { a, b, c, c_first } => Box::new(MulAddF32 {
-                        a: f32_reg[a],
-                        b: f32_reg[b],
-                        c: f32_reg[c],
-                        c_first,
-                        dst,
-                    }),
-                    InstrKind::MulKAdd { k, a, c, c_first } => Box::new(MulKAddF32 {
-                        k: k as f32,
-                        a: f32_reg[a],
-                        c: f32_reg[c],
-                        c_first,
-                        dst,
-                    }),
-                    _ => unreachable!("demotion only selects tagged f64 arithmetic"),
-                };
-                self.instrs.push(ins32);
-                self.metas.push(meta);
-                self.makers.push(Box::new(|| Box::new(Vec::<f32>::new())));
-                f32_reg[i] = dst;
-                if need_f64[i] {
-                    let cast_dst = self.instrs.len();
-                    self.instrs.push(Box::new(CastF32F64 {
-                        src: dst,
-                        dst: cast_dst,
-                    }));
-                    self.metas.push(cast_meta.expect("need flag set"));
-                    self.makers.push(Box::new(|| Box::new(Vec::<f64>::new())));
-                    f64_reg[i] = cast_dst;
-                }
-            } else {
-                let dst = self.instrs.len();
-                // Every source this instruction reads is available at its
-                // original type under `f64_reg` by emission order (the
-                // widening cast for a demoted source was emitted with it).
-                self.instrs.push(ins.remap(dst, &f64_reg));
-                self.metas.push(meta);
-                self.makers.push(maker);
-                f64_reg[i] = dst;
-                if need_f32[i] {
-                    let cast_dst = self.instrs.len();
-                    self.instrs.push(Box::new(CastF64F32 {
-                        src: dst,
-                        dst: cast_dst,
-                    }));
-                    self.metas.push(cast_meta.expect("need flag set"));
-                    self.makers.push(Box::new(|| Box::new(Vec::<f32>::new())));
-                    f32_reg[i] = cast_dst;
-                }
-            }
-        }
-        self.root = f64_reg[old_root];
-    }
-
-    /// Instructions on the tape (== registers in the file).
-    #[cfg(feature = "obs")]
-    pub(crate) fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// Allocates an empty register file + RNG scratch for this kernel.
     pub(crate) fn new_state(&self) -> KernelState {
         KernelState {
@@ -1916,7 +1466,7 @@ impl<T: Value> Kernel<T> {
     }
 
     /// Runs the tape over one batch — `seeds[i]` seeds sample `i`'s RNG,
-    /// exactly as the closure path would `reseed` per sample — and
+    /// exactly as the tree-walk would `reseed` per sample — and
     /// **appends** the root column to `out`.
     pub(crate) fn run_into(&self, seeds: &[u64], state: &mut KernelState, out: &mut Vec<T>) {
         let n = seeds.len();
@@ -1935,45 +1485,41 @@ impl<T: Value> Kernel<T> {
         out.extend_from_slice(&root[..n]);
     }
 
-    /// [`run_into`](Self::run_into) with a wall-clock timer around every
-    /// instruction's column pass, accumulating into `ns` (one slot per
-    /// instruction). The sample values are identical to an unprofiled run.
+    /// Profiles `n` rows of the tape: runs it in [`KERNEL_CHUNK`]-row
+    /// chunks, seeding each row with the next `next_seed()`, with a
+    /// wall-clock timer around every instruction's column pass, and
+    /// reports the exclusive per-instruction costs. The rows draw exactly
+    /// the values an unprofiled [`run_into`](Self::run_into) over the same
+    /// seeds would; only wall time changes.
     #[cfg(feature = "obs")]
-    pub(crate) fn run_profiled_into(
+    pub(crate) fn profiled_run(
         &self,
-        seeds: &[u64],
-        state: &mut KernelState,
-        out: &mut Vec<T>,
-        ns: &mut [u64],
-    ) {
-        let n = seeds.len();
-        if n == 0 {
-            return;
+        n: usize,
+        mut next_seed: impl FnMut() -> u64,
+    ) -> crate::obs::KernelProfile {
+        let mut state = self.new_state();
+        let mut ns = vec![0u64; self.instrs.len()];
+        let mut done = 0;
+        while done < n {
+            let take = KERNEL_CHUNK.min(n - done);
+            state.rngs.clear();
+            state
+                .rngs
+                .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
+            for (i, instr) in self.instrs.iter().enumerate() {
+                let start = std::time::Instant::now();
+                instr.run(&mut state.regs, &mut state.rngs, take);
+                ns[i] += start.elapsed().as_nanos() as u64;
+            }
+            done += take;
         }
-        debug_assert_eq!(ns.len(), self.instrs.len());
-        state.rngs.clear();
-        state
-            .rngs
-            .extend(seeds.iter().map(|&s| SmallRng::seed_from_u64(s)));
-        for (i, instr) in self.instrs.iter().enumerate() {
-            let start = std::time::Instant::now();
-            instr.run(&mut state.regs, &mut state.rngs, n);
-            ns[i] += start.elapsed().as_nanos() as u64;
-        }
-        let root = col_ref::<T>(state.regs[self.root].as_ref());
-        out.extend_from_slice(&root[..n]);
-    }
-
-    /// Assembles the per-instruction metadata and timings into the public
-    /// profile type.
-    #[cfg(feature = "obs")]
-    pub(crate) fn profile(&self, ns: &[u64], samples: u64) -> crate::obs::KernelProfile {
+        let samples = n as u64;
         crate::obs::KernelProfile {
             instrs: self
                 .metas
                 .iter()
                 .zip(ns)
-                .map(|(meta, &ns)| crate::obs::InstrCost {
+                .map(|(meta, ns)| crate::obs::InstrCost {
                     node: meta.node,
                     label: meta.label.clone(),
                     op: meta.op,
@@ -2154,7 +1700,7 @@ mod tests {
         let b = Uncertain::bernoulli(0.7).unwrap();
         // a & false folds to false; false | b aliases to b. Leaf `a` is
         // arithmetically dead but must stay on the tape: it consumes RNG
-        // draws ahead of `b`, and the closure path samples it too.
+        // draws ahead of `b`, and the tree-walk samples it too.
         let net = (&a & Uncertain::point(false)) | &b;
         let (raw, opt) = opt_preserves_bool(&net);
         assert!(opt.instrs.len() < raw.instrs.len());
@@ -2301,25 +1847,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[cfg(feature = "f32-columns")]
-    #[test]
-    fn f32_demotion_runs_and_stays_close() {
-        let x = Uncertain::normal(0.0, 1.0).unwrap();
-        let y = Uncertain::uniform(0.5, 1.5).unwrap();
-        let net = (&x * &y + &x) * 0.25 - &y;
-        let f64_k = Kernel::lower(&net).expect("lowerable");
-        let f32_k = Kernel::lower_f32(&net).expect("lowerable");
-        let exact = run(&f64_k, 123, 513);
-        let demoted = run(&f32_k, 123, 513);
-        assert_eq!(exact.len(), demoted.len());
-        for (a, b) in exact.iter().zip(&demoted) {
-            assert!(
-                (a - b).abs() <= 1e-5 * (1.0 + a.abs()),
-                "f32 demotion drifted: {a} vs {b}"
-            );
         }
     }
 }

@@ -94,15 +94,20 @@ pub use condition::{
     StatsOutcome,
 };
 pub use error::{ConfigError, Error, NotAnalyticError, ServeError, WireError};
+#[allow(deprecated)]
 pub use evaluator::Evaluator;
 pub use exact::{BoolLaw, ExactMethod, ScalarLaw};
 pub use graph::{NetworkView, NodeMeta};
 pub use node::NodeId;
 #[cfg(feature = "obs")]
 pub use obs::{
-    DecisionTrace, Dispatch, InstrCost, KernelProfile, KindCost, LeafKindCost, NodeCost, Profile,
-    Recorder, StoppingReason, TracePoint,
+    DecisionTrace, Dispatch, InstrCost, KernelProfile, LeafKindCost, Recorder, StoppingReason,
+    TracePoint,
 };
+#[cfg(feature = "obs")]
+#[allow(deprecated)]
+pub use obs::{KindCost, NodeCost, Profile};
+#[allow(deprecated)]
 pub use plan::{ParSampler, Plan};
 pub use runtime::{CacheStats, Session, DEFAULT_CACHE_CAPACITY};
 pub use uncertain::{IntoUncertain, Uncertain, Value};
@@ -129,12 +134,13 @@ pub use uncertain_stats as stats;
 /// ```
 pub mod prelude {
     pub use crate::{
-        CacheStats, ConfigError, Error, EvalConfig, EvalConfigBuilder, EvalStrategy, Evaluator,
-        ExactMethod, HypothesisOutcome, InconclusiveError, IntoUncertain, NetworkView,
-        NotAnalyticError, ParSampler, Plan, Provenance, ServeError, Session, StatsOutcome,
-        Uncertain,
+        CacheStats, ConfigError, Error, EvalConfig, EvalConfigBuilder, EvalStrategy, ExactMethod,
+        HypothesisOutcome, InconclusiveError, IntoUncertain, NetworkView, NotAnalyticError,
+        Provenance, ServeError, Session, StatsOutcome, Uncertain,
     };
     #[cfg(feature = "obs")]
     pub use crate::{DecisionTrace, Recorder, StoppingReason};
+    #[allow(deprecated)]
+    pub use crate::{Evaluator, ParSampler, Plan};
     pub use uncertain_dist::{Continuous, Discrete, Distribution};
 }

@@ -1,4 +1,4 @@
-//! Observability hooks: SPRT decision traces and per-node cost profiles.
+//! Observability hooks: SPRT decision traces and kernel cost profiles.
 //!
 //! This module (feature `obs`, default-on) defines the *event types* the
 //! runtime emits and the [`Recorder`] trait that consumes them; the
@@ -15,15 +15,15 @@
 //!   the [`StoppingReason`], and wall time. This is the paper's Fig. 9
 //!   claim ("draw only as many samples as each conditional needs") made
 //!   observable per decision instead of assertable per benchmark.
-//! * **Cost profiles** — [`Evaluator::profiled`](crate::Evaluator::profiled)
-//!   compiles a plan whose per-node closures are wrapped with timers;
-//!   [`Evaluator::profile`](crate::Evaluator::profile) reports ns and
-//!   draw counts per [`NodeId`], aggregated by node kind — a flamegraph
-//!   for the Bayesian network.
+//! * **Cost profiles** — [`Session::kernel_profile`](crate::Session::kernel_profile)
+//!   runs a network's kernel tape with a timer around every instruction
+//!   and reports a [`KernelProfile`]: exclusive ns per instruction, per
+//!   [`NodeId`], and per leaf distribution kind. (The closure plan's
+//!   per-node [`Profile`] is deprecated with the plan.)
 //!
 //! Both instruments are pay-for-use: a session with no recorder installed
-//! runs one dormant branch per decision, and a non-profiled plan compiles
-//! exactly the closures it always did.
+//! runs one dormant branch per decision, and only a profiling call pays
+//! for timers.
 
 use crate::node::NodeId;
 use std::time::Duration;
@@ -149,6 +149,7 @@ impl DecisionTrace {
 }
 
 /// Per-node sampling cost of a profiled evaluator run.
+#[deprecated(note = "use `Session::kernel_profile`, whose `InstrCost` entries are per node")]
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeCost {
     /// The node.
@@ -172,6 +173,7 @@ pub struct NodeCost {
 }
 
 /// Cost aggregated over every node of one kind.
+#[deprecated(note = "use `Session::kernel_profile` and `KernelProfile::by_leaf_kind`")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindCost {
     /// The kind prefix shared by the aggregated nodes.
@@ -191,15 +193,18 @@ pub struct KindCost {
 /// inclusive (a parent's time contains its children's), so the profile
 /// reads like a flamegraph of the Bayesian network: the root carries the
 /// whole joint-sample cost and leaves show their own sampling cost.
+#[deprecated(note = "use `Session::kernel_profile`, which returns a `KernelProfile`")]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Per-node costs, hottest first.
+    #[allow(deprecated)]
     pub entries: Vec<NodeCost>,
     /// Joint samples the profiled evaluator had drawn when the profile
     /// was taken.
     pub joint_samples: u64,
 }
 
+#[allow(deprecated)]
 impl Profile {
     /// Inclusive nanoseconds of the hottest node — the root's total in a
     /// fully-planned network, i.e. the whole sampling cost.
@@ -258,10 +263,9 @@ impl Profile {
 
 /// Measured cost of one kernel-tape instruction.
 ///
-/// Unlike [`NodeCost`], instruction timings are *exclusive*: the kernel
-/// runs each instruction over the whole column before moving on, so every
-/// entry is the wall time of that one columnar loop and the entries sum to
-/// the batch total.
+/// Instruction timings are *exclusive*: the kernel runs each instruction
+/// over the whole column before moving on, so every entry is the wall time
+/// of that one columnar loop and the entries sum to the batch total.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstrCost {
     /// The network node this instruction materialises.
@@ -277,7 +281,7 @@ pub struct InstrCost {
 }
 
 /// A per-instruction cost breakdown of a columnar kernel run, produced by
-/// [`Evaluator::kernel_profile`](crate::Evaluator::kernel_profile).
+/// [`Session::kernel_profile`](crate::Session::kernel_profile).
 ///
 /// Instructions appear in tape order (children before parents); `ns` is
 /// exclusive per instruction, so the hot spots read directly off the list.
@@ -455,6 +459,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn profile_aggregates_by_kind() {
         let id = NodeId::fresh();
         let profile = Profile {

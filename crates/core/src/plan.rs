@@ -28,6 +28,13 @@
 //! SplitMix64 mix of `(root_seed, i)`, so a batch's contents are a pure
 //! function of the root seed and the index range — bitwise identical for
 //! any thread count, including 1.
+//!
+//! Deprecated: a [`Session`](crate::Session) runs every batch and decision
+//! on the columnar kernel, or on the tree-walk when a network does not
+//! lower, so [`Plan`] and [`ParSampler`] have no callers left and go in
+//! the next release. `sample_seed` and `sample_batch_sharded` stay.
+
+#![allow(deprecated)]
 
 use crate::context::SampleContext;
 use crate::node::{NodeId, NodeInfo};
@@ -237,6 +244,11 @@ pub(crate) fn sample_batch_sharded<T: Value>(
 /// # Ok(())
 /// # }
 /// ```
+#[deprecated(
+    note = "use `Session`: its batches and decisions run on the cached kernel, \
+            `Session::sample` is the tree-walk reference, and \
+            `network().node_count()` replaces `slot_count`"
+)]
 pub struct Plan<T> {
     root: CompiledFn<T>,
     slot_of: Arc<HashMap<NodeId, u32>>,
@@ -344,6 +356,8 @@ impl<T: Value> Plan<T> {
 /// # Ok(())
 /// # }
 /// ```
+#[deprecated(note = "use `Session::seeded(seed).with_threads(n).samples(..)`: \
+            thread-count-invariant batches on the cached kernel")]
 pub struct ParSampler<T> {
     plan: Plan<T>,
     seed: u64,

@@ -42,7 +42,7 @@ use crate::exact::{self, BoolLaw, ScalarLaw};
 use crate::kernel::{self, Kernel, KERNEL_CHUNK};
 use crate::node::{NodeId, NodeInfo};
 #[cfg(feature = "obs")]
-use crate::obs::{DecisionTrace, Dispatch, Recorder, StoppingReason, TracePoint};
+use crate::obs::{DecisionTrace, Dispatch, KernelProfile, Recorder, StoppingReason, TracePoint};
 use crate::plan::{sample_batch_sharded, sample_seed};
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::StdRng;
@@ -465,11 +465,6 @@ pub struct Session {
     /// installing a recorder.
     #[cfg(feature = "obs")]
     last_dispatch: Option<Dispatch>,
-    /// Whether kernels lower in reduced-precision column mode
-    /// ([`Session::with_f32_columns`]). Construction-time only, so a
-    /// cached kernel's precision always matches the session flag.
-    #[cfg(feature = "f32-columns")]
-    f32_columns: bool,
     /// Kernel-lowering attempts (cheap observability for the no-tape memo
     /// tests; a memo hit must not re-attempt lowering).
     #[cfg(test)]
@@ -520,8 +515,6 @@ impl Session {
             plan_build_ns: 0,
             #[cfg(feature = "obs")]
             last_dispatch: None,
-            #[cfg(feature = "f32-columns")]
-            f32_columns: false,
             #[cfg(test)]
             lower_attempts: 0,
             #[cfg(test)]
@@ -615,21 +608,6 @@ impl Session {
     /// `bench_session` binary compares against).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache = PlanCache::new(capacity);
-        self
-    }
-
-    /// Returns the session with reduced-precision kernel columns enabled:
-    /// networks lower with their tagged `f64` arithmetic interior demoted
-    /// to `f32` register columns (half the column memory traffic, twice
-    /// the SIMD lanes). This **trades the bitwise closure↔kernel equality
-    /// contract for speed** — values can differ from the `f64` path by
-    /// f32 rounding — so it is per-session opt-in, construction-time
-    /// only, and intended for throughput-bound workloads that tolerate
-    /// single precision. Leaf sampling, comparisons, and the root column
-    /// stay `f64`.
-    #[cfg(feature = "f32-columns")]
-    pub fn with_f32_columns(mut self, enabled: bool) -> Self {
-        self.f32_columns = enabled;
         self
     }
 
@@ -814,24 +792,20 @@ impl Session {
         built
     }
 
-    /// Lowers `u`'s kernel tape, honoring the session's column-precision
-    /// mode. This is the one lowering entry point, so the test-only
-    /// attempt counter sees every walk.
+    /// Lowers `u`'s kernel tape. This is the one lowering entry point, so
+    /// the test-only attempt counter sees every walk.
     fn lower_kernel<T: Value>(&mut self, u: &Uncertain<T>) -> Option<Arc<Kernel<T>>> {
         #[cfg(test)]
         {
             self.lower_attempts += 1;
-        }
-        #[cfg(feature = "f32-columns")]
-        if self.f32_columns {
-            return Kernel::lower_f32(u).map(Arc::new);
         }
         Kernel::lower(u).map(Arc::new)
     }
 
     /// The cached kernel for `u`'s network, lowering it on a miss; `None`
     /// when the network does not lower. Used by batch and decision
-    /// queries and by [`Evaluator::from_session`](crate::Evaluator::from_session).
+    /// queries, by [`Session::kernel_profile`], and by the deprecated
+    /// `Evaluator::from_session`.
     ///
     /// The "does not lower" verdict is memoized in the plan cache's
     /// persistent side table: such a root never becomes an entry, so
@@ -979,15 +953,13 @@ impl Session {
     }
 
     /// Draws one joint sample of the network rooted at `u` through the
-    /// tree-walk interpreter — the reference semantics the kernel and
-    /// every compiled [`Plan`](crate::Plan) reproduce bitwise.
+    /// tree-walk interpreter — the reference semantics the kernel
+    /// reproduces bitwise, and the oracle its tests compare against.
     ///
     /// Consumes one seed from the session's stream, like a one-sample
     /// [`Session::samples`] query, and draws the same value; the plan
-    /// cache is left alone. So a single draw never lowers a network, and
-    /// the opt-in reduced-precision kernel columns can never change it.
-    /// Repeated draws of one network belong on [`Session::samples`] or an
-    /// [`Evaluator`](crate::Evaluator).
+    /// cache is left alone, so a single draw never lowers a network.
+    /// Repeated draws of one network belong on [`Session::samples`].
     pub fn sample<T: Value>(&mut self, u: &Uncertain<T>) -> T {
         self.joint_samples += 1;
         let seed = self.seeds.derive_seed();
@@ -999,6 +971,50 @@ impl Session {
     pub fn samples<T: Value>(&mut self, u: &Uncertain<T>, n: usize) -> Vec<T> {
         let exec = self.executor(u);
         self.draw(&exec, n)
+    }
+
+    /// Profiles the **columnar kernel** on `n` rows of `u`'s network: runs
+    /// the tape with a timer around every instruction's column pass and
+    /// reports exclusive per-instruction costs, or `None` — drawing
+    /// nothing — when the network does not lower.
+    ///
+    /// The kernel comes from the plan cache (a hit, or a lowering on a
+    /// miss), and the profile runs as one query that consumes exactly the
+    /// `n` seeds [`Session::samples`]`(u, n)` would, counted in
+    /// [`Session::joint_samples`]; so the session's stream continues as if
+    /// those rows had been drawn unprofiled. Only wall time differs.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uncertain_core::{Session, Uncertain};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let x = Uncertain::normal(0.0, 1.0)?;
+    /// let expr = (&x + &x).gt(0.0);
+    /// let mut session = Session::seeded(7);
+    /// let profile = session.kernel_profile(&expr, 1024).expect("tape-expressible");
+    /// assert_eq!(profile.samples, 1024);
+    /// assert_eq!(profile.instrs.len(), 4); // x, +, point(0), >
+    /// // The optimizer found nothing to remove in this tape …
+    /// assert_eq!(profile.pre_opt_instrs, profile.post_opt_instrs());
+    /// // … and the one leaf is a vectorized Gaussian column fill.
+    /// let leaves = profile.by_leaf_kind();
+    /// assert_eq!(leaves.len(), 1);
+    /// assert!(leaves[0].vectorized);
+    /// # Ok(())
+    /// # }
+    /// ```
+    #[cfg(feature = "obs")]
+    pub fn kernel_profile<T: Value>(
+        &mut self,
+        u: &Uncertain<T>,
+        n: usize,
+    ) -> Option<KernelProfile> {
+        let kernel = self.cached_kernel(u)?;
+        self.joint_samples += n as u64;
+        let mut q = self.seeds.begin_query();
+        Some(kernel.profiled_run(n, || q.next()))
     }
 
     /// The paper's `E` operator: the mean of `n` joint samples — or the
@@ -1803,14 +1819,29 @@ mod tests {
         #[cfg(feature = "obs")]
         assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
 
-        // An evaluator borrows the cached kernel: one hit, no new lowering.
-        let lowered = s.lower_attempts;
-        let before = s.cache_stats();
-        let _eval = crate::Evaluator::from_session(&mut s, &cond);
-        let after = s.cache_stats();
-        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
-        assert_eq!(s.lower_attempts, lowered, "the kernel came from the cache");
+        // A kernel profile borrows the cached kernel: one hit, no new
+        // miss, no new lowering.
+        #[cfg(feature = "obs")]
+        {
+            let lowered = s.lower_attempts;
+            let before = s.cache_stats();
+            assert!(s.kernel_profile(&cond, 10).is_some());
+            let after = s.cache_stats();
+            assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+            assert_eq!(s.lower_attempts, lowered, "the kernel came from the cache");
+        }
         assert_eq!(s.cache_stats().misses, 3);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn kernel_profile_draws_nothing_when_the_network_does_not_lower() {
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let posterior = x.weight_by(|v| (-v * v).exp());
+        let mut s = Session::seeded(42);
+        assert!(s.kernel_profile(&posterior, 100).is_none());
+        assert_eq!(s.joint_samples(), 0);
+        assert_eq!(s.query_index(), Some(0), "no query was spent");
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Property tests for the columnar batch kernel: over random networks —
 //! shared subexpressions, scalar ops, comparisons, boolean logic, and
-//! Bernoulli priors — the kernel path must reproduce the closure path
-//! **bitwise**: identical sample streams (compared through `f64::to_bits`,
-//! so NaN propagation must match too), identical SPRT decisions, across
-//! batch splits, chunk boundaries, and worker thread counts.
+//! Bernoulli priors — a session's kernel batches must reproduce the
+//! tree-walk reference interpreter **bitwise**: identical sample streams
+//! (compared through `f64::to_bits`, so NaN propagation must match too),
+//! identical SPRT decisions, across batch splits, chunk boundaries, and
+//! worker thread counts.
+//!
+//! The oracle is [`Session::sample`] on a `Session::sequential(seed)`
+//! stream: each call tree-walks one joint sample and consumes one seed,
+//! exactly as one row of a `samples` batch on a second
+//! `Session::sequential(seed)` does.
 
 use proptest::prelude::*;
 use uncertain_core::stats::{SequentialTest, TestDecision};
-use uncertain_core::{EvalConfig, Evaluator, ParSampler, Session, Uncertain};
+use uncertain_core::{EvalConfig, Session, Uncertain, Value};
 
 /// A generatable f64 expression shape. Built fresh into an
 /// [`Uncertain<f64>`] once per case; the same network object is then
@@ -127,26 +133,42 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The oracle: `n` tree-walk draws of `net` on a fresh
+/// `Session::sequential(seed)`.
+fn tree_walk<T: Value>(net: &Uncertain<T>, seed: u64, n: usize) -> Vec<T> {
+    let mut session = Session::sequential(seed);
+    (0..n).map(|_| session.sample(net)).collect()
+}
+
+/// `n` rows of `net` drawn on a fresh `Session::sequential(seed)` as two
+/// batch queries split at `cut`.
+fn split_batches<T: Value>(net: &Uncertain<T>, seed: u64, n: usize, cut: usize) -> Vec<T> {
+    let mut session = Session::sequential(seed);
+    let mut got = session.samples(net, cut);
+    got.extend(session.samples(net, n - cut));
+    got
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The kernel's f64 sample stream is bitwise identical to the closure
-    /// path's, and splitting the kernel's draws across two batch calls
-    /// (exercising the batch cursor) cannot move the stream.
+    /// The kernel's f64 sample stream is bitwise identical to the
+    /// tree-walk's, and splitting the kernel's draws across two batch
+    /// queries cannot move the stream.
     #[test]
-    fn kernel_f64_stream_is_bitwise_identical_to_closure(
+    fn kernel_f64_stream_is_bitwise_identical_to_tree_walk(
         expr in f_expr(),
         n1 in 1usize..200,
         n2 in 1usize..200,
         seed in 0u64..10_000,
     ) {
         let net = build_f(&expr);
-        let mut closure = ParSampler::with_threads(&net, seed, 1);
-        let reference = closure.sample_batch(n1 + n2);
+        let reference = tree_walk(&net, seed, n1 + n2);
 
-        let mut eval = Evaluator::new(&net, seed);
-        let mut got = eval.sample_batch(n1);
-        got.extend(eval.sample_batch(n2));
+        let mut session = Session::sequential(seed);
+        let mut got = session.samples(&net, n1);
+        got.extend(session.samples(&net, n2));
+        prop_assert_eq!(session.cache_stats().entries, 1, "the root lowered");
 
         prop_assert_eq!(bits(&reference), bits(&got));
     }
@@ -154,21 +176,23 @@ proptest! {
     /// Same statement for boolean networks: comparisons, priors, and the
     /// lifted logic operators agree draw for draw.
     #[test]
-    fn kernel_bool_stream_is_identical_to_closure(
+    fn kernel_bool_stream_is_identical_to_tree_walk(
         expr in b_expr(),
         n in 1usize..400,
         seed in 0u64..10_000,
     ) {
         let net = build_b(&expr);
-        let reference = ParSampler::with_threads(&net, seed, 1).sample_batch(n);
-        let got = Evaluator::new(&net, seed).sample_batch(n);
+        let reference = tree_walk(&net, seed, n);
+        let mut session = Session::sequential(seed);
+        let got = session.samples(&net, n);
+        prop_assert_eq!(session.cache_stats().entries, 1, "the root lowered");
         prop_assert_eq!(reference, got);
     }
 
-    /// The kernel-backed SPRT reaches the exact decision the closure path
+    /// The kernel-backed SPRT reaches the exact decision the tree-walk
     /// reaches: same sample count, same (bitwise) estimate, same verdict.
     #[test]
-    fn kernel_sprt_decisions_match_closure_decisions(
+    fn kernel_sprt_decisions_match_tree_walk_decisions(
         expr in b_expr(),
         threshold in 0.1f64..0.9,
         seed in 0u64..10_000,
@@ -176,13 +200,15 @@ proptest! {
         let net = build_b(&expr);
         let cfg = EvalConfig::default();
 
-        let outcome = Evaluator::new(&net, seed).try_decide(&cfg, threshold).unwrap();
+        let mut session = Session::sequential(seed);
+        let outcome = session.try_evaluate(&net, threshold, &cfg).unwrap();
+        prop_assert_eq!(session.cache_stats().entries, 1, "the root lowered");
 
-        let mut closure = ParSampler::with_threads(&net, seed, 1);
+        let mut tree = Session::sequential(seed);
         let test = SequentialTest::with_params(
             threshold, cfg.delta, cfg.alpha, cfg.beta, cfg.batch, cfg.max_samples,
         ).unwrap();
-        let reference = test.run_batched(|k| closure.sample_batch(k));
+        let reference = test.run_batched(|k| (0..k).map(|_| tree.sample(&net)).collect());
 
         prop_assert_eq!(outcome.samples, reference.samples);
         prop_assert_eq!(outcome.estimate.to_bits(), reference.estimate.to_bits());
@@ -199,8 +225,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Batch draws that straddle the kernel's internal 4096-sample chunk
-    /// boundary — sliced into uneven batch calls — still reproduce the
-    /// closure stream exactly.
+    /// boundary — sliced into uneven batch queries — still reproduce the
+    /// tree-walk stream exactly.
     #[test]
     fn chunk_boundary_slicing_cannot_move_the_stream(
         expr in f_expr(),
@@ -209,11 +235,12 @@ proptest! {
     ) {
         let n = 4096 + 513;
         let net = build_f(&expr);
-        let reference = ParSampler::with_threads(&net, seed, 1).sample_batch(n);
+        let reference = tree_walk(&net, seed, n);
 
-        let mut eval = Evaluator::new(&net, seed);
-        let mut got = eval.sample_batch(cut);
-        got.extend(eval.sample_batch(n - cut));
+        let mut session = Session::sequential(seed);
+        let mut got = session.samples(&net, cut);
+        got.extend(session.samples(&net, n - cut));
+        prop_assert_eq!(session.cache_stats().entries, 1, "the root lowered");
 
         prop_assert_eq!(bits(&reference), bits(&got));
     }
@@ -332,14 +359,8 @@ proptest! {
         n2 in 1usize..300,
         seed in 0u64..10_000,
     ) {
-        let mut scalar = Evaluator::new(&dist.scalar(), seed);
-        let mut reference = scalar.sample_batch(n1);
-        reference.extend(scalar.sample_batch(n2));
-
-        let mut vectorized = Evaluator::new(&dist.vectorized(), seed);
-        let mut got = vectorized.sample_batch(n1);
-        got.extend(vectorized.sample_batch(n2));
-
+        let reference = split_batches(&dist.scalar(), seed, n1 + n2, n1);
+        let got = split_batches(&dist.vectorized(), seed, n1 + n2, n1);
         prop_assert_eq!(bits(&reference), bits(&got));
     }
 
@@ -353,8 +374,8 @@ proptest! {
         let d = Arc::new(Bernoulli::new(p).unwrap());
         let scalar = Uncertain::from_fn("scalar coin", move |rng| d.sample(rng));
         let vectorized = Uncertain::from_distribution(Bernoulli::new(p).unwrap());
-        let reference = Evaluator::new(&scalar, seed).sample_batch(n);
-        let got = Evaluator::new(&vectorized, seed).sample_batch(n);
+        let reference = Session::sequential(seed).samples(&scalar, n);
+        let got = Session::sequential(seed).samples(&vectorized, n);
         prop_assert_eq!(reference, got);
     }
 
@@ -368,10 +389,10 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let cfg = EvalConfig::default();
-        let scalar = Evaluator::new(&dist.scalar().gt(cut), seed)
-            .try_decide(&cfg, threshold).unwrap();
-        let vectorized = Evaluator::new(&dist.vectorized().gt(cut), seed)
-            .try_decide(&cfg, threshold).unwrap();
+        let scalar = Session::sequential(seed)
+            .try_evaluate(&dist.scalar().gt(cut), threshold, &cfg).unwrap();
+        let vectorized = Session::sequential(seed)
+            .try_evaluate(&dist.vectorized().gt(cut), threshold, &cfg).unwrap();
         prop_assert_eq!(scalar.samples, vectorized.samples);
         prop_assert_eq!(scalar.estimate.to_bits(), vectorized.estimate.to_bits());
         prop_assert_eq!(scalar.accepted, vectorized.accepted);
@@ -393,10 +414,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let n = 4096 + 513;
-        let reference = Evaluator::new(&dist.scalar(), seed).sample_batch(n);
-        let mut eval = Evaluator::new(&dist.vectorized(), seed);
-        let mut got = eval.sample_batch(cut);
-        got.extend(eval.sample_batch(n - cut));
+        let reference = Session::sequential(seed).samples(&dist.scalar(), n);
+        let got = split_batches(&dist.vectorized(), seed, n, cut);
         prop_assert_eq!(bits(&reference), bits(&got));
     }
 

@@ -24,11 +24,10 @@
 //!   tail-based policy (slowest-N per window, all errors, all audit
 //!   mismatches) for the `/traces` introspection endpoints.
 //!
-//! The per-node cost *profiles* (the Bayesian-network flamegraph) live
-//! in the core crate — see
-//! [`Evaluator::profiled`](uncertain_core::Evaluator::profiled) — since
-//! they need the evaluator's internals; this crate re-exports the event
-//! types so `use uncertain_obs::*` is self-sufficient.
+//! The kernel cost *profiles* live in the core crate — see
+//! [`Session::kernel_profile`](uncertain_core::Session::kernel_profile) —
+//! since they need the kernel's internals; this crate re-exports the
+//! event types so `use uncertain_obs::*` is self-sufficient.
 //!
 //! # Quick start
 //!
@@ -68,6 +67,6 @@ pub use trace::{to_jsonl, trace_to_json, write_jsonl, TraceLog};
 
 // Re-export the core event types this crate's API speaks, so consumers
 // need not name uncertain-core for plain trace handling.
-pub use uncertain_core::{
-    DecisionTrace, Dispatch, KindCost, NodeCost, Profile, Recorder, StoppingReason, TracePoint,
-};
+pub use uncertain_core::{DecisionTrace, Dispatch, Recorder, StoppingReason, TracePoint};
+#[allow(deprecated)]
+pub use uncertain_core::{KindCost, NodeCost, Profile};

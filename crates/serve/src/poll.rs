@@ -8,6 +8,8 @@
 //! **level-triggered**: a socket with unread input (or unflushed output
 //! interest) keeps reporting ready until it is drained, which is the
 //! forgiving semantics the connection state machines are written against.
+//! Test builds compile the `poll(2)` backend on Linux too, so its `unsafe`
+//! call is built, linted and run against the same tests as epoll.
 //!
 //! The module is public so that load generators (`bench_net` drives
 //! thousands of client sockets from two threads with it) and tests can
@@ -262,11 +264,14 @@ mod imp {
 }
 
 // ---------------------------------------------------------------------------
-// Other unix: poll(2)
+// Other unix: poll(2) (also compiled on Linux in test builds)
 // ---------------------------------------------------------------------------
 
 #[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
+use poll_fallback as imp;
+
+#[cfg(all(unix, any(test, not(target_os = "linux"))))]
+mod poll_fallback {
     use super::{timeout_ms, Interest, PollEvent};
     use std::collections::HashMap;
     use std::io;
@@ -435,96 +440,117 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
+    /// Runs `$body` once per backend in this build, with `$P` naming the
+    /// poller type and `$backend` its name: the platform's `Poller`, then
+    /// (on Linux, where that is epoll) the `poll(2)` fallback.
+    macro_rules! each_backend {
+        (|$P:ident, $backend:ident| $body:block) => {{
+            {
+                type $P = Poller;
+                let $backend = "default";
+                $body
+            }
+            #[cfg(target_os = "linux")]
+            {
+                type $P = poll_fallback::Poller;
+                let $backend = "poll(2)";
+                $body
+            }
+        }};
+    }
+
     #[test]
     fn poller_reports_readable_after_write() {
-        let (mut a, b) = UnixStream::pair().expect("socketpair");
-        b.set_nonblocking(true).expect("nonblocking");
-        let mut poller = Poller::new().expect("poller");
-        poller.add(b.as_raw_fd(), 7, Interest::READ).expect("add");
+        each_backend!(|P, backend| {
+            let (mut a, b) = UnixStream::pair().expect("socketpair");
+            b.set_nonblocking(true).expect("nonblocking");
+            let mut poller = P::new().expect("poller");
+            poller.add(b.as_raw_fd(), 7, Interest::READ).expect("add");
 
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "nothing written yet");
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .expect("wait");
+            assert!(events.is_empty(), "{backend}: nothing written yet");
 
-        a.write_all(b"x").expect("write");
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
+            a.write_all(b"x").expect("write");
+            poller
+                .wait(&mut events, Some(Duration::from_millis(1000)))
+                .expect("wait");
+            assert_eq!(events.len(), 1, "{backend}");
+            assert_eq!(events[0].token, 7, "{backend}");
+            assert!(events[0].readable, "{backend}");
 
-        // Level-triggered: still readable until drained.
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert!(events.iter().any(|e| e.token == 7 && e.readable));
-        let mut buf = [0u8; 8];
-        let n = (&b).read(&mut buf).expect("read");
-        assert_eq!(n, 1);
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "drained");
+            // Level-triggered: still readable until drained.
+            poller
+                .wait(&mut events, Some(Duration::from_millis(1000)))
+                .expect("wait");
+            assert!(
+                events.iter().any(|e| e.token == 7 && e.readable),
+                "{backend}: level-triggered"
+            );
+            let mut buf = [0u8; 8];
+            let n = (&b).read(&mut buf).expect("read");
+            assert_eq!(n, 1);
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .expect("wait");
+            assert!(events.is_empty(), "{backend}: drained");
+        });
     }
 
     #[test]
     fn poller_reports_hangup_as_readable() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        b.set_nonblocking(true).expect("nonblocking");
-        let mut poller = Poller::new().expect("poller");
-        poller.add(b.as_raw_fd(), 3, Interest::READ).expect("add");
-        drop(a);
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert!(
-            events.iter().any(|e| e.token == 3 && e.readable),
-            "peer close must surface as readable (read then sees EOF)"
-        );
+        each_backend!(|P, backend| {
+            let (a, b) = UnixStream::pair().expect("socketpair");
+            b.set_nonblocking(true).expect("nonblocking");
+            let mut poller = P::new().expect("poller");
+            poller.add(b.as_raw_fd(), 3, Interest::READ).expect("add");
+            drop(a);
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(1000)))
+                .expect("wait");
+            assert!(
+                events.iter().any(|e| e.token == 3 && e.readable),
+                "{backend}: peer close must surface as readable (read then sees EOF)"
+            );
+        });
     }
 
     #[test]
     fn poller_modify_and_remove_change_the_ready_set() {
-        let (mut a, b) = UnixStream::pair().expect("socketpair");
-        b.set_nonblocking(true).expect("nonblocking");
-        let mut poller = Poller::new().expect("poller");
-        poller.add(b.as_raw_fd(), 1, Interest::READ).expect("add");
-        a.write_all(b"y").expect("write");
+        each_backend!(|P, backend| {
+            let (mut a, b) = UnixStream::pair().expect("socketpair");
+            b.set_nonblocking(true).expect("nonblocking");
+            let mut poller = P::new().expect("poller");
+            poller.add(b.as_raw_fd(), 1, Interest::READ).expect("add");
+            a.write_all(b"y").expect("write");
 
-        // Drop read interest: the pending byte no longer wakes us (an idle
-        // socket is trivially writable, so watch nothing instead).
-        poller
-            .modify(
-                b.as_raw_fd(),
-                1,
-                Interest {
-                    readable: false,
-                    writable: false,
-                },
-            )
-            .expect("modify");
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "read interest was dropped");
+            // Drop read interest: the pending byte no longer wakes us (an
+            // idle socket is trivially writable, so watch nothing instead).
+            poller
+                .modify(b.as_raw_fd(), 1, Interest::NONE)
+                .expect("modify");
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .expect("wait");
+            assert!(events.is_empty(), "{backend}: read interest was dropped");
 
-        poller
-            .modify(b.as_raw_fd(), 1, Interest::READ_WRITE)
-            .expect("modify");
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert!(events.iter().any(|e| e.readable && e.writable));
+            poller
+                .modify(b.as_raw_fd(), 1, Interest::READ_WRITE)
+                .expect("modify");
+            poller
+                .wait(&mut events, Some(Duration::from_millis(1000)))
+                .expect("wait");
+            assert!(events.iter().any(|e| e.readable && e.writable), "{backend}");
 
-        poller.remove(b.as_raw_fd()).expect("remove");
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "removed fd must not report");
+            poller.remove(b.as_raw_fd()).expect("remove");
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .expect("wait");
+            assert!(events.is_empty(), "{backend}: removed fd must not report");
+        });
     }
 }

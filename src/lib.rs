@@ -28,11 +28,12 @@
 
 pub use uncertain_core::{
     BoolLaw, CacheStats, ConfigError, DecisionTrace, Error, EvalConfig, EvalConfigBuilder,
-    EvalStrategy, Evaluator, ExactMethod, HypothesisOutcome, InconclusiveError, IntoUncertain,
-    NetworkView, NodeId, NodeMeta, NotAnalyticError, ParSampler, Plan, Profile, Provenance,
-    Recorder, ScalarLaw, ServeError, Session, StatsOutcome, StoppingReason, TracePoint, Uncertain,
-    Value, DEFAULT_CACHE_CAPACITY,
+    EvalStrategy, ExactMethod, HypothesisOutcome, InconclusiveError, IntoUncertain, NetworkView,
+    NodeId, NodeMeta, NotAnalyticError, Provenance, Recorder, ScalarLaw, ServeError, Session,
+    StatsOutcome, StoppingReason, TracePoint, Uncertain, Value, DEFAULT_CACHE_CAPACITY,
 };
+#[allow(deprecated)]
+pub use uncertain_core::{Evaluator, ParSampler, Plan, Profile};
 pub use uncertain_obs::{PromWriter, TraceLog};
 pub use uncertain_serve::{
     ChannelTransport, Listener, NetMetrics, Pending, Request, RequestKind, Response, ServeClient,

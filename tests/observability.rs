@@ -1,10 +1,10 @@
 //! Cross-crate observability acceptance tests: decision traces on the
 //! paper's Fig. 9 GPS network, budget-capped decisions checked against a
-//! tree-walk SPRT reference, and the profiled evaluator.
+//! tree-walk SPRT reference, and the session's kernel profiler.
 
 use uncertain_suite::gps::{uncertain_speed, GeoCoordinate, GpsReading, MPS_TO_MPH};
 use uncertain_suite::stats::{SequentialTest, TestDecision};
-use uncertain_suite::{EvalConfig, Evaluator, Session, StoppingReason, TraceLog, Uncertain};
+use uncertain_suite::{EvalConfig, Session, StoppingReason, TraceLog, Uncertain};
 
 /// The Fig. 9 network: the GPS-Walking speed conditional, two readings a
 /// second apart at walking pace.
@@ -121,45 +121,46 @@ fn budget_capped_decision_traces_and_matches_a_treewalk_reference() {
 }
 
 #[test]
-fn profiled_evaluator_attributes_cost_across_the_gps_network() {
+fn session_kernel_profile_attributes_cost_across_the_gps_network() {
     let start = GeoCoordinate::new(47.6, -122.3);
     let end = start.destination(3.0 / MPS_TO_MPH, 90.0);
     let a = GpsReading::new(start, 4.0).expect("valid accuracy");
     let b = GpsReading::new(end, 4.0).expect("valid accuracy");
     let speed = uncertain_speed(&a, &b, 1.0);
 
-    let mut eval = Evaluator::profiled(&speed, 9);
-    const N: u64 = 200;
-    for _ in 0..N {
-        eval.sample();
-    }
-    let profile = eval.profile().expect("profiling mode is on");
+    const N: usize = 200;
+    let mut profiled = Session::sequential(9);
+    let profile = profiled
+        .kernel_profile(&speed, N)
+        .expect("the speed network lowers");
 
-    assert_eq!(profile.joint_samples, N);
-    assert!(!profile.entries.is_empty());
-    // Every slotted node computed a fresh value once per joint sample;
-    // extra parent reads are memoized hits, not draws.
-    assert!(profile.entries.iter().all(|e| e.draws == N));
-    // Inclusive timings: the hottest frame carries the whole cost, and
-    // entries arrive hottest-first.
-    assert!(profile.total_ns() > 0);
-    assert!(profile.entries.windows(2).all(|w| w[0].ns >= w[1].ns));
-    // Kind aggregation partitions the entries.
-    let kinds = profile.by_kind();
+    assert_eq!(profile.samples, N as u64);
+    assert!(profile.post_opt_instrs() <= profile.pre_opt_instrs);
+    // Exclusive timings: the total is the sum of the instruction costs.
     assert_eq!(
-        kinds.iter().map(|k| k.nodes).sum::<usize>(),
-        profile.entries.len()
+        profile.total_ns(),
+        profile.instrs.iter().map(|i| i.ns).sum::<u64>()
     );
-    assert_eq!(
-        kinds.iter().map(|k| k.draws).sum::<u64>(),
-        profile.entries.iter().map(|e| e.draws).sum::<u64>()
-    );
-    // An unprofiled evaluator has no profile — and samples bitwise
-    // identically to the profiled one.
-    let mut plain = Evaluator::new(&speed, 9);
-    assert!(plain.profile().is_none());
-    let mut traced = Evaluator::profiled(&speed, 9);
-    for _ in 0..10 {
-        assert_eq!(plain.sample().to_bits(), traced.sample().to_bits());
+    // The GPS error model's leaves: a Rayleigh radius and a Uniform angle
+    // per reading.
+    let kinds: Vec<String> = profile.by_leaf_kind().into_iter().map(|k| k.kind).collect();
+    for kind in ["Rayleigh", "Uniform"] {
+        assert!(kinds.iter().any(|k| k == kind), "{kind} missing: {kinds:?}");
     }
+    // The profile consumed exactly the seeds an unprofiled batch of N
+    // rows would: the stream continues bit for bit.
+    let mut plain = Session::sequential(9);
+    plain.samples(&speed, N);
+    assert_eq!(profiled.joint_samples(), plain.joint_samples());
+    let next: Vec<u64> = profiled
+        .samples(&speed, 10)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let twin: Vec<u64> = plain
+        .samples(&speed, 10)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    assert_eq!(next, twin);
 }

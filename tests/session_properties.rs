@@ -1,7 +1,9 @@
 //! Property-based tests (proptest) over the [`Session`] runtime: the plan
 //! cache must be invisible to the sample stream (hit, miss, eviction, and
-//! explicit invalidation all draw the same values), and substream seeding
-//! must be thread-count invariant.
+//! explicit invalidation all draw the same values), the columnar kernel
+//! must agree with the tree-walk interpreter, shared dependence and
+//! encapsulation must survive both executors, and substream seeding must
+//! be thread-count invariant.
 
 use proptest::prelude::*;
 use uncertain_suite::{Session, Uncertain};
@@ -104,6 +106,64 @@ proptest! {
         prop_assert_eq!(first, reference);
         prop_assert_eq!(invalidated.cache_stats().misses, 2);
         prop_assert_eq!(unbroken.cache_stats().misses, 1);
+    }
+
+    /// Both executors preserve shared dependence: x − x ≡ 0 for every
+    /// joint sample, on the tree-walk and in a sharded kernel batch.
+    #[test]
+    fn plan_keeps_ssa_identity(mean in -100.0_f64..100.0, sd in 0.1_f64..50.0, seed in 0u64..1000) {
+        let x = Uncertain::normal(mean, sd).unwrap();
+        let zero = &x - &x;
+        let mut tree = Session::sequential(seed);
+        for _ in 0..20 {
+            prop_assert_eq!(tree.sample(&zero), 0.0);
+        }
+        // Past the parallel cutover (≥1024), so 4 workers really shard.
+        let batch = Session::seeded(seed).with_threads(4).samples(&zero, 1500);
+        prop_assert!(batch.iter().all(|&v| v == 0.0));
+    }
+
+    /// The columnar kernel and the tree-walk draw bitwise-identical sample
+    /// streams for the same sequential seed, across arbitrary expression
+    /// shapes.
+    #[test]
+    fn kernel_matches_treewalk_stream(
+        mean in -10.0_f64..10.0,
+        sd in 0.1_f64..5.0,
+        n_ops in 0usize..12,
+        seed in 0u64..1000,
+    ) {
+        let expr = build_expr(mean, sd, n_ops);
+        // A batch runs on the cached kernel; a single draw always runs on
+        // the tree-walk. Both consume one seed per joint sample.
+        let mut kernel = Session::sequential(seed);
+        let batch: Vec<u64> = kernel.samples(&expr, 16).iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(kernel.cache_stats().entries, 1, "every shape lowers");
+        let mut tree = Session::sequential(seed);
+        let walked: Vec<u64> = (0..16).map(|_| tree.sample(&expr).to_bits()).collect();
+        prop_assert_eq!(batch, walked);
+    }
+
+    /// Encapsulation decorrelates: x.encapsulate() − x is almost never
+    /// zero. The network does not lower, so it runs on the tree-walk.
+    #[test]
+    fn plan_keeps_encapsulation_independent(seed in 0u64..500) {
+        let x = Uncertain::normal(0.0, 10.0).unwrap();
+        let diff = x.encapsulate() - &x;
+        let mut session = Session::sequential(seed);
+        let nonzero = session.samples(&diff, 50).iter().filter(|&&v| v != 0.0).count();
+        prop_assert!(nonzero >= 48, "only {nonzero}/50 nonzero");
+        prop_assert_eq!(session.cache_stats().entries, 0, "runs on the tree-walk");
+    }
+
+    /// A weight_by prior with constant weight is a no-op (SIR resampling
+    /// runs on the tree-walk: the network does not lower).
+    #[test]
+    fn plan_constant_weight_is_noop(c in 0.1_f64..10.0, seed in 0u64..100) {
+        let x = Uncertain::normal(5.0, 1.0).unwrap();
+        let w = x.weight_by(move |_| c);
+        let e = Session::sequential(seed).e(&w, 3000);
+        prop_assert!((e - 5.0).abs() < 0.2, "e={e}");
     }
 }
 
