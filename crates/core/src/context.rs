@@ -1,4 +1,4 @@
-//! Per-joint-sample evaluation context: RNG + memo table + slot arena.
+//! Per-joint-sample evaluation context: RNG + memo table.
 //!
 //! One `SampleContext` lives exactly as long as one *joint sample* of a
 //! Bayesian network. It implements the paper's ancestral-sampling guarantee
@@ -6,70 +6,21 @@
 //! exactly once" per joint sample, and shared sub-expressions stay perfectly
 //! correlated.
 //!
-//! Memoization has two storage tiers:
-//!
-//! * the **memo table** — a `NodeId → Box<dyn Any>` hash map, used by the
-//!   tree-walk interpreter for nodes discovered dynamically (e.g. networks
-//!   produced inside a `flat_map` closure), and
-//! * the **slot arena** — a flat `Vec` indexed by the dense slot numbers a
-//!   [`Plan`](crate::Plan) assigns to the statically reachable nodes of a
-//!   pinned network. Slots skip hashing entirely, and their boxes are
-//!   *reused in place* across joint samples: invalidation is a single epoch
-//!   bump in [`SampleContext::begin_joint_sample`], not a clear-and-realloc.
-//!
-//! When a plan is installed, the id-keyed helpers transparently redirect
-//! planned nodes to their slots, so a dynamic sub-network that closes over a
-//! planned variable still observes the same per-joint-sample value —
-//! sharing semantics are identical in both execution modes.
+//! The memo is a `NodeId → Box<dyn Any>` hash map. It also covers nodes
+//! discovered dynamically (e.g. networks produced inside a `flat_map`
+//! closure): a dynamic sub-network that closes over an outer variable reads
+//! the same per-joint-sample value through the same id.
 
 use crate::node::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// One cell of the slot arena: the value last stored here and the epoch
-/// (joint-sample counter) it belongs to. A stale epoch means "empty" — the
-/// box itself is kept so the next store can overwrite it without
-/// reallocating.
-#[derive(Default)]
-struct SlotEntry {
-    epoch: u64,
-    value: Option<Box<dyn Any + Send>>,
-}
-
-/// Per-slot cost counters of a profiled plan run
-/// ([`Plan::compile_profiled`](crate::plan)): fresh computations, memo
-/// re-reads, and inclusive closure time.
-#[cfg(feature = "obs")]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SlotCost {
-    /// Closure invocations that computed a fresh value this epoch.
-    pub(crate) draws: u64,
-    /// Closure invocations that served the memoized slot value.
-    pub(crate) hits: u64,
-    /// Total nanoseconds inside the closure (children included).
-    pub(crate) ns: u64,
-}
 
 /// Evaluation state for one joint sample of a network.
 pub(crate) struct SampleContext {
     rng: SmallRng,
     memo: HashMap<NodeId, Box<dyn Any + Send>>,
-    /// Flat per-node storage for compiled plans; indexed by slot number.
-    slots: Vec<SlotEntry>,
-    /// The joint sample currently being drawn; slot entries from earlier
-    /// epochs are treated as empty.
-    epoch: u64,
-    /// When a plan is installed, the slot assignment of its nodes — used to
-    /// redirect id-keyed memo traffic (from dynamically tree-walked
-    /// sub-networks) onto the arena.
-    slot_of: Option<Arc<HashMap<NodeId, u32>>>,
-    /// Per-slot cost counters, sized by [`SampleContext::enable_profile`];
-    /// empty (and never touched) outside profiled runs.
-    #[cfg(feature = "obs")]
-    profile: Vec<SlotCost>,
 }
 
 impl SampleContext {
@@ -78,53 +29,10 @@ impl SampleContext {
         Self {
             rng: SmallRng::seed_from_u64(seed),
             memo: HashMap::new(),
-            slots: Vec::new(),
-            epoch: 1,
-            slot_of: None,
-            #[cfg(feature = "obs")]
-            profile: Vec::new(),
         }
     }
 
-    /// Sizes the per-slot profile counters for a profiled plan run.
-    #[cfg(feature = "obs")]
-    pub(crate) fn enable_profile(&mut self, slot_count: usize) {
-        if self.profile.len() < slot_count {
-            self.profile.resize(slot_count, SlotCost::default());
-        }
-    }
-
-    /// The per-slot profile counters accumulated so far (empty unless
-    /// [`SampleContext::enable_profile`] was called).
-    #[cfg(feature = "obs")]
-    pub(crate) fn profile_slots(&self) -> &[SlotCost] {
-        &self.profile
-    }
-
-    /// Whether `slot` already holds a value for the current epoch — i.e.
-    /// a closure re-entry would be a memo hit, not a fresh draw.
-    #[cfg(feature = "obs")]
-    pub(crate) fn slot_filled(&self, slot: u32) -> bool {
-        self.slots
-            .get(slot as usize)
-            .is_some_and(|e| e.epoch == self.epoch && e.value.is_some())
-    }
-
-    /// Charges one closure invocation of `slot` to the profile counters.
-    /// A no-op when profiling was never enabled for this slot.
-    #[cfg(feature = "obs")]
-    pub(crate) fn profile_record(&mut self, slot: u32, ns: u64, was_hit: bool) {
-        if let Some(cost) = self.profile.get_mut(slot as usize) {
-            if was_hit {
-                cost.hits += 1;
-            } else {
-                cost.draws += 1;
-            }
-            cost.ns += ns;
-        }
-    }
-
-    /// Re-seeds the RNG stream in place, keeping the memo/slot allocations.
+    /// Re-seeds the RNG stream in place, keeping the memo allocation.
     /// After `reseed(s)` + [`begin_joint_sample`](Self::begin_joint_sample),
     /// the next joint sample is bitwise identical to one drawn from a fresh
     /// `SampleContext::from_seed(s)`.
@@ -132,56 +40,9 @@ impl SampleContext {
         self.rng = SmallRng::seed_from_u64(seed);
     }
 
-    /// Installs a compiled plan's slot assignment and sizes the arena.
-    pub(crate) fn install_plan(&mut self, slot_of: Arc<HashMap<NodeId, u32>>, slot_count: usize) {
-        if self.slots.len() < slot_count {
-            self.slots.resize_with(slot_count, SlotEntry::default);
-        }
-        self.slot_of = Some(slot_of);
-    }
-
     /// The randomness source for leaf sampling functions.
     pub(crate) fn rng(&mut self) -> &mut dyn RngCore {
         &mut self.rng
-    }
-
-    /// Reads slot `slot` if it was written during the current epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot holds a value of a different type — impossible
-    /// unless plan compilation assigned one slot to two nodes.
-    pub(crate) fn slot_get<T: Clone + 'static>(&self, slot: u32) -> Option<T> {
-        let entry = &self.slots[slot as usize];
-        if entry.epoch != self.epoch {
-            return None;
-        }
-        entry.value.as_ref().map(|boxed| {
-            boxed
-                .downcast_ref::<T>()
-                .expect("plan slot written with inconsistent type")
-                .clone()
-        })
-    }
-
-    /// Writes `value` into slot `slot` for the current epoch, overwriting
-    /// the existing box in place when the type matches (the steady state:
-    /// zero allocations per joint sample).
-    pub(crate) fn slot_put<T: Clone + Send + 'static>(&mut self, slot: u32, value: T) {
-        let entry = &mut self.slots[slot as usize];
-        entry.epoch = self.epoch;
-        let reusable = entry.value.as_ref().is_some_and(|boxed| boxed.is::<T>());
-        if reusable {
-            let boxed = entry.value.as_mut().expect("checked above");
-            *boxed.downcast_mut::<T>().expect("checked above") = value;
-        } else {
-            entry.value = Some(Box::new(value));
-        }
-    }
-
-    /// The slot assigned to `id` by the installed plan, if any.
-    fn slot_for(&self, id: NodeId) -> Option<u32> {
-        self.slot_of.as_ref().and_then(|m| m.get(&id).copied())
     }
 
     /// Looks up a memoized value for `id`.
@@ -191,9 +52,6 @@ impl SampleContext {
     /// Panics if a value of a different type was memoized under the same id
     /// — impossible unless node identity is violated internally.
     pub(crate) fn lookup<T: Clone + 'static>(&self, id: NodeId) -> Option<T> {
-        if let Some(slot) = self.slot_for(id) {
-            return self.slot_get(slot);
-        }
         self.memo.get(&id).map(|boxed| {
             boxed
                 .downcast_ref::<T>()
@@ -204,10 +62,6 @@ impl SampleContext {
 
     /// Memoizes a computed value for `id`.
     pub(crate) fn store<T: Clone + Send + 'static>(&mut self, id: NodeId, value: T) {
-        if let Some(slot) = self.slot_for(id) {
-            self.slot_put(slot, value);
-            return;
-        }
         self.memo.insert(id, Box::new(value));
     }
 
@@ -226,20 +80,18 @@ impl SampleContext {
     }
 
     /// Derives a fresh, independent context (fresh memo table, RNG seeded
-    /// from this context's stream) for encapsulated sub-networks. The fork
-    /// deliberately does *not* inherit any installed plan: encapsulation
-    /// means the sub-network must decorrelate from the outer sample.
+    /// from this context's stream) for encapsulated sub-networks:
+    /// encapsulation means the sub-network must decorrelate from the outer
+    /// sample.
     pub(crate) fn fork(&mut self) -> SampleContext {
         SampleContext::from_seed(self.rng.gen())
     }
 
-    /// Starts the next joint sample: bumps the slot epoch (invalidating the
-    /// whole arena in O(1)) and clears the memo table while keeping its
-    /// allocation — the fast path for drawing many joint samples of the
-    /// same network ([`Evaluator`](crate::Evaluator)).
+    /// Starts the next joint sample: clears the memo table while keeping
+    /// its allocation, so one context draws many joint samples of the same
+    /// network.
     pub(crate) fn begin_joint_sample(&mut self) {
         self.memo.clear();
-        self.epoch += 1;
     }
 }
 
@@ -302,38 +154,5 @@ mod tests {
         reused.begin_joint_sample();
         let mut fresh = SampleContext::from_seed(1234);
         assert_eq!(reused.rng().next_u64(), fresh.rng().next_u64());
-    }
-
-    #[test]
-    fn slots_invalidate_per_epoch_without_realloc() {
-        let mut ctx = SampleContext::from_seed(0);
-        ctx.install_plan(Arc::new(HashMap::new()), 2);
-        ctx.slot_put(0, 1.5_f64);
-        assert_eq!(ctx.slot_get::<f64>(0), Some(1.5));
-        assert_eq!(ctx.slot_get::<f64>(1), None, "unwritten slot is empty");
-        ctx.begin_joint_sample();
-        assert_eq!(ctx.slot_get::<f64>(0), None, "stale epoch reads as empty");
-        ctx.slot_put(0, 2.5_f64);
-        assert_eq!(ctx.slot_get::<f64>(0), Some(2.5));
-    }
-
-    #[test]
-    fn id_helpers_redirect_to_slots_when_planned() {
-        let mut ctx = SampleContext::from_seed(0);
-        let planned = NodeId::fresh();
-        let dynamic = NodeId::fresh();
-        let mut slot_of = HashMap::new();
-        slot_of.insert(planned, 0_u32);
-        ctx.install_plan(Arc::new(slot_of), 1);
-        // A tree-walked store of a planned node lands in the slot…
-        ctx.store(planned, 7_i64);
-        assert_eq!(ctx.slot_get::<i64>(0), Some(7));
-        assert_eq!(ctx.lookup::<i64>(planned), Some(7));
-        // …while unplanned ids keep using the memo table.
-        ctx.store(dynamic, 9_i64);
-        assert_eq!(ctx.lookup::<i64>(dynamic), Some(9));
-        ctx.begin_joint_sample();
-        assert_eq!(ctx.lookup::<i64>(planned), None);
-        assert_eq!(ctx.lookup::<i64>(dynamic), None);
     }
 }

@@ -30,8 +30,8 @@
 //! exact moment match), not an approximation of convenience.
 //!
 //! Verdicts are cached per root `NodeId` in the session's plan cache,
-//! beside the closure/kernel tapes (mirroring the `no_tape` memo), so the
-//! walk runs once per graph, not once per query.
+//! beside the kernel tapes (mirroring the `no_tape` memo), so the walk
+//! runs once per graph, not once per query.
 
 use crate::kernel::{BinOp, BoolOp, CmpOp, Map2Tag, MapTag, UnOp};
 use crate::node::{NodeId, NodeInfo};
@@ -108,9 +108,8 @@ impl ScalarLaw {
     }
 }
 
-/// Recursion budget for the analysis walk — matches the plan compiler's
-/// depth tolerance; graphs deeper than this decline to the sampling path
-/// rather than risk the stack.
+/// Recursion budget for the analysis walk: graphs deeper than this
+/// decline to the sampling path rather than risk the stack.
 const MAX_ANALYSIS_DEPTH: usize = 2500;
 
 /// Analyzes a `bool`-rooted DAG; `None` means "not analytically

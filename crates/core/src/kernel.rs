@@ -18,11 +18,10 @@
 //!   strictly greater than its sources' — `split_at_mut` gives the
 //!   disjoint mutable/shared views without unsafe code.
 //! * **Leaves** fill their column from per-sample RNGs seeded exactly as
-//!   the tree-walk seeds each joint sample (the session's query stream,
-//!   or `plan::sample_seed` substreams for sharded batches), and
-//!   instructions consume each sample's RNG in exactly the order the
-//!   tree-walk visits nodes — so a kernel batch is **bitwise identical**
-//!   to the tree-walk, sample for sample.
+//!   the tree-walk seeds each joint sample (from the session's query
+//!   stream), and instructions consume each sample's RNG in exactly the
+//!   order the tree-walk visits nodes — so a kernel batch is **bitwise
+//!   identical** to the tree-walk, sample for sample.
 //! * **Tagged arithmetic** (`+ - * / %`, comparisons, boolean ops, and the
 //!   `f64` method lifts) runs as tight monomorphic loops over columns that
 //!   the compiler can unroll and vectorize. Untagged `map`/`map2` closures
@@ -38,7 +37,6 @@
 //! reproducible.
 
 use crate::node::{LeafNode, Map2Node, MapNode, NodeId, NodeInfo};
-use crate::plan::sample_seed;
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -47,10 +45,10 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Rows evaluated per column pass when a caller streams a large batch
-/// through [`Kernel::run_into`] in chunks: big enough that per-chunk setup
-/// amortizes to nothing, small enough that register columns stay cache-
-/// and memory-friendly for thousand-node tapes.
+/// Rows evaluated per column pass when [`Kernel::run`] streams a large
+/// batch in chunks: big enough that per-chunk setup amortizes to nothing,
+/// small enough that register columns stay cache- and memory-friendly for
+/// thousand-node tapes.
 pub(crate) const KERNEL_CHUNK: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -1465,32 +1463,41 @@ impl<T: Value> Kernel<T> {
         }
     }
 
-    /// Runs the tape over one batch — `seeds[i]` seeds sample `i`'s RNG,
-    /// exactly as the tree-walk would `reseed` per sample — and
-    /// **appends** the root column to `out`.
-    pub(crate) fn run_into(&self, seeds: &[u64], state: &mut KernelState, out: &mut Vec<T>) {
-        let n = seeds.len();
-        if n == 0 {
-            return;
-        }
+    /// Runs the tape over `n` rows and **appends** the root column to
+    /// `out`. Row `i`'s RNG is seeded with the `i`-th `next_seed()`, exactly
+    /// as the tree-walk reseeds per joint sample; rows run a
+    /// [`KERNEL_CHUNK`] at a time, pulling seeds in row order.
+    pub(crate) fn run(
+        &self,
+        n: usize,
+        mut next_seed: impl FnMut() -> u64,
+        state: &mut KernelState,
+        out: &mut Vec<T>,
+    ) {
         debug_assert_eq!(state.regs.len(), self.instrs.len());
-        state.rngs.clear();
-        state
-            .rngs
-            .extend(seeds.iter().map(|&s| SmallRng::seed_from_u64(s)));
-        for instr in &self.instrs {
-            instr.run(&mut state.regs, &mut state.rngs, n);
+        out.reserve(n);
+        let mut done = 0;
+        while done < n {
+            let take = KERNEL_CHUNK.min(n - done);
+            state.rngs.clear();
+            state
+                .rngs
+                .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
+            for instr in &self.instrs {
+                instr.run(&mut state.regs, &mut state.rngs, take);
+            }
+            let root = col_ref::<T>(state.regs[self.root].as_ref());
+            out.extend_from_slice(&root[..take]);
+            done += take;
         }
-        let root = col_ref::<T>(state.regs[self.root].as_ref());
-        out.extend_from_slice(&root[..n]);
     }
 
     /// Profiles `n` rows of the tape: runs it in [`KERNEL_CHUNK`]-row
     /// chunks, seeding each row with the next `next_seed()`, with a
     /// wall-clock timer around every instruction's column pass, and
     /// reports the exclusive per-instruction costs. The rows draw exactly
-    /// the values an unprofiled [`run_into`](Self::run_into) over the same
-    /// seeds would; only wall time changes.
+    /// the values an unprofiled [`run`](Self::run) over the same seeds
+    /// would; only wall time changes.
     #[cfg(feature = "obs")]
     pub(crate) fn profiled_run(
         &self,
@@ -1533,61 +1540,16 @@ impl<T: Value> Kernel<T> {
     }
 }
 
-/// Shards one indexed batch across `threads` scoped workers, each running
-/// the tape over contiguous chunks of the index space. Sample `i` is
-/// seeded `sample_seed(seed, start + i)` regardless of the thread count or
-/// chunk boundaries, so results are bitwise identical to a serial run —
-/// the kernel twin of `plan::sample_batch_sharded`.
-pub(crate) fn sharded_batch<T: Value>(
-    kernel: &Kernel<T>,
-    seed: u64,
-    start: u64,
-    n: usize,
-    threads: usize,
-) -> Vec<T> {
-    let workers = threads.max(1).min(n.max(1));
-    let chunk = n.div_ceil(workers);
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n);
-                let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    let mut part = Vec::with_capacity(hi - lo);
-                    let mut state = kernel.new_state();
-                    let mut seeds = Vec::with_capacity(KERNEL_CHUNK.min(hi - lo));
-                    let mut done = lo;
-                    while done < hi {
-                        let take = (hi - done).min(KERNEL_CHUNK);
-                        seeds.clear();
-                        seeds.extend(
-                            (0..take).map(|j| sample_seed(seed, start + (done + j) as u64)),
-                        );
-                        kernel.run_into(&seeds, &mut state, &mut part);
-                        done += take;
-                    }
-                    part
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("kernel shard worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::sample_seed;
     use crate::uncertain::Uncertain;
 
     fn run<T: Value>(k: &Kernel<T>, seed: u64, n: usize) -> Vec<T> {
-        let seeds: Vec<u64> = (0..n as u64).map(|i| sample_seed(seed, i)).collect();
-        let mut state = k.new_state();
-        let mut out = Vec::with_capacity(n);
-        k.run_into(&seeds, &mut state, &mut out);
+        let mut seeds = (0..n as u64).map(|i| sample_seed(seed, i));
+        let mut out = Vec::new();
+        k.run(n, || seeds.next().unwrap(), &mut k.new_state(), &mut out);
         out
     }
 

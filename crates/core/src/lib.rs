@@ -73,7 +73,6 @@ mod compare;
 mod condition;
 mod context;
 mod error;
-mod evaluator;
 mod exact;
 mod expect;
 mod graph;
@@ -84,7 +83,6 @@ mod node;
 #[cfg(feature = "obs")]
 mod obs;
 mod ops;
-mod plan;
 mod runtime;
 mod uncertain;
 mod wire;
@@ -94,8 +92,6 @@ pub use condition::{
     StatsOutcome,
 };
 pub use error::{ConfigError, Error, NotAnalyticError, ServeError, WireError};
-#[allow(deprecated)]
-pub use evaluator::Evaluator;
 pub use exact::{BoolLaw, ExactMethod, ScalarLaw};
 pub use graph::{NetworkView, NodeMeta};
 pub use node::NodeId;
@@ -104,11 +100,6 @@ pub use obs::{
     DecisionTrace, Dispatch, InstrCost, KernelProfile, LeafKindCost, Recorder, StoppingReason,
     TracePoint,
 };
-#[cfg(feature = "obs")]
-#[allow(deprecated)]
-pub use obs::{KindCost, NodeCost, Profile};
-#[allow(deprecated)]
-pub use plan::{ParSampler, Plan};
 pub use runtime::{CacheStats, Session, DEFAULT_CACHE_CAPACITY};
 pub use uncertain::{IntoUncertain, Uncertain, Value};
 pub use wire::WireGraph;
@@ -140,7 +131,5 @@ pub mod prelude {
     };
     #[cfg(feature = "obs")]
     pub use crate::{DecisionTrace, Recorder, StoppingReason};
-    #[allow(deprecated)]
-    pub use crate::{Evaluator, ParSampler, Plan};
     pub use uncertain_dist::{Continuous, Discrete, Distribution};
 }

@@ -16,7 +16,6 @@
 
 use crate::context::SampleContext;
 use crate::kernel::{self, KernelBuilder, Map2Tag, MapTag};
-use crate::plan::{compile_node, CompiledFn, PlanBuilder};
 use crate::uncertain::{Uncertain, Value};
 use crate::wire::WireOp;
 use std::fmt;
@@ -70,23 +69,9 @@ pub(crate) trait NodeInfo: Send + Sync {
         self.children().is_empty()
     }
 
-    /// The children `compile` descends into *statically* — the sub-graph
-    /// that becomes part of this node's plan. Nodes whose inner network is
-    /// tree-walked per joint sample (encapsulation, priors, conditioning)
-    /// return none: the plan never compiles past them.
-    fn compile_children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        Vec::new()
-    }
-
-    /// Compiles this node assuming `compile_children` are already in the
-    /// builder's cache. Driven bottom-up by the plan's explicit work stack
-    /// (see `plan::compile_root`), so `compile`'s natural recursion stays
-    /// O(1) deep no matter how deep the network is.
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder);
-
     /// The children the columnar kernel must lower before this node — in
     /// `sample_value` visit order, so a leaf column consumes each sample's
-    /// RNG exactly when the closure path would — or `None` when this node
+    /// RNG exactly when the tree-walk would — or `None` when this node
     /// kind cannot be expressed as a tape instruction.
     fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
         None
@@ -113,12 +98,6 @@ pub(crate) trait TypedNode<T>: NodeInfo {
     /// Draws this node's value within the given joint-sample context,
     /// memoizing by node id so shared nodes are computed exactly once.
     fn sample_value(&self, ctx: &mut SampleContext) -> T;
-
-    /// Compiles this node into a slot-indexed closure for a
-    /// [`Plan`](crate::Plan). Implementations must visit children in the
-    /// same order as `sample_value` so compiled evaluation consumes RNG
-    /// draws in bitwise-identical order to the tree-walk interpreter.
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T>;
 }
 
 pub(crate) type DynNode<T> = Arc<dyn TypedNode<T>>;
@@ -167,7 +146,7 @@ impl<T> LeafNode<T> {
     /// bitwise-equivalent to one `sample_fn` call per index (each index
     /// consuming only its own RNG, in scalar call order); the columnar
     /// kernel relies on this to stay sample-for-sample identical to the
-    /// closure path.
+    /// tree-walk.
     pub(crate) fn with_fill(
         label: impl Into<String>,
         sample_fn: impl Fn(&mut dyn rand::RngCore) -> T + Send + Sync + 'static,
@@ -206,9 +185,6 @@ impl<T: Value> NodeInfo for LeafNode<T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         Vec::new()
     }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
     fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
         Some(Vec::new())
     }
@@ -224,20 +200,6 @@ impl<T: Value> NodeInfo for LeafNode<T> {
 impl<T: Value> TypedNode<T> for LeafNode<T> {
     fn sample_value(&self, ctx: &mut SampleContext) -> T {
         ctx.memoized(self.id, |ctx| (self.sample_fn)(ctx.rng()))
-    }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        compile_node(builder, id, move |_, slot| {
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                let v = (self.sample_fn)(ctx.rng());
-                ctx.slot_put(slot, v.clone());
-                v
-            })
-        })
     }
 }
 
@@ -270,9 +232,6 @@ impl<T: Value + fmt::Debug> NodeInfo for PointNode<T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         Vec::new()
     }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
     fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
         Some(Vec::new())
     }
@@ -297,11 +256,6 @@ impl<T: Value + fmt::Debug> NodeInfo for PointNode<T> {
 impl<T: Value + fmt::Debug> TypedNode<T> for PointNode<T> {
     fn sample_value(&self, _ctx: &mut SampleContext) -> T {
         self.value.clone()
-    }
-
-    fn compile(self: Arc<Self>, _builder: &mut PlanBuilder) -> CompiledFn<T> {
-        // Constants need no slot: the closure is the value.
-        Arc::new(move |_| self.value.clone())
     }
 }
 
@@ -361,12 +315,6 @@ impl<A: Value, T: Value> NodeInfo for MapNode<A, T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         vec![self.child.clone() as Arc<dyn NodeInfo>]
     }
-    fn compile_children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![self.child.clone() as Arc<dyn NodeInfo>]
-    }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
     fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
         Some(vec![self.child.clone() as Arc<dyn NodeInfo>])
     }
@@ -391,23 +339,6 @@ impl<A: Value, T: Value> TypedNode<T> for MapNode<A, T> {
         let v = (self.f)(a);
         ctx.store(self.id, v.clone());
         v
-    }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        let child = self.child.clone();
-        compile_node(builder, id, move |builder, slot| {
-            let child = child.compile(builder);
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                let a = child(ctx);
-                let v = (self.f)(a);
-                ctx.slot_put(slot, v.clone());
-                v
-            })
-        })
     }
 }
 
@@ -473,12 +404,6 @@ impl<A: Value, B: Value, T: Value> NodeInfo for Map2Node<A, B, T> {
             self.right.clone() as Arc<dyn NodeInfo>,
         ]
     }
-    fn compile_children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        self.children()
-    }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
     fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
         // Left before right: the order `sample_value` draws in.
         Some(self.children())
@@ -503,27 +428,6 @@ impl<A: Value, B: Value, T: Value> TypedNode<T> for Map2Node<A, B, T> {
         let v = (self.f)(a, b);
         ctx.store(self.id, v.clone());
         v
-    }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        let left = self.left.clone();
-        let right = self.right.clone();
-        compile_node(builder, id, move |builder, slot| {
-            // Left before right, matching `sample_value`'s RNG draw order.
-            let left = left.compile(builder);
-            let right = right.compile(builder);
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                let a = left(ctx);
-                let b = right(ctx);
-                let v = (self.f)(a, b);
-                ctx.slot_put(slot, v.clone());
-                v
-            })
-        })
     }
 }
 
@@ -567,14 +471,6 @@ impl<A: Value, T: Value> NodeInfo for BindNode<A, T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         vec![self.child.clone() as Arc<dyn NodeInfo>]
     }
-    fn compile_children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        // Only the outer child is compiled statically; the inner network
-        // exists per joint sample and is tree-walked.
-        vec![self.child.clone() as Arc<dyn NodeInfo>]
-    }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
 }
 
 impl<A: Value, T: Value> TypedNode<T> for BindNode<A, T> {
@@ -587,27 +483,6 @@ impl<A: Value, T: Value> TypedNode<T> for BindNode<A, T> {
         let v = inner.node().sample_value(ctx);
         ctx.store(self.id, v.clone());
         v
-    }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        let child = self.child.clone();
-        compile_node(builder, id, move |builder, slot| {
-            let child = child.compile(builder);
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                let a = child(ctx);
-                // The inner network only exists per joint sample, so it is
-                // tree-walked in the same context; planned nodes it closes
-                // over are redirected to their slots by the context.
-                let inner = (self.f)(a);
-                let v = inner.node().sample_value(ctx);
-                ctx.slot_put(slot, v.clone());
-                v
-            })
-        })
     }
 }
 
@@ -647,9 +522,6 @@ impl<T: Value> NodeInfo for EncapsulatedNode<T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         vec![self.inner.clone() as Arc<dyn NodeInfo>]
     }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
 }
 
 impl<T: Value> TypedNode<T> for EncapsulatedNode<T> {
@@ -657,24 +529,6 @@ impl<T: Value> TypedNode<T> for EncapsulatedNode<T> {
         ctx.memoized(self.id, |ctx| {
             let mut sub = ctx.fork();
             self.inner.sample_value(&mut sub)
-        })
-    }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        compile_node(builder, id, move |_, slot| {
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                // Same fork semantics as the interpreter: the sub-network
-                // must decorrelate, so it runs in a fresh (plan-free)
-                // context seeded from this context's stream.
-                let mut sub = ctx.fork();
-                let v = self.inner.sample_value(&mut sub);
-                ctx.slot_put(slot, v.clone());
-                v
-            })
         })
     }
 }
@@ -744,15 +598,12 @@ impl<T: Value> NodeInfo for WeightedNode<T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         vec![self.inner.clone() as Arc<dyn NodeInfo>]
     }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
 }
 
 impl<T: Value> WeightedNode<T> {
-    /// One sampling–importance–resampling draw. Shared verbatim by the
-    /// tree-walk interpreter and compiled plans so both execution modes
-    /// consume identical RNG streams.
+    /// One sampling–importance–resampling draw: a pool of `candidates`
+    /// draws in forked sub-contexts, resampled by one draw from this
+    /// context's RNG (the pool is redrawn while every weight is zero).
     fn draw(&self, ctx: &mut SampleContext) -> T {
         /// If every candidate in a pool has zero weight, redraw the pool up
         /// to this many times before falling back to an unweighted draw.
@@ -816,20 +667,6 @@ impl<T: Value> TypedNode<T> for WeightedNode<T> {
     fn sample_value(&self, ctx: &mut SampleContext) -> T {
         ctx.memoized(self.id, |ctx| self.draw(ctx))
     }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        compile_node(builder, id, move |_, slot| {
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                let v = self.draw(ctx);
-                ctx.slot_put(slot, v.clone());
-                v
-            })
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -875,14 +712,11 @@ impl<T: Value> NodeInfo for ConditionedNode<T> {
     fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
         vec![self.inner.clone() as Arc<dyn NodeInfo>]
     }
-    fn precompile(self: Arc<Self>, builder: &mut PlanBuilder) {
-        let _ = TypedNode::compile(self, builder);
-    }
 }
 
 impl<T: Value> ConditionedNode<T> {
-    /// One rejection-sampling draw. Shared by the tree-walk interpreter and
-    /// compiled plans so both execution modes consume identical RNG streams.
+    /// One rejection-sampling draw: each try samples the inner network in
+    /// a fresh forked sub-context.
     fn draw(&self, ctx: &mut SampleContext) -> T {
         for _ in 0..self.max_tries {
             let mut sub = ctx.fork();
@@ -902,20 +736,6 @@ impl<T: Value> ConditionedNode<T> {
 impl<T: Value> TypedNode<T> for ConditionedNode<T> {
     fn sample_value(&self, ctx: &mut SampleContext) -> T {
         ctx.memoized(self.id, |ctx| self.draw(ctx))
-    }
-
-    fn compile(self: Arc<Self>, builder: &mut PlanBuilder) -> CompiledFn<T> {
-        let id = self.id;
-        compile_node(builder, id, move |_, slot| {
-            Arc::new(move |ctx| {
-                if let Some(v) = ctx.slot_get::<T>(slot) {
-                    return v;
-                }
-                let v = self.draw(ctx);
-                ctx.slot_put(slot, v.clone());
-                v
-            })
-        })
     }
 }
 

@@ -18,8 +18,7 @@
 //! * **Cost profiles** — [`Session::kernel_profile`](crate::Session::kernel_profile)
 //!   runs a network's kernel tape with a timer around every instruction
 //!   and reports a [`KernelProfile`]: exclusive ns per instruction, per
-//!   [`NodeId`], and per leaf distribution kind. (The closure plan's
-//!   per-node [`Profile`] is deprecated with the plan.)
+//!   [`NodeId`], and per leaf distribution kind.
 //!
 //! Both instruments are pay-for-use: a session with no recorder installed
 //! runs one dormant branch per decision, and only a profiling call pays
@@ -145,119 +144,6 @@ impl DecisionTrace {
     /// Whether the decision reached a verdict (was not aborted).
     pub fn completed(&self) -> bool {
         self.stopping != StoppingReason::Aborted
-    }
-}
-
-/// Per-node sampling cost of a profiled evaluator run.
-#[deprecated(note = "use `Session::kernel_profile`, whose `InstrCost` entries are per node")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeCost {
-    /// The node.
-    pub id: NodeId,
-    /// Its display label (`"Gaussian(0, 1)"`, `"+"`, `"gt"`, …).
-    pub label: String,
-    /// The label's kind prefix — the label up to its first `(` — used to
-    /// aggregate nodes of the same operator/distribution family.
-    pub kind: String,
-    /// Whether the node is a leaf (a sampling function).
-    pub is_leaf: bool,
-    /// Times the node's closure computed a fresh value (once per joint
-    /// sample that reached it).
-    pub draws: u64,
-    /// Times the closure was re-entered within a joint sample and served
-    /// the memoized slot value instead (shared sub-expressions).
-    pub hits: u64,
-    /// Total wall time inside the node's closure, in nanoseconds.
-    /// **Inclusive** of its children's time, like a flamegraph frame.
-    pub ns: u64,
-}
-
-/// Cost aggregated over every node of one kind.
-#[deprecated(note = "use `Session::kernel_profile` and `KernelProfile::by_leaf_kind`")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KindCost {
-    /// The kind prefix shared by the aggregated nodes.
-    pub kind: String,
-    /// How many distinct nodes share it.
-    pub nodes: usize,
-    /// Summed fresh draws.
-    pub draws: u64,
-    /// Summed inclusive nanoseconds.
-    pub ns: u64,
-}
-
-/// A per-node cost profile of a pinned network, from
-/// [`Evaluator::profile`](crate::Evaluator::profile).
-///
-/// Entries are sorted by inclusive time, hottest first. Timings are
-/// inclusive (a parent's time contains its children's), so the profile
-/// reads like a flamegraph of the Bayesian network: the root carries the
-/// whole joint-sample cost and leaves show their own sampling cost.
-#[deprecated(note = "use `Session::kernel_profile`, which returns a `KernelProfile`")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct Profile {
-    /// Per-node costs, hottest first.
-    #[allow(deprecated)]
-    pub entries: Vec<NodeCost>,
-    /// Joint samples the profiled evaluator had drawn when the profile
-    /// was taken.
-    pub joint_samples: u64,
-}
-
-#[allow(deprecated)]
-impl Profile {
-    /// Inclusive nanoseconds of the hottest node — the root's total in a
-    /// fully-planned network, i.e. the whole sampling cost.
-    pub fn total_ns(&self) -> u64 {
-        self.entries.iter().map(|e| e.ns).max().unwrap_or(0)
-    }
-
-    /// Costs aggregated by node kind, hottest kind first.
-    pub fn by_kind(&self) -> Vec<KindCost> {
-        let mut kinds: Vec<KindCost> = Vec::new();
-        for e in &self.entries {
-            match kinds.iter_mut().find(|k| k.kind == e.kind) {
-                Some(k) => {
-                    k.nodes += 1;
-                    k.draws += e.draws;
-                    k.ns += e.ns;
-                }
-                None => kinds.push(KindCost {
-                    kind: e.kind.clone(),
-                    nodes: 1,
-                    draws: e.draws,
-                    ns: e.ns,
-                }),
-            }
-        }
-        kinds.sort_by_key(|k| std::cmp::Reverse(k.ns));
-        kinds
-    }
-
-    /// A human-readable table of the top `limit` nodes (all of them for
-    /// `limit == 0`).
-    pub fn render(&self, limit: usize) -> String {
-        let take = if limit == 0 {
-            self.entries.len()
-        } else {
-            limit.min(self.entries.len())
-        };
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>12} {:>10} {:>8} {:>6}  {}\n",
-            "incl ns", "draws", "hits", "leaf", "node"
-        ));
-        for e in &self.entries[..take] {
-            out.push_str(&format!(
-                "{:>12} {:>10} {:>8} {:>6}  {}\n",
-                e.ns,
-                e.draws,
-                e.hits,
-                if e.is_leaf { "yes" } else { "" },
-                e.label
-            ));
-        }
-        out
     }
 }
 
@@ -456,54 +342,5 @@ mod tests {
         );
         assert_eq!(kinds[2].kind, "Exponential");
         assert!(kinds[2].vectorized);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn profile_aggregates_by_kind() {
-        let id = NodeId::fresh();
-        let profile = Profile {
-            entries: vec![
-                NodeCost {
-                    id,
-                    label: "+".into(),
-                    kind: "+".into(),
-                    is_leaf: false,
-                    draws: 10,
-                    hits: 0,
-                    ns: 900,
-                },
-                NodeCost {
-                    id: NodeId::fresh(),
-                    label: "Gaussian(0, 1)".into(),
-                    kind: "Gaussian".into(),
-                    is_leaf: true,
-                    draws: 10,
-                    hits: 0,
-                    ns: 500,
-                },
-                NodeCost {
-                    id: NodeId::fresh(),
-                    label: "Gaussian(2, 3)".into(),
-                    kind: "Gaussian".into(),
-                    is_leaf: true,
-                    draws: 10,
-                    hits: 2,
-                    ns: 300,
-                },
-            ],
-            joint_samples: 10,
-        };
-        let kinds = profile.by_kind();
-        assert_eq!(kinds.len(), 2);
-        assert_eq!(kinds[0].kind, "+");
-        assert_eq!(kinds[1].kind, "Gaussian");
-        assert_eq!(kinds[1].nodes, 2);
-        assert_eq!(kinds[1].draws, 20);
-        assert_eq!(kinds[1].ns, 800);
-        assert_eq!(profile.total_ns(), 900);
-        let table = profile.render(2);
-        assert!(table.contains('+') && table.contains("Gaussian(0, 1)"));
-        assert!(!table.contains("Gaussian(2, 3)"), "limit respected");
     }
 }

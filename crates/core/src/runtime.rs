@@ -39,11 +39,10 @@ use crate::condition::{EvalConfig, EvalStrategy, HypothesisOutcome, Provenance, 
 use crate::context::SampleContext;
 use crate::error::{Error, NotAnalyticError};
 use crate::exact::{self, BoolLaw, ScalarLaw};
-use crate::kernel::{self, Kernel, KERNEL_CHUNK};
+use crate::kernel::Kernel;
 use crate::node::{NodeId, NodeInfo};
 #[cfg(feature = "obs")]
 use crate::obs::{DecisionTrace, Dispatch, KernelProfile, Recorder, StoppingReason, TracePoint};
-use crate::plan::{sample_batch_sharded, sample_seed};
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -87,6 +86,63 @@ enum Exec<T> {
     Tree(Uncertain<T>),
 }
 
+impl<T: Value> Exec<T> {
+    /// Draws `n` joint samples, seeding row `i` with the `i`-th
+    /// `next_seed()`. Both executors pull seeds in row order and draw the
+    /// same bits; `ctx` is the tree-walk's scratch context.
+    fn rows(
+        &self,
+        n: usize,
+        ctx: &mut SampleContext,
+        mut next_seed: impl FnMut() -> u64,
+    ) -> Vec<T> {
+        match self {
+            Exec::Kernel(k) => {
+                let mut out = Vec::new();
+                k.run(n, next_seed, &mut k.new_state(), &mut out);
+                out
+            }
+            Exec::Tree(u) => (0..n)
+                .map(|_| {
+                    ctx.reseed(next_seed());
+                    tree_walk(u, ctx)
+                })
+                .collect(),
+        }
+    }
+
+    /// Draws rows `0..n` of the index-seeded query `substream` on `threads`
+    /// scoped workers, each running [`Exec::rows`] over one contiguous
+    /// range. Row `i` is seeded `sample_seed(substream, i)` whichever
+    /// worker draws it, so the result is bitwise identical for any worker
+    /// count.
+    fn rows_sharded(&self, substream: u64, n: usize, threads: usize) -> Vec<T> {
+        let chunk = n.div_ceil(threads).max(1);
+        let mut out = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|lo| {
+                    let len = chunk.min(n - lo);
+                    scope.spawn(move || {
+                        let mut seeds = (lo as u64..).map(|i| sample_seed(substream, i));
+                        let mut ctx = SampleContext::from_seed(0);
+                        self.rows(len, &mut ctx, || seeds.next().unwrap())
+                    })
+                })
+                .collect();
+            for worker in workers {
+                out.extend(
+                    worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+        });
+        out
+    }
+}
+
 /// One joint sample of `u` through the tree-walk interpreter; the caller
 /// reseeds `ctx` first.
 fn tree_walk<T: Value>(u: &Uncertain<T>, ctx: &mut SampleContext) -> T {
@@ -97,6 +153,16 @@ fn tree_walk<T: Value>(u: &Uncertain<T>, ctx: &mut SampleContext) -> T {
 // ---------------------------------------------------------------------------
 // Seeding policy
 // ---------------------------------------------------------------------------
+
+/// Mixes a root seed and a per-sample index into an independent sub-stream
+/// seed (SplitMix64 finalizer). Sample `i`'s value depends only on
+/// `(root_seed, i)`, which is what makes batch sampling shard-independent.
+pub(crate) fn sample_seed(root_seed: u64, index: u64) -> u64 {
+    let mut z = root_seed.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// How a session turns "the next joint sample" into an RNG seed.
 enum SeedPolicy {
@@ -131,11 +197,6 @@ impl SeedPolicy {
                 }
             }
         }
-    }
-
-    /// One seed drawn as its own single-sample query.
-    fn derive_seed(&mut self) -> u64 {
-        self.begin_query().next()
     }
 
     /// The raw auxiliary RNG (workload generators, simulated sensors).
@@ -804,14 +865,13 @@ impl Session {
 
     /// The cached kernel for `u`'s network, lowering it on a miss; `None`
     /// when the network does not lower. Used by batch and decision
-    /// queries, by [`Session::kernel_profile`], and by the deprecated
-    /// `Evaluator::from_session`.
+    /// queries and by [`Session::kernel_profile`].
     ///
     /// The "does not lower" verdict is memoized in the plan cache's
     /// persistent side table: such a root never becomes an entry, so
     /// without the memo every query on it would repeat the futile
     /// lowering walk.
-    pub(crate) fn cached_kernel<T: Value>(&mut self, u: &Uncertain<T>) -> Option<Arc<Kernel<T>>> {
+    fn cached_kernel<T: Value>(&mut self, u: &Uncertain<T>) -> Option<Arc<Kernel<T>>> {
         if let Some(kernel) = self.cache.lookup::<T>(u.id()) {
             return Some(kernel);
         }
@@ -834,12 +894,6 @@ impl Session {
             Some(kernel) => Exec::Kernel(kernel),
             None => Exec::Tree(u.clone()),
         }
-    }
-
-    /// One seed drawn from the session's policy as its own query — used to
-    /// spawn derived deterministic components (evaluators, sub-sessions).
-    pub(crate) fn derive_seed(&mut self) -> u64 {
-        self.seeds.derive_seed()
     }
 
     // -- analytic backend -------------------------------------------------
@@ -906,49 +960,12 @@ impl Session {
     /// large enough to amortize spawning.
     fn draw<T: Value>(&mut self, exec: &Exec<T>, n: usize) -> Vec<T> {
         self.joint_samples += n as u64;
-        let threads = self.threads;
-        let ctx = &mut self.ctx;
         let mut q = self.seeds.begin_query();
-        if threads > 1 && n >= PAR_MIN_BATCH {
-            if let Some(substream) = q.shardable() {
-                return match exec {
-                    Exec::Kernel(k) => kernel::sharded_batch(k, substream, 0, n, threads),
-                    Exec::Tree(u) => sample_batch_sharded(
-                        || SampleContext::from_seed(0),
-                        |ctx| tree_walk(u, ctx),
-                        substream,
-                        0,
-                        n,
-                        threads,
-                    ),
-                };
+        match q.shardable() {
+            Some(substream) if self.threads > 1 && n >= PAR_MIN_BATCH => {
+                exec.rows_sharded(substream, n, self.threads)
             }
-        }
-        match exec {
-            Exec::Kernel(k) => {
-                // Serial columnar path. Seeds still come off the query
-                // stream one by one (a sequential-policy stream is
-                // order-dependent), collected a chunk at a time so the
-                // tape runs column-wise over bounded buffers.
-                let mut out = Vec::with_capacity(n);
-                let mut state = k.new_state();
-                let mut seeds: Vec<u64> = Vec::with_capacity(KERNEL_CHUNK.min(n));
-                let mut done = 0;
-                while done < n {
-                    let take = KERNEL_CHUNK.min(n - done);
-                    seeds.clear();
-                    seeds.extend((0..take).map(|_| q.next()));
-                    k.run_into(&seeds, &mut state, &mut out);
-                    done += take;
-                }
-                out
-            }
-            Exec::Tree(u) => (0..n)
-                .map(|_| {
-                    ctx.reseed(q.next());
-                    tree_walk(u, ctx)
-                })
-                .collect(),
+            _ => exec.rows(n, &mut self.ctx, || q.next()),
         }
     }
 
@@ -962,7 +979,7 @@ impl Session {
     /// Repeated draws of one network belong on [`Session::samples`].
     pub fn sample<T: Value>(&mut self, u: &Uncertain<T>) -> T {
         self.joint_samples += 1;
-        let seed = self.seeds.derive_seed();
+        let seed = self.seeds.begin_query().next();
         self.ctx.reseed(seed);
         tree_walk(u, &mut self.ctx)
     }
@@ -1241,6 +1258,13 @@ impl Session {
             }
         }
         let exec = self.executor(cond);
+        #[cfg(feature = "obs")]
+        {
+            self.last_dispatch = Some(match exec {
+                Exec::Kernel(_) => Dispatch::Kernel,
+                Exec::Tree(_) => Dispatch::Closure,
+            });
+        }
         // Tracing state: dormant unless a recorder is installed. The
         // per-batch tracing work (a success tally and one LLR evaluation)
         // happens inside the batch generator so the recorded trajectory
@@ -1256,78 +1280,38 @@ impl Session {
         let ctx = &mut self.ctx;
         let mut q = self.seeds.begin_query();
         let mut drawn = 0usize;
-        let outcome = match &exec {
-            Exec::Kernel(k) => {
-                // Columnar decision loop: one reused register file and bool
-                // buffer across every batch of this decision, successes
-                // counted straight off the root column.
-                #[cfg(feature = "obs")]
-                {
-                    self.last_dispatch = Some(Dispatch::Kernel);
-                }
-                let mut state = k.new_state();
-                let mut seeds: Vec<u64> = Vec::new();
-                let mut batch: Vec<bool> = Vec::new();
-                test.run_counted_while(
-                    |take| {
-                        drawn += take;
+        // A kernel decision reuses one register file and one bool buffer
+        // across every batch, counting successes straight off the root
+        // column.
+        let mut state = None;
+        let mut batch: Vec<bool> = Vec::new();
+        let outcome = test.run_counted_while(
+            |take| {
+                drawn += take;
+                match &exec {
+                    Exec::Kernel(k) => {
                         batch.clear();
-                        let mut done = 0;
-                        while done < take {
-                            let chunk = KERNEL_CHUNK.min(take - done);
-                            seeds.clear();
-                            seeds.extend((0..chunk).map(|_| q.next()));
-                            k.run_into(&seeds, &mut state, &mut batch);
-                            done += chunk;
-                        }
-                        let successes = batch.iter().filter(|&&b| b).count() as u64;
-                        #[cfg(feature = "obs")]
-                        if tracing {
-                            traced_successes += successes;
-                            points.push(TracePoint {
-                                samples: drawn,
-                                successes: traced_successes,
-                                llr: test
-                                    .sprt()
-                                    .log_likelihood_ratio(traced_successes, drawn as u64),
-                            });
-                        }
-                        successes
-                    },
-                    keep_going,
-                )
-            }
-            Exec::Tree(u) => {
-                #[cfg(feature = "obs")]
-                {
-                    self.last_dispatch = Some(Dispatch::Closure);
+                        let state = state.get_or_insert_with(|| k.new_state());
+                        k.run(take, || q.next(), state, &mut batch);
+                    }
+                    Exec::Tree(_) => batch = exec.rows(take, ctx, || q.next()),
                 }
-                test.run_batched_while(
-                    |k| {
-                        drawn += k;
-                        let batch: Vec<bool> = (0..k)
-                            .map(|_| {
-                                ctx.reseed(q.next());
-                                tree_walk(u, ctx)
-                            })
-                            .collect();
-                        #[cfg(feature = "obs")]
-                        if tracing {
-                            traced_successes += batch.iter().filter(|&&b| b).count() as u64;
-                            points.push(TracePoint {
-                                samples: drawn,
-                                successes: traced_successes,
-                                llr: test
-                                    .sprt()
-                                    .log_likelihood_ratio(traced_successes, drawn as u64),
-                            });
-                        }
-                        batch
-                    },
-                    keep_going,
-                )
-            }
-        };
+                let successes = batch.iter().filter(|&&b| b).count() as u64;
+                #[cfg(feature = "obs")]
+                if tracing {
+                    traced_successes += successes;
+                    points.push(TracePoint {
+                        samples: drawn,
+                        successes: traced_successes,
+                        llr: test
+                            .sprt()
+                            .log_likelihood_ratio(traced_successes, drawn as u64),
+                    });
+                }
+                successes
+            },
+            keep_going,
+        );
         // Aborted tests still drew their completed batches; count them.
         self.joint_samples += drawn as u64;
         #[cfg(feature = "obs")]
@@ -1529,7 +1513,7 @@ mod tests {
     }
 
     #[test]
-    fn interpreted_samples_match_planned_samples() {
+    fn kernel_batches_match_tree_walk_draws() {
         // A sequential stream spends one seed per joint sample, so a
         // 50-sample kernel batch and 50 single tree-walk draws consume the
         // same seeds.
@@ -1806,7 +1790,7 @@ mod tests {
     }
 
     #[test]
-    fn lowerable_roots_compile_no_plan_on_the_hot_path() {
+    fn lowerable_roots_lower_once_on_the_hot_path() {
         let (expr, cond) = ten_node_network();
         let evidence = expr.lt(6.0);
         let mut s = Session::seeded(40);
@@ -1970,6 +1954,36 @@ mod tests {
             after_abort, after_longer,
             "the abort point must not leak into later queries"
         );
+    }
+
+    #[test]
+    fn try_evaluate_reuses_the_cached_test() {
+        let likely = Uncertain::bernoulli(0.95).unwrap();
+        let cfg = EvalConfig::default();
+        let mut s = Session::seeded(7);
+        assert!(s.try_evaluate(&likely, 0.5, &cfg).unwrap().accepted);
+        assert_eq!(s.cached_test.map(|(c, t, _)| (c, t)), Some((cfg, 0.5)));
+        // Plant a one-batch test under the same key: a reused test runs it.
+        let one_batch = cfg
+            .with_max_samples(cfg.batch)
+            .sequential_test(0.5)
+            .unwrap();
+        s.cached_test = Some((cfg, 0.5, one_batch));
+        assert_eq!(
+            s.try_evaluate(&likely, 0.5, &cfg).unwrap().samples,
+            cfg.batch
+        );
+        // A different threshold rebuilds (and re-caches) the test.
+        assert!(s.try_evaluate(&likely, 0.6, &cfg).unwrap().samples > cfg.batch);
+        assert_eq!(s.cached_test.map(|(_, t, _)| t), Some(0.6));
+        assert!(s.samples(&likely, 0).is_empty());
+    }
+
+    #[test]
+    fn sample_seed_mixing_is_index_sensitive() {
+        assert_ne!(sample_seed(0, 0), sample_seed(0, 1));
+        assert_ne!(sample_seed(0, 0), sample_seed(1, 0));
+        assert_eq!(sample_seed(42, 7), sample_seed(42, 7));
     }
 
     #[test]

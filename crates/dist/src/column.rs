@@ -5,8 +5,8 @@
 //! # Why the math lives here and not in libm
 //!
 //! The `Uncertain<T>` runtime promises that every execution path — tree
-//! walk, compiled closure plan, columnar kernel, any thread count — draws
-//! **bitwise identical** sample streams. A vectorized leaf fill can only
+//! walk, columnar kernel, any thread count — draws **bitwise identical**
+//! sample streams. A vectorized leaf fill can only
 //! keep that promise if the scalar path and the column path perform the
 //! *same IEEE-754 operations in the same order per element*. `f64::ln` and
 //! `f64::cos` are opaque libm calls: they cannot be inlined into a column
@@ -270,8 +270,8 @@ pub(crate) fn rayleigh_transform(u: &mut [f64], scale: f64) {
 
 /// Fills `out` with one `(0, 1]` uniform per RNG — the `1 − gen()` draw
 /// shared by the log-based inverse-CDF samplers. Monomorphic over
-/// [`SmallRng`], so the whole draw loop inlines (the closure path pays a
-/// virtual `next_u64` per draw here).
+/// [`SmallRng`], so the whole draw loop inlines (the scalar `sample`
+/// path pays a virtual `next_u64` per draw here).
 pub(crate) fn draw_open01(rngs: &mut [SmallRng], out: &mut Vec<f64>) {
     out.clear();
     out.extend(rngs.iter_mut().map(|rng| 1.0 - rng.gen::<f64>()));

@@ -68,5 +68,3 @@ pub use trace::{to_jsonl, trace_to_json, write_jsonl, TraceLog};
 // Re-export the core event types this crate's API speaks, so consumers
 // need not name uncertain-core for plain trace handling.
 pub use uncertain_core::{DecisionTrace, Dispatch, Recorder, StoppingReason, TracePoint};
-#[allow(deprecated)]
-pub use uncertain_core::{KindCost, NodeCost, Profile};

@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("network for speed:\n{}", speed.to_dot());
 
     // 3. Questions are evidence, not booleans. A `Session` owns the RNG
-    //    policy and caches the compiled evaluation plan across calls.
+    //    policy and caches each network's compiled kernel across calls.
     let mut session = Session::seeded(42);
     let fast = speed.gt(4.0);
     println!(
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         speed.expected_value_in(&mut session, 2000)
     );
 
-    // 7. Every question above reused one cached evaluation plan per root.
+    // 7. Every question above reused one cached kernel per root.
     let cache = session.cache_stats();
     println!(
         "session plan cache: {} hits, {} misses",

@@ -32,8 +32,6 @@ pub use uncertain_core::{
     NodeId, NodeMeta, NotAnalyticError, Provenance, Recorder, ScalarLaw, ServeError, Session,
     StatsOutcome, StoppingReason, TracePoint, Uncertain, Value, DEFAULT_CACHE_CAPACITY,
 };
-#[allow(deprecated)]
-pub use uncertain_core::{Evaluator, ParSampler, Plan, Profile};
 pub use uncertain_obs::{PromWriter, TraceLog};
 pub use uncertain_serve::{
     ChannelTransport, Listener, NetMetrics, Pending, Request, RequestKind, Response, ServeClient,

@@ -32,7 +32,7 @@ fn fig9_gps() -> Uncertain<bool> {
     uncertain_speed(&a, &b, 1.0).lt(4.0)
 }
 
-/// The `3n + 7`-node linear-Gaussian evidence conditional the plan/serve
+/// The `3n + 7`-node linear-Gaussian evidence conditional the session/serve
 /// benchmarks use — affine chains over two shared Gaussian leaves,
 /// compared and conjoined. Entirely inside the analytic fragment.
 fn evidence_chain(n: usize) -> Uncertain<bool> {

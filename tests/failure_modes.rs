@@ -5,7 +5,7 @@
 
 use uncertain_suite::dist::{Empirical, ParamError};
 use uncertain_suite::stats::{StatsError, Summary};
-use uncertain_suite::{Session, Uncertain};
+use uncertain_suite::{Error, Session, Uncertain};
 
 #[test]
 fn division_by_zero_mass_surfaces_as_stats_error() {
@@ -77,6 +77,30 @@ fn out_of_range_threshold_panics_at_the_conditional() {
     let b = Uncertain::bernoulli(0.5).unwrap();
     let mut s = Session::sequential(5);
     let _ = b.evaluate_in(&mut s, 0.0);
+}
+
+#[test]
+fn out_of_range_thresholds_are_typed_errors_that_draw_nothing() {
+    let b = Uncertain::bernoulli(0.5).unwrap();
+    let mut s = Session::seeded(6);
+    let config = *s.config();
+    for threshold in [1.5, -0.1, f64::NAN] {
+        let err = s.try_evaluate(&b, threshold, &config).unwrap_err();
+        assert!(
+            matches!(err, Error::Stats(_)),
+            "threshold {threshold}: {err}"
+        );
+    }
+    // A rejected threshold spends no query, draws no sample and compiles
+    // nothing, so the session answers its next query like a fresh one.
+    let mut fresh = Session::seeded(6);
+    assert_eq!(s.query_index(), Some(0));
+    assert_eq!(s.joint_samples(), 0);
+    assert_eq!(s.cache_stats(), fresh.cache_stats());
+    assert_eq!(
+        s.try_evaluate(&b, 0.5, &config).unwrap(),
+        fresh.try_evaluate(&b, 0.5, &config).unwrap()
+    );
 }
 
 #[test]

@@ -73,6 +73,18 @@ fn zip_and_flat_map_share_context() {
         let (raw, dbl) = s.sample(&pair);
         assert!((dbl - 2.0 * raw).abs() < 1e-12);
     }
+
+    // A flat_map body that returns a node captured from the outer network
+    // reads that node's value in the same joint sample, so subtracting the
+    // node leaves exactly zero — for single draws and for batches (which
+    // tree-walk too, because flat_map does not lower).
+    let y = Uncertain::normal(0.0, 5.0).unwrap();
+    let captured = y.clone();
+    let echo = y.flat_map("echo-y", move |_| captured.clone()) - &y;
+    for _ in 0..50 {
+        assert_eq!(s.sample(&echo), 0.0);
+    }
+    assert_eq!(s.samples(&echo, 50), vec![0.0; 50]);
 }
 
 #[test]
