@@ -14,9 +14,9 @@
 //!   maximum instruction-level breadth per tape step.
 //!
 //! A fourth section, `leaf_bound`, isolates the per-distribution cost of
-//! `FillLeaf` itself: a single-leaf network per distribution, run once as
-//! a tagged `from_distribution` leaf (the kernel fills whole columns
-//! through the vectorized `fill_column` pass) and once as a `from_fn`
+//! the leaf instruction itself: a single-leaf network per distribution,
+//! run once as a tagged `from_distribution` leaf (the kernel fills whole
+//! columns through the vectorized `fill_column` pass) and once as a `from_fn`
 //! closure over the same distribution (the kernel's per-element scalar
 //! fallback). The scalar-vs-vectorized ns/sample delta is the leaf
 //! batching win with no arithmetic in the way.
@@ -217,7 +217,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             records += 1;
         }
     }
-    // Leaf-bound microbench: FillLeaf cost per distribution, scalar
+    // Leaf-bound microbench: leaf-instruction cost per distribution, scalar
     // fallback vs vectorized column fill, nothing else on the tape.
     println!("\n[leaf_bound] (single-leaf networks, batch 4096)");
     println!(

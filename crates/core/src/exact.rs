@@ -37,7 +37,6 @@ use crate::kernel::{BinOp, BoolOp, CmpOp, Map2Tag, MapTag, UnOp};
 use crate::node::{NodeId, NodeInfo};
 use crate::wire::WireOp;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 use uncertain_dist::{Continuous, DistSpec, Gaussian};
 
 /// How an exact answer was obtained — carried in
@@ -114,7 +113,7 @@ const MAX_ANALYSIS_DEPTH: usize = 2500;
 
 /// Analyzes a `bool`-rooted DAG; `None` means "not analytically
 /// tractable — sample it".
-pub(crate) fn analyze_bool(root: &Arc<dyn NodeInfo>) -> Option<BoolLaw> {
+pub(crate) fn analyze_bool(root: &dyn NodeInfo) -> Option<BoolLaw> {
     let mut a = Analyzer::default();
     let event = a.event_of(root, 0)?;
     let method = if a.used_gaussian {
@@ -130,7 +129,7 @@ pub(crate) fn analyze_bool(root: &Arc<dyn NodeInfo>) -> Option<BoolLaw> {
 
 /// Analyzes an `f64`-rooted DAG into an exact moment (or full Gaussian)
 /// law; `None` means "not analytically tractable — sample it".
-pub(crate) fn analyze_f64(root: &Arc<dyn NodeInfo>) -> Option<ScalarLaw> {
+pub(crate) fn analyze_f64(root: &dyn NodeInfo) -> Option<ScalarLaw> {
     let mut a = Analyzer::default();
     let aff = a.affine_of(root, 0)?;
     let (mean, variance) = a.moments(&aff)?;
@@ -348,7 +347,7 @@ impl Analyzer {
     }
 
     /// Derives the affine form of an `f64`-valued node, or declines.
-    fn affine_of(&mut self, node: &Arc<dyn NodeInfo>, depth: usize) -> Option<Affine> {
+    fn affine_of(&mut self, node: &dyn NodeInfo, depth: usize) -> Option<Affine> {
         if depth > MAX_ANALYSIS_DEPTH {
             return None;
         }
@@ -361,7 +360,7 @@ impl Analyzer {
         result
     }
 
-    fn affine_of_uncached(&mut self, node: &Arc<dyn NodeInfo>, depth: usize) -> Option<Affine> {
+    fn affine_of_uncached(&mut self, node: &dyn NodeInfo, depth: usize) -> Option<Affine> {
         let aff = match node.wire_op()? {
             WireOp::Leaf(spec) => {
                 let m = leaf_moments(spec)?;
@@ -372,8 +371,8 @@ impl Analyzer {
             WireOp::PointBool(_) => return None,
             WireOp::Map(MapTag::NotBool) => return None,
             WireOp::Map(MapTag::F64(op)) => {
-                let children = node.children();
-                let child = self.affine_of(children.first()?, depth + 1)?;
+                let [child, _] = node.children();
+                let child = self.affine_of(child?, depth + 1)?;
                 if let Some(k) = child.as_constant() {
                     // Any tagged unary folds over a constant — the scalar
                     // `apply` twin is the loop body the kernel would run.
@@ -393,10 +392,9 @@ impl Analyzer {
                 }
             }
             WireOp::Map2(Map2Tag::F64(op)) => {
-                let children = node.children();
-                let (l, r) = (children.first()?, children.get(1)?);
-                let a = self.affine_of(l, depth + 1)?;
-                let b = self.affine_of(r, depth + 1)?;
+                let [l, r] = node.children();
+                let a = self.affine_of(l?, depth + 1)?;
+                let b = self.affine_of(r?, depth + 1)?;
                 match (a.as_constant(), b.as_constant()) {
                     (Some(x), Some(y)) => Affine::constant(op.apply(x, y)),
                     _ => match op {
@@ -423,7 +421,7 @@ impl Analyzer {
     }
 
     /// Derives the event description of a `bool`-valued node, or declines.
-    fn event_of(&mut self, node: &Arc<dyn NodeInfo>, depth: usize) -> Option<Event> {
+    fn event_of(&mut self, node: &dyn NodeInfo, depth: usize) -> Option<Event> {
         if depth > MAX_ANALYSIS_DEPTH {
             return None;
         }
@@ -443,21 +441,19 @@ impl Analyzer {
             WireOp::Leaf(_) | WireOp::PointF64(_) | WireOp::Map(MapTag::F64(_)) => return None,
             WireOp::PointBool(b) => Event::constant(if b { 1.0 } else { 0.0 }),
             WireOp::Map(MapTag::NotBool) => {
-                let children = node.children();
-                self.event_of(children.first()?, depth + 1)?.complement()
+                let [child, _] = node.children();
+                self.event_of(child?, depth + 1)?.complement()
             }
             WireOp::Map2(Map2Tag::Cmp(op)) => {
-                let children = node.children();
-                let (l, r) = (children.first()?, children.get(1)?);
-                let a = self.affine_of(l, depth + 1)?;
-                let b = self.affine_of(r, depth + 1)?;
+                let [l, r] = node.children();
+                let a = self.affine_of(l?, depth + 1)?;
+                let b = self.affine_of(r?, depth + 1)?;
                 self.comparison_event(op, &a, &b)?
             }
             WireOp::Map2(Map2Tag::Bool(op)) => {
-                let children = node.children();
-                let (l, r) = (children.first()?, children.get(1)?);
-                let a = self.event_of(l, depth + 1)?;
-                let b = self.event_of(r, depth + 1)?;
+                let [l, r] = node.children();
+                let a = self.event_of(l?, depth + 1)?;
+                let b = self.event_of(r?, depth + 1)?;
                 self.connective_event(op, a, b)?
             }
             WireOp::Map2(Map2Tag::F64(_)) => return None,
@@ -616,11 +612,11 @@ mod tests {
     use crate::uncertain::Uncertain;
 
     fn law_of_bool(u: &Uncertain<bool>) -> Option<BoolLaw> {
-        analyze_bool(&(u.node().clone() as Arc<dyn NodeInfo>))
+        analyze_bool(&**u.node())
     }
 
     fn law_of_f64(u: &Uncertain<f64>) -> Option<ScalarLaw> {
-        analyze_f64(&(u.node().clone() as Arc<dyn NodeInfo>))
+        analyze_f64(&**u.node())
     }
 
     #[test]

@@ -7,10 +7,111 @@
 //! built: node labels, leaf/inner structure, edges, topological order, and
 //! Graphviz DOT output (used to render the paper's Figs. 7 and 8).
 
-use crate::node::{NodeId, NodeInfo};
+use crate::node::{Children, IdMap, NodeId, NodeInfo};
 use crate::uncertain::{Uncertain, Value};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::convert::Infallible;
+
+/// The order in which [`post_order`] expands a node's children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChildOrder {
+    /// Left child first: the order the tree-walk draws in, which the
+    /// kernel's leaf columns must follow.
+    LeftFirst,
+    /// Right child first: the order that numbers the wire encoding's
+    /// nodes (so it fixes the bytes) and lists a [`NetworkView`]'s.
+    RightFirst,
+}
+
+/// Initial capacity of [`post_order`]'s position map: room for a typical
+/// query network (the GPS speed conditional has 58 nodes) without
+/// rehashing; larger networks grow it as usual.
+const WALK_CAPACITY: usize = 64;
+
+/// Visits every node reachable from `root` once, children before
+/// parents, and returns each node's position in that post-order (the
+/// root's is last).
+///
+/// `enter` sees a node before its children are expanded and may stop the
+/// walk there. `visit` then gets the node, its operands — the post-order
+/// positions of its children, left to right — and the parent that
+/// reached it first, with which of that parent's children it is (`None`
+/// for the root). The walk is iterative (deep chains cannot overflow the
+/// call stack), deduplicates shared nodes by id, and only borrows nodes:
+/// a frame collects its children's positions as they finish, so a node
+/// costs one map lookup per edge and one insert, and nothing is
+/// allocated or reference-counted per node.
+pub(crate) fn post_order<'a, E>(
+    root: &'a dyn NodeInfo,
+    order: ChildOrder,
+    mut enter: impl FnMut(&'a dyn NodeInfo) -> Result<(), E>,
+    mut visit: impl FnMut(
+        &'a dyn NodeInfo,
+        &[usize],
+        Option<(&'a dyn NodeInfo, usize)>,
+    ) -> Result<(), E>,
+) -> Result<IdMap<usize>, E> {
+    /// A node being expanded: its children not yet taken, and the
+    /// positions of those already finished.
+    struct Frame<'a> {
+        node: &'a dyn NodeInfo,
+        id: NodeId,
+        children: Children<'a>,
+        arity: usize,
+        /// How many children have been taken (in `order`).
+        taken: usize,
+        /// Which operand of its parent this node is.
+        slot: usize,
+        operands: [usize; 2],
+    }
+    let frame = |node: &'a dyn NodeInfo, id, slot| {
+        let children = node.children();
+        let arity = children.iter().flatten().count();
+        Frame {
+            node,
+            id,
+            children,
+            arity,
+            taken: 0,
+            slot,
+            operands: [0; 2],
+        }
+    };
+    let mut pos = IdMap::with_capacity_and_hasher(WALK_CAPACITY, Default::default());
+    enter(root)?;
+    let mut stack = vec![frame(root, root.id(), 0)];
+    while let Some(top) = stack.last_mut() {
+        if top.taken < 2 {
+            let k = match order {
+                ChildOrder::LeftFirst => top.taken,
+                ChildOrder::RightFirst => 1 - top.taken,
+            };
+            top.taken += 1;
+            let Some(child) = top.children[k] else {
+                continue;
+            };
+            let id = child.id();
+            if let Some(&p) = pos.get(&id) {
+                top.operands[k] = p;
+                continue;
+            }
+            enter(child)?;
+            stack.push(frame(child, id, k));
+            continue;
+        }
+        let done = stack
+            .pop()
+            .expect("the loop runs while the stack is non-empty");
+        let p = pos.len();
+        let parent = stack.last().map(|parent| (parent.node, done.slot));
+        visit(done.node, &done.operands[..done.arity], parent)?;
+        pos.insert(done.id, p);
+        if let Some(parent) = stack.last_mut() {
+            parent.operands[done.slot] = p;
+        }
+    }
+    Ok(pos)
+}
 
 /// Metadata for one node of a captured network view.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,40 +151,29 @@ pub struct NetworkView {
     root: NodeId,
     /// Nodes in dependency-first (topological) order.
     nodes: Vec<NodeMeta>,
-    index: HashMap<NodeId, usize>,
+    index: IdMap<usize>,
 }
 
 impl NetworkView {
-    fn capture(root: &Arc<dyn NodeInfo>) -> Self {
-        let mut nodes = Vec::new();
-        let mut index = HashMap::new();
-        let mut visited = HashSet::new();
-        // Iterative post-order DFS: dependencies are pushed before the node
-        // itself, yielding a topological order of the DAG.
-        let mut stack: Vec<(Arc<dyn NodeInfo>, bool)> = vec![(root.clone(), false)];
-        while let Some((node, expanded)) = stack.pop() {
-            let id = node.id();
-            if visited.contains(&id) {
-                continue;
-            }
-            if expanded {
-                visited.insert(id);
-                index.insert(id, nodes.len());
+    fn capture(root: &dyn NodeInfo) -> Self {
+        let mut nodes: Vec<NodeMeta> = Vec::new();
+        // Post-order lists dependencies before the node itself: a
+        // topological order of the DAG.
+        let Ok(index) = post_order(
+            root,
+            ChildOrder::RightFirst,
+            |_| Ok(()),
+            |node, operands, _| {
+                let dependencies = operands.iter().map(|&k| nodes[k].id).collect();
                 nodes.push(NodeMeta {
-                    id,
+                    id: node.id(),
                     label: node.label(),
-                    is_leaf: node.is_leaf(),
-                    dependencies: node.children().iter().map(|c| c.id()).collect(),
+                    is_leaf: operands.is_empty(),
+                    dependencies,
                 });
-            } else {
-                stack.push((node.clone(), true));
-                for child in node.children() {
-                    if !visited.contains(&child.id()) {
-                        stack.push((child, false));
-                    }
-                }
-            }
-        }
+                Ok::<(), Infallible>(())
+            },
+        );
         Self {
             root: root.id(),
             nodes,
@@ -179,8 +269,7 @@ impl NetworkView {
 impl<T: Value> Uncertain<T> {
     /// Captures a structural snapshot of this variable's Bayesian network.
     pub fn network(&self) -> NetworkView {
-        let info: Arc<dyn NodeInfo> = self.node().clone();
-        NetworkView::capture(&info)
+        NetworkView::capture(&**self.node())
     }
 
     /// Renders this variable's network in Graphviz DOT format.

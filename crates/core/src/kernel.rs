@@ -11,7 +11,10 @@
 //! * **Tape**: a post-order walk over the deduplicated DAG emits one
 //!   SSA-style instruction per [`NodeId`]. Shared sub-expressions (the
 //!   paper's Fig. 8) fall out for free — a node reached twice is lowered
-//!   once and both parents read its register.
+//!   once and both parents read its register. The tape is data: an
+//!   [`Instr`] is an operation code and its source registers, and only
+//!   leaves and opaque closures point at their node. The tape carries no
+//!   labels; a profile looks them up in the network.
 //! * **Registers**: structure-of-arrays column buffers (`Vec<f64>`,
 //!   `Vec<bool>`, or `Vec<T>` for opaque values), one per instruction.
 //!   Because emission is post-order, an instruction's destination index is
@@ -36,7 +39,8 @@
 //! never per sample, so a network always takes one path and stays
 //! reproducible.
 
-use crate::node::{LeafNode, Map2Node, MapNode, NodeId, NodeInfo};
+use crate::graph::{post_order, ChildOrder};
+use crate::node::{LeafNode, Map2Node, MapNode, NodeId, PointNode};
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -395,109 +399,106 @@ pub(crate) fn cmp_tag_for<T: 'static>(op: CmpOp) -> Option<Map2Tag> {
 // Register columns
 // ---------------------------------------------------------------------------
 
-/// A type-erased register column (`Vec<T>` behind `dyn Any` access).
-pub(crate) trait Col: Send {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+/// One register: the column of values its instruction wrote for the
+/// current chunk's rows. The two scalar types the tape computes on are
+/// held as they are; any other value type sits behind `dyn Any`.
+pub(crate) enum Col {
+    F64(Vec<f64>),
+    Bool(Vec<bool>),
+    Other(Box<dyn Any + Send>),
 }
 
-impl<T: Send + 'static> Col for Vec<T> {
-    fn as_any(&self) -> &dyn Any {
-        self
+const MISTYPED: &str = "kernel register column has its instruction's output type";
+
+impl Col {
+    /// An empty column of `T`s.
+    fn of<T: Value>() -> Self {
+        if TypeId::of::<T>() == TypeId::of::<f64>() {
+            Col::F64(Vec::new())
+        } else if TypeId::of::<T>() == TypeId::of::<bool>() {
+            Col::Bool(Vec::new())
+        } else {
+            Col::Other(Box::new(Vec::<T>::new()))
+        }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+
+    fn f64s(&self) -> &[f64] {
+        let Col::F64(v) = self else {
+            panic!("{MISTYPED}")
+        };
+        v
     }
-}
 
-/// Allocates one (empty) column of an instruction's output type.
-type ColMaker = Box<dyn Fn() -> Box<dyn Col> + Send + Sync>;
+    fn f64s_mut(&mut self) -> &mut Vec<f64> {
+        let Col::F64(v) = self else {
+            panic!("{MISTYPED}")
+        };
+        v
+    }
 
-fn col_ref<T: 'static>(c: &dyn Col) -> &Vec<T> {
-    c.as_any()
-        .downcast_ref()
-        .expect("kernel register column has its instruction's output type")
-}
+    fn bools(&self) -> &[bool] {
+        let Col::Bool(v) = self else {
+            panic!("{MISTYPED}")
+        };
+        v
+    }
 
-fn col_mut<T: 'static>(c: &mut dyn Col) -> &mut Vec<T> {
-    c.as_any_mut()
-        .downcast_mut()
-        .expect("kernel register column has its instruction's output type")
-}
+    fn bools_mut(&mut self) -> &mut Vec<bool> {
+        let Col::Bool(v) = self else {
+            panic!("{MISTYPED}")
+        };
+        v
+    }
 
-/// Splits the register file at an instruction's destination: sources are
-/// strictly below it (post-order SSA), so `lo` holds every readable source
-/// column and `dst` is the writable destination.
-fn dst_and_srcs(regs: &mut [Box<dyn Col>], dst: usize) -> (&mut dyn Col, &[Box<dyn Col>]) {
-    let (lo, hi) = regs.split_at_mut(dst);
-    (hi[0].as_mut(), lo)
+    /// The column as a `Vec<T>`, for code generic in the value type.
+    fn typed<T: 'static>(&self) -> &Vec<T> {
+        let any: &dyn Any = match self {
+            Col::F64(v) => v,
+            Col::Bool(v) => v,
+            Col::Other(v) => &**v,
+        };
+        any.downcast_ref().expect(MISTYPED)
+    }
+
+    fn typed_mut<T: 'static>(&mut self) -> &mut Vec<T> {
+        let any: &mut dyn Any = match self {
+            Col::F64(v) => v,
+            Col::Bool(v) => v,
+            Col::Other(v) => &mut **v,
+        };
+        any.downcast_mut().expect(MISTYPED)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Instructions
 // ---------------------------------------------------------------------------
 
-/// Structural shape of an instruction, as reported to the optimizer.
-///
-/// `Opaque` means "a pure per-element closure the optimizer must not fold
-/// or merge, but may eliminate if dead". `Leaf` additionally pins the
-/// instruction in place: leaves consume per-sample RNG draws, and every
-/// sample's RNG is shared across the whole tape in tape order — dropping,
-/// merging, or reordering a leaf would shift every later leaf's draws and
-/// break bitwise equality with the tree-walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum InstrKind {
-    Leaf,
-    ConstF64(f64),
-    ConstBool(bool),
-    /// A `FillPoint` of some type other than `f64`/`bool`.
-    ConstOther,
-    Un(UnOp, usize),
-    Bin(BinOp, usize, usize),
-    Cmp(CmpOp, usize, usize),
-    Bool(BoolOp, usize, usize),
-    Not(usize),
-    MulAdd {
-        a: usize,
-        b: usize,
-        c: usize,
-        c_first: bool,
-    },
-    MulKAdd {
-        k: f64,
-        a: usize,
-        c: usize,
-        c_first: bool,
-    },
-    Opaque,
+/// The part of a tape that stays code: a leaf's sampler, an untagged
+/// `map`/`map2` closure, or a point mass of a type the tape does not hold
+/// as data. The node implements it itself, so an instruction points at
+/// its node and lowering one costs a reference count, not an allocation.
+pub(crate) trait Opaque: Send + Sync {
+    /// An empty column of the node's value type.
+    fn new_col(&self) -> Col;
+
+    /// Writes `n` rows to `out` from the operand columns `args` (left to
+    /// right), or, for a leaf, from the rows' RNGs.
+    fn fill(&self, args: &[&Col], out: &mut Col, rngs: &mut [SmallRng], n: usize);
+
+    /// The profile mnemonic ([`crate::obs::InstrCost::op`]).
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
+    fn op(&self) -> &'static str;
 }
 
-/// One tape instruction: computes its destination column from source
-/// columns (and, for leaves, the per-sample RNGs) for `n` rows.
-pub(crate) trait Instr: Send + Sync {
-    fn run(&self, regs: &mut [Box<dyn Col>], rngs: &mut [SmallRng], n: usize);
+impl<T: Value> Opaque for LeafNode<T> {
+    fn new_col(&self) -> Col {
+        Col::of::<T>()
+    }
 
-    /// Structural shape for the optimizer. Source indices in the returned
-    /// kind are the instruction's raw register fields.
-    fn kind(&self) -> InstrKind;
-
-    /// Source registers read by [`Instr::run`].
-    fn srcs(&self) -> Vec<usize>;
-
-    /// Clones the instruction with destination `dst` and each source `s`
-    /// replaced by `map[s]`.
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr>;
-}
-
-struct FillLeaf<T: Value> {
-    node: Arc<LeafNode<T>>,
-    dst: usize,
-}
-
-impl<T: Value> Instr for FillLeaf<T> {
-    fn run(&self, regs: &mut [Box<dyn Col>], rngs: &mut [SmallRng], n: usize) {
-        let out = col_mut::<T>(regs[self.dst].as_mut());
-        if let Some(fill) = self.node.fill_fn() {
+    fn fill(&self, _: &[&Col], out: &mut Col, rngs: &mut [SmallRng], n: usize) {
+        let out = out.typed_mut::<T>();
+        if let Some(fill) = self.fill_fn() {
             // Vectorized column fill — bitwise-identical to the scalar
             // loop below by the `fill_column` contract.
             fill(&mut rngs[..n], out);
@@ -505,455 +506,249 @@ impl<T: Value> Instr for FillLeaf<T> {
             out.clear();
             out.reserve(n);
             for rng in rngs[..n].iter_mut() {
-                out.push(self.node.sample_raw(rng));
+                out.push(self.sample_raw(rng));
             }
         }
     }
 
-    fn kind(&self) -> InstrKind {
-        InstrKind::Leaf
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    fn remap(&self, dst: usize, _map: &[usize]) -> Box<dyn Instr> {
-        Box::new(FillLeaf {
-            node: Arc::clone(&self.node),
-            dst,
-        })
-    }
-}
-
-struct FillPoint<T: Value> {
-    value: T,
-    dst: usize,
-}
-
-impl<T: Value> Instr for FillPoint<T> {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let out = col_mut::<T>(regs[self.dst].as_mut());
-        out.clear();
-        out.extend((0..n).map(|_| self.value.clone()));
-    }
-
-    fn kind(&self) -> InstrKind {
-        let v: &dyn Any = &self.value;
-        if let Some(&x) = v.downcast_ref::<f64>() {
-            InstrKind::ConstF64(x)
-        } else if let Some(&b) = v.downcast_ref::<bool>() {
-            InstrKind::ConstBool(b)
+    fn op(&self) -> &'static str {
+        // Vectorized column fills are told apart so the obs layer can
+        // report scalar vs. batched leaf cost separately.
+        if self.fill_fn().is_some() {
+            "leaf_vec"
         } else {
-            InstrKind::ConstOther
+            "leaf"
         }
     }
-
-    fn srcs(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    fn remap(&self, dst: usize, _map: &[usize]) -> Box<dyn Instr> {
-        Box::new(FillPoint {
-            value: self.value.clone(),
-            dst,
-        })
-    }
 }
 
-struct MapOpaque<A: Value, T: Value> {
-    node: Arc<MapNode<A, T>>,
-    src: usize,
-    dst: usize,
-}
+impl<T: Value> Opaque for PointNode<T> {
+    fn new_col(&self) -> Col {
+        Col::of::<T>()
+    }
 
-impl<A: Value, T: Value> Instr for MapOpaque<A, T> {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<A>(srcs[self.src].as_ref());
-        let out = col_mut::<T>(dst);
+    fn fill(&self, _: &[&Col], out: &mut Col, _: &mut [SmallRng], n: usize) {
+        let out = out.typed_mut::<T>();
         out.clear();
-        out.extend(a[..n].iter().map(|v| self.node.apply(v.clone())));
+        out.extend((0..n).map(|_| self.value().clone()));
     }
 
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.src]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(MapOpaque {
-            node: Arc::clone(&self.node),
-            src: map[self.src],
-            dst,
-        })
+    fn op(&self) -> &'static str {
+        "point"
     }
 }
 
-struct Map2Opaque<A: Value, B: Value, T: Value> {
-    node: Arc<Map2Node<A, B, T>>,
-    a: usize,
-    b: usize,
-    dst: usize,
+impl<A: Value, T: Value> Opaque for MapNode<A, T> {
+    fn new_col(&self) -> Col {
+        Col::of::<T>()
+    }
+
+    fn fill(&self, args: &[&Col], out: &mut Col, _: &mut [SmallRng], n: usize) {
+        let a = args[0].typed::<A>();
+        let out = out.typed_mut::<T>();
+        out.clear();
+        out.extend(a[..n].iter().map(|v| self.apply(v.clone())));
+    }
+
+    fn op(&self) -> &'static str {
+        "map"
+    }
 }
 
-impl<A: Value, B: Value, T: Value> Instr for Map2Opaque<A, B, T> {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<A>(srcs[self.a].as_ref());
-        let b = col_ref::<B>(srcs[self.b].as_ref());
-        let out = col_mut::<T>(dst);
+impl<A: Value, B: Value, T: Value> Opaque for Map2Node<A, B, T> {
+    fn new_col(&self) -> Col {
+        Col::of::<T>()
+    }
+
+    fn fill(&self, args: &[&Col], out: &mut Col, _: &mut [SmallRng], n: usize) {
+        let (a, b) = (args[0].typed::<A>(), args[1].typed::<B>());
+        let out = out.typed_mut::<T>();
         out.clear();
         out.extend(
             a[..n]
                 .iter()
                 .zip(&b[..n])
-                .map(|(x, y)| self.node.apply(x.clone(), y.clone())),
+                .map(|(x, y)| self.apply(x.clone(), y.clone())),
         );
     }
 
-    fn kind(&self) -> InstrKind {
-        InstrKind::Opaque
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(Map2Opaque {
-            node: Arc::clone(&self.node),
-            a: map[self.a],
-            b: map[self.b],
-            dst,
-        })
+    fn op(&self) -> &'static str {
+        "map2"
     }
 }
 
-struct UnF64 {
-    op: UnOp,
-    src: usize,
-    dst: usize,
+/// One tape instruction. Instruction `i` writes register `i`, and every
+/// operand names a lower register: the tape is in post-order, so
+/// `dst > src` always holds and `split_at_mut` hands out the destination
+/// beside its sources without unsafe code.
+///
+/// The tape is data. Only the four opaque variants keep a pointer (to
+/// their node); the rest are operation codes and register numbers, so
+/// the optimizer rewrites instructions in place and the run loop is one
+/// `match`.
+///
+/// `Leaf` is pinned: leaves consume per-sample RNG draws, and every
+/// sample's RNG is shared across the whole tape in tape order — dropping,
+/// merging, or reordering a leaf would shift every later leaf's draws and
+/// break bitwise equality with the tree-walk. `Point`, `Map` and `Map2`
+/// are pure per-element code the optimizer must not fold or merge, but
+/// may drop when dead.
+pub(crate) enum Instr {
+    /// A leaf's column fill.
+    Leaf(Arc<dyn Opaque>),
+    /// A point mass of a type other than `f64`/`bool`.
+    Point(Arc<dyn Opaque>),
+    /// An untagged (or not `f64`/`bool`-typed) unary lift.
+    Map(Arc<dyn Opaque>, usize),
+    /// An untagged (or not `f64`/`bool`-typed) binary lift.
+    Map2(Arc<dyn Opaque>, usize, usize),
+    ConstF64(f64),
+    ConstBool(bool),
+    Un(UnOp, usize),
+    Bin(BinOp, usize, usize),
+    Cmp(CmpOp, usize, usize),
+    Bool(BoolOp, usize, usize),
+    Not(usize),
+    /// Fused `a*b + c` (or `c + a*b` when `c_first`): the optimizer's
+    /// replacement for an `Add` whose `Mul` operand has no other use. The
+    /// two IEEE operations are still performed separately per element —
+    /// this is *loop* fusion (one column pass and one register instead of
+    /// two), **not** a hardware FMA contraction, so results stay bitwise
+    /// identical to the unfused tape.
+    MulAdd {
+        a: usize,
+        b: usize,
+        c: usize,
+        c_first: bool,
+    },
+    /// Fused `a*k + c` / `c + a*k` — the strength-reduced (`MulK`) twin of
+    /// `MulAdd`, with the same bitwise guarantee.
+    MulKAdd {
+        k: f64,
+        a: usize,
+        c: usize,
+        c_first: bool,
+    },
 }
 
-impl Instr for UnF64 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f64>(srcs[self.src].as_ref());
-        self.op.fill(a, col_mut::<f64>(dst), n);
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Un(self.op, self.src)
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.src]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(UnF64 {
-            op: self.op,
-            src: map[self.src],
-            dst,
-        })
-    }
-}
-
-struct BinF64 {
-    op: BinOp,
-    a: usize,
-    b: usize,
-    dst: usize,
-}
-
-impl Instr for BinF64 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f64>(srcs[self.a].as_ref());
-        let b = col_ref::<f64>(srcs[self.b].as_ref());
-        self.op.fill(a, b, col_mut::<f64>(dst), n);
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Bin(self.op, self.a, self.b)
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(BinF64 {
-            op: self.op,
-            a: map[self.a],
-            b: map[self.b],
-            dst,
-        })
-    }
-}
-
-struct CmpF64 {
-    op: CmpOp,
-    a: usize,
-    b: usize,
-    dst: usize,
-}
-
-impl Instr for CmpF64 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f64>(srcs[self.a].as_ref());
-        let b = col_ref::<f64>(srcs[self.b].as_ref());
-        self.op.fill(a, b, col_mut::<bool>(dst), n);
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Cmp(self.op, self.a, self.b)
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(CmpF64 {
-            op: self.op,
-            a: map[self.a],
-            b: map[self.b],
-            dst,
-        })
-    }
-}
-
-struct BoolBin {
-    op: BoolOp,
-    a: usize,
-    b: usize,
-    dst: usize,
-}
-
-impl Instr for BoolBin {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<bool>(srcs[self.a].as_ref());
-        let b = col_ref::<bool>(srcs[self.b].as_ref());
-        self.op.fill(a, b, col_mut::<bool>(dst), n);
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Bool(self.op, self.a, self.b)
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(BoolBin {
-            op: self.op,
-            a: map[self.a],
-            b: map[self.b],
-            dst,
-        })
-    }
-}
-
-struct NotBool {
-    src: usize,
-    dst: usize,
-}
-
-impl Instr for NotBool {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<bool>(srcs[self.src].as_ref());
-        let out = col_mut::<bool>(dst);
-        out.clear();
-        out.extend(a[..n].iter().map(|&x| !x));
-    }
-
-    fn kind(&self) -> InstrKind {
-        InstrKind::Not(self.src)
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.src]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(NotBool {
-            src: map[self.src],
-            dst,
-        })
-    }
-}
-
-/// Fused `a*b + c` (or `c + a*b` when `c_first`): the optimizer's
-/// replacement for an `Add` whose `Mul` operand has no other use. The two
-/// IEEE operations are still performed separately per element — this is
-/// *loop* fusion (one column pass and one register instead of two), **not**
-/// a hardware FMA contraction, so results stay bitwise identical to the
-/// unfused tape.
-struct MulAddF64 {
-    a: usize,
-    b: usize,
-    c: usize,
-    c_first: bool,
-    dst: usize,
-}
-
-impl Instr for MulAddF64 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f64>(srcs[self.a].as_ref());
-        let b = col_ref::<f64>(srcs[self.b].as_ref());
-        let c = col_ref::<f64>(srcs[self.c].as_ref());
-        let out = col_mut::<f64>(dst);
-        out.clear();
-        let it = a[..n].iter().zip(&b[..n]).zip(&c[..n]);
-        if self.c_first {
-            out.extend(it.map(|((&x, &y), &z)| z + x * y));
-        } else {
-            out.extend(it.map(|((&x, &y), &z)| x * y + z));
+impl Instr {
+    /// An empty column of this instruction's output type.
+    fn new_col(&self) -> Col {
+        match self {
+            Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => f.new_col(),
+            Instr::ConstBool(_) | Instr::Cmp(..) | Instr::Bool(..) | Instr::Not(_) => {
+                Col::Bool(Vec::new())
+            }
+            Instr::ConstF64(_)
+            | Instr::Un(..)
+            | Instr::Bin(..)
+            | Instr::MulAdd { .. }
+            | Instr::MulKAdd { .. } => Col::F64(Vec::new()),
         }
     }
 
-    fn kind(&self) -> InstrKind {
-        InstrKind::MulAdd {
-            a: self.a,
-            b: self.b,
-            c: self.c,
-            c_first: self.c_first,
+    /// The profile mnemonic ([`crate::obs::InstrCost::op`]).
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
+    fn op(&self) -> &'static str {
+        match self {
+            Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => f.op(),
+            Instr::ConstF64(_) | Instr::ConstBool(_) => "point",
+            Instr::Un(..) => "unary",
+            Instr::Bin(..) => "binary",
+            Instr::Cmp(..) => "cmp",
+            Instr::Bool(..) => "bool",
+            Instr::Not(_) => "not",
+            Instr::MulAdd { .. } | Instr::MulKAdd { .. } => "muladd",
         }
     }
 
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.b, self.c]
+    /// The registers this instruction reads.
+    fn srcs(&self) -> impl Iterator<Item = usize> {
+        let (a, b, c) = match *self {
+            Instr::Leaf(_) | Instr::Point(_) | Instr::ConstF64(_) | Instr::ConstBool(_) => {
+                (None, None, None)
+            }
+            Instr::Map(_, a) | Instr::Un(_, a) | Instr::Not(a) => (Some(a), None, None),
+            Instr::Map2(_, a, b)
+            | Instr::Bin(_, a, b)
+            | Instr::Cmp(_, a, b)
+            | Instr::Bool(_, a, b)
+            | Instr::MulKAdd { a, c: b, .. } => (Some(a), Some(b), None),
+            Instr::MulAdd { a, b, c, .. } => (Some(a), Some(b), Some(c)),
+        };
+        [a, b, c].into_iter().flatten()
     }
 
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(MulAddF64 {
-            a: map[self.a],
-            b: map[self.b],
-            c: map[self.c],
-            c_first: self.c_first,
-            dst,
-        })
-    }
-}
-
-/// Fused `a*k + c` / `c + a*k` — the strength-reduced (`MulK`) twin of
-/// [`MulAddF64`], with the same bitwise guarantee.
-struct MulKAddF64 {
-    k: f64,
-    a: usize,
-    c: usize,
-    c_first: bool,
-    dst: usize,
-}
-
-impl Instr for MulKAddF64 {
-    fn run(&self, regs: &mut [Box<dyn Col>], _rngs: &mut [SmallRng], n: usize) {
-        let (dst, srcs) = dst_and_srcs(regs, self.dst);
-        let a = col_ref::<f64>(srcs[self.a].as_ref());
-        let c = col_ref::<f64>(srcs[self.c].as_ref());
-        let out = col_mut::<f64>(dst);
-        out.clear();
-        let k = self.k;
-        let it = a[..n].iter().zip(&c[..n]);
-        if self.c_first {
-            out.extend(it.map(|(&x, &z)| z + x * k));
-        } else {
-            out.extend(it.map(|(&x, &z)| x * k + z));
+    /// Renumbers every operand `r` to `map[r]`, in place.
+    fn remap(&mut self, map: &[usize]) {
+        let (a, b, c) = match self {
+            Instr::Leaf(_) | Instr::Point(_) | Instr::ConstF64(_) | Instr::ConstBool(_) => {
+                (None, None, None)
+            }
+            Instr::Map(_, a) | Instr::Un(_, a) | Instr::Not(a) => (Some(a), None, None),
+            Instr::Map2(_, a, b)
+            | Instr::Bin(_, a, b)
+            | Instr::Cmp(_, a, b)
+            | Instr::Bool(_, a, b)
+            | Instr::MulKAdd { a, c: b, .. } => (Some(a), Some(b), None),
+            Instr::MulAdd { a, b, c, .. } => (Some(a), Some(b), Some(c)),
+        };
+        for r in [a, b, c].into_iter().flatten() {
+            *r = map[*r];
         }
     }
 
-    fn kind(&self) -> InstrKind {
-        InstrKind::MulKAdd {
-            k: self.k,
-            a: self.a,
-            c: self.c,
-            c_first: self.c_first,
+    /// Runs this instruction (the one at `dst`) over `n` rows, reading its
+    /// operands from the registers below `dst`.
+    fn run(&self, regs: &mut [Col], dst: usize, rngs: &mut [SmallRng], n: usize) {
+        let (lo, hi) = regs.split_at_mut(dst);
+        let out = &mut hi[0];
+        match *self {
+            Instr::Leaf(ref f) | Instr::Point(ref f) => f.fill(&[], out, rngs, n),
+            Instr::Map(ref f, a) => f.fill(&[&lo[a]], out, rngs, n),
+            Instr::Map2(ref f, a, b) => f.fill(&[&lo[a], &lo[b]], out, rngs, n),
+            Instr::ConstF64(x) => {
+                let out = out.f64s_mut();
+                out.clear();
+                out.resize(n, x);
+            }
+            Instr::ConstBool(x) => {
+                let out = out.bools_mut();
+                out.clear();
+                out.resize(n, x);
+            }
+            Instr::Un(op, a) => op.fill(lo[a].f64s(), out.f64s_mut(), n),
+            Instr::Bin(op, a, b) => op.fill(lo[a].f64s(), lo[b].f64s(), out.f64s_mut(), n),
+            Instr::Cmp(op, a, b) => op.fill(lo[a].f64s(), lo[b].f64s(), out.bools_mut(), n),
+            Instr::Bool(op, a, b) => op.fill(lo[a].bools(), lo[b].bools(), out.bools_mut(), n),
+            Instr::Not(a) => {
+                let out = out.bools_mut();
+                out.clear();
+                out.extend(lo[a].bools()[..n].iter().map(|&x| !x));
+            }
+            Instr::MulAdd { a, b, c, c_first } => {
+                let (a, b, c) = (lo[a].f64s(), lo[b].f64s(), lo[c].f64s());
+                let out = out.f64s_mut();
+                out.clear();
+                let it = a[..n].iter().zip(&b[..n]).zip(&c[..n]);
+                if c_first {
+                    out.extend(it.map(|((&x, &y), &z)| z + x * y));
+                } else {
+                    out.extend(it.map(|((&x, &y), &z)| x * y + z));
+                }
+            }
+            Instr::MulKAdd { k, a, c, c_first } => {
+                let (a, c) = (lo[a].f64s(), lo[c].f64s());
+                let out = out.f64s_mut();
+                out.clear();
+                let it = a[..n].iter().zip(&c[..n]);
+                if c_first {
+                    out.extend(it.map(|(&x, &z)| z + x * k));
+                } else {
+                    out.extend(it.map(|(&x, &z)| x * k + z));
+                }
+            }
         }
-    }
-
-    fn srcs(&self) -> Vec<usize> {
-        vec![self.a, self.c]
-    }
-
-    fn remap(&self, dst: usize, map: &[usize]) -> Box<dyn Instr> {
-        Box::new(MulKAddF64 {
-            k: self.k,
-            a: map[self.a],
-            c: map[self.c],
-            c_first: self.c_first,
-            dst,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-/// Display metadata for one instruction — what the obs profiler reports.
-/// Carried unconditionally (it is a few words per instruction) so lowering
-/// is identical with and without the `obs` feature.
-#[derive(Debug, Clone)]
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
-pub(crate) struct InstrMeta {
-    pub(crate) node: NodeId,
-    pub(crate) label: String,
-    pub(crate) op: &'static str,
-}
-
-/// Accumulates the tape during lowering; one register per emitted
-/// instruction, allocated in post-order.
-#[derive(Default)]
-pub(crate) struct KernelBuilder {
-    reg_of: HashMap<NodeId, usize>,
-    instrs: Vec<Box<dyn Instr>>,
-    metas: Vec<InstrMeta>,
-    makers: Vec<ColMaker>,
-}
-
-impl KernelBuilder {
-    /// Whether `id` already has a register (shared sub-expression).
-    fn has(&self, id: NodeId) -> bool {
-        self.reg_of.contains_key(&id)
-    }
-
-    /// The register holding an already-lowered node's column.
-    pub(crate) fn reg(&self, id: NodeId) -> usize {
-        self.reg_of[&id]
-    }
-
-    /// The register the next emitted instruction will write.
-    pub(crate) fn next_reg(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Appends an instruction whose destination column holds `T`s.
-    pub(crate) fn emit<T: Value>(
-        &mut self,
-        id: NodeId,
-        label: String,
-        op: &'static str,
-        instr: Box<dyn Instr>,
-    ) {
-        let dst = self.instrs.len();
-        self.reg_of.insert(id, dst);
-        self.instrs.push(instr);
-        self.metas.push(InstrMeta {
-            node: id,
-            label,
-            op,
-        });
-        self.makers.push(Box::new(|| Box::new(Vec::<T>::new())));
     }
 }
 
@@ -961,76 +756,49 @@ impl KernelBuilder {
 // Per-node lowering (called from the NodeInfo hooks in node.rs)
 // ---------------------------------------------------------------------------
 
-pub(crate) fn lower_leaf<T: Value>(node: Arc<LeafNode<T>>, k: &mut KernelBuilder) {
-    let dst = k.next_reg();
-    let (id, label) = (node.id(), node.label());
-    // Distinguish vectorized column fills in the profile so the obs layer
-    // can report scalar vs. batched leaf cost separately.
-    let op = if node.fill_fn().is_some() {
-        "leaf_vec"
-    } else {
-        "leaf"
-    };
-    k.emit::<T>(id, label, op, Box::new(FillLeaf { node, dst }));
-}
-
-pub(crate) fn lower_point<T: Value>(id: NodeId, label: String, value: T, k: &mut KernelBuilder) {
-    let dst = k.next_reg();
-    k.emit::<T>(id, label, "point", Box::new(FillPoint { value, dst }));
-}
-
 pub(crate) fn lower_map<A: Value, T: Value>(
-    node: Arc<MapNode<A, T>>,
     tag: Option<MapTag>,
-    child: NodeId,
-    k: &mut KernelBuilder,
-) {
-    let src = k.reg(child);
-    let dst = k.next_reg();
-    let (id, label) = (node.id(), node.label());
+    src: usize,
+    this: &dyn Fn() -> Arc<dyn Opaque>,
+) -> Instr {
     match tag {
         Some(MapTag::F64(op))
             if TypeId::of::<A>() == TypeId::of::<f64>()
                 && TypeId::of::<T>() == TypeId::of::<f64>() =>
         {
-            k.emit::<f64>(id, label, "unary", Box::new(UnF64 { op, src, dst }));
+            Instr::Un(op, src)
         }
         Some(MapTag::NotBool)
             if TypeId::of::<A>() == TypeId::of::<bool>()
                 && TypeId::of::<T>() == TypeId::of::<bool>() =>
         {
-            k.emit::<bool>(id, label, "not", Box::new(NotBool { src, dst }));
+            Instr::Not(src)
         }
-        _ => k.emit::<T>(id, label, "map", Box::new(MapOpaque { node, src, dst })),
+        _ => Instr::Map(this(), src),
     }
 }
 
 pub(crate) fn lower_map2<A: Value, B: Value, T: Value>(
-    node: Arc<Map2Node<A, B, T>>,
     tag: Option<Map2Tag>,
-    left: NodeId,
-    right: NodeId,
-    k: &mut KernelBuilder,
-) {
-    let a = k.reg(left);
-    let b = k.reg(right);
-    let dst = k.next_reg();
-    let (id, label) = (node.id(), node.label());
+    a: usize,
+    b: usize,
+    this: &dyn Fn() -> Arc<dyn Opaque>,
+) -> Instr {
     let f64_in =
         TypeId::of::<A>() == TypeId::of::<f64>() && TypeId::of::<B>() == TypeId::of::<f64>();
     let bool_in =
         TypeId::of::<A>() == TypeId::of::<bool>() && TypeId::of::<B>() == TypeId::of::<bool>();
     match tag {
         Some(Map2Tag::F64(op)) if f64_in && TypeId::of::<T>() == TypeId::of::<f64>() => {
-            k.emit::<f64>(id, label, "binary", Box::new(BinF64 { op, a, b, dst }));
+            Instr::Bin(op, a, b)
         }
         Some(Map2Tag::Cmp(op)) if f64_in && TypeId::of::<T>() == TypeId::of::<bool>() => {
-            k.emit::<bool>(id, label, "cmp", Box::new(CmpF64 { op, a, b, dst }));
+            Instr::Cmp(op, a, b)
         }
         Some(Map2Tag::Bool(op)) if bool_in && TypeId::of::<T>() == TypeId::of::<bool>() => {
-            k.emit::<bool>(id, label, "bool", Box::new(BoolBin { op, a, b, dst }));
+            Instr::Bool(op, a, b)
         }
-        _ => k.emit::<T>(id, label, "map2", Box::new(Map2Opaque { node, a, b, dst })),
+        _ => Instr::Map2(this(), a, b),
     }
 }
 
@@ -1039,15 +807,17 @@ pub(crate) fn lower_map2<A: Value, B: Value, T: Value>(
 // ---------------------------------------------------------------------------
 
 /// The columnar compilation of a network rooted in a `T`: a flat
-/// instruction tape plus the recipe for its register file.
+/// instruction tape whose instructions also say what column each
+/// register holds.
 ///
 /// A kernel is immutable and shareable (`Send + Sync`); per-thread scratch
 /// lives in a [`KernelState`].
 pub(crate) struct Kernel<T> {
-    instrs: Vec<Box<dyn Instr>>,
+    instrs: Vec<Instr>,
+    /// The network node each instruction computes. Profiles look its
+    /// label up in the network only when asked.
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    metas: Vec<InstrMeta>,
-    makers: Vec<ColMaker>,
+    nodes: Vec<NodeId>,
     root: usize,
     /// Tape length as lowered, before the optimizer ran.
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
@@ -1068,7 +838,7 @@ impl<T> std::fmt::Debug for Kernel<T> {
 /// the per-sample RNGs. Reused across batches so steady-state SPRT runs
 /// stop allocating.
 pub(crate) struct KernelState {
-    regs: Vec<Box<dyn Col>>,
+    regs: Vec<Col>,
     rngs: Vec<SmallRng>,
 }
 
@@ -1092,41 +862,47 @@ impl<T: Value> Kernel<T> {
     }
 
     /// Lowers a network to a tape without running the optimizer — the
-    /// raw one-instruction-per-node form. Kept for tests and baselines
+    /// raw one-instruction-per-node form, kept for the optimizer tests
     /// that compare pre- and post-optimizer tapes.
     ///
-    /// The walk is iterative — an explicit work stack, not recursion — so
-    /// thousand-node evidence chains lower safely in debug builds.
+    /// One [`post_order`] walk, left child first (the order the tree-walk
+    /// draws in, so each leaf column consumes every row's RNG exactly when
+    /// the tree-walk would), emits each node's instruction over its
+    /// children's registers. The walk is iterative, so thousand-node
+    /// evidence chains lower safely in debug builds, and it allocates
+    /// nothing per node beyond the tape itself: no label, no list of
+    /// children, no boxed instruction.
     pub(crate) fn lower_raw(network: &Uncertain<T>) -> Option<Self> {
-        let mut b = KernelBuilder::default();
-        let root = network.node().clone() as Arc<dyn NodeInfo>;
-        let mut stack: Vec<(Arc<dyn NodeInfo>, bool)> = vec![(Arc::clone(&root), false)];
-        while let Some((node, expanded)) = stack.pop() {
-            if b.has(node.id()) {
-                continue;
-            }
-            if expanded {
-                if !node.lower(&mut b) {
-                    return None;
-                }
-            } else {
-                let children = node.lower_children()?;
-                stack.push((Arc::clone(&node), true));
-                for child in children.into_iter().rev() {
-                    if !b.has(child.id()) {
-                        stack.push((child, false));
+        let root = network.node();
+        let mut instrs = Vec::new();
+        let mut nodes = Vec::new();
+        post_order(
+            &**root,
+            ChildOrder::LeftFirst,
+            |node| if node.lowers() { Ok(()) } else { Err(()) },
+            |node, operands, parent| {
+                // The pointer a leaf or closure instruction keeps comes
+                // from whoever owns the node: its parent, or the network.
+                let this = || {
+                    match parent {
+                        Some((parent, k)) => parent.child_opaque(k),
+                        None => Arc::clone(root).as_opaque(),
                     }
-                }
-            }
-        }
-        let root_reg = b.reg(root.id());
-        let pre_opt_len = b.instrs.len();
+                    .expect("a node that lowers can be pointed at")
+                };
+                nodes.push(node.id());
+                instrs.push(node.lower(operands, &this).ok_or(())?);
+                Ok(())
+            },
+        )
+        .ok()?;
+        // Post-order visits the root last.
+        let root = instrs.len() - 1;
         Some(Kernel {
-            instrs: b.instrs,
-            metas: b.metas,
-            makers: b.makers,
-            root: root_reg,
-            pre_opt_len,
+            instrs,
+            nodes,
+            root,
+            pre_opt_len: root + 1,
             _marker: PhantomData,
         })
     }
@@ -1134,7 +910,9 @@ impl<T: Value> Kernel<T> {
     /// Runs the SSA tape optimizer in place: constant folding + strength
     /// reduction, boolean identities, common-subexpression elimination,
     /// copy propagation, mul+add loop fusion, and dead-register
-    /// elimination with register compaction.
+    /// elimination with register compaction. Every pass rewrites
+    /// instructions and operands where they stand; none allocates per
+    /// instruction.
     ///
     /// Every rewrite preserves output **bits** exactly — folds evaluate
     /// the same IEEE expression the column loop would, strength reduction
@@ -1145,58 +923,31 @@ impl<T: Value> Kernel<T> {
     /// they stay pinned even when their value is dead, keeping the draw
     /// sequence identical to the tree-walk.
     fn optimize(&mut self) {
-        let n = self.instrs.len();
-        let mut kinds: Vec<InstrKind> = self.instrs.iter().map(|i| i.kind()).collect();
         // `alias[i]` names a register whose column is bitwise equal to
         // `i`'s; aliases always point backwards at a register that is its
         // own representative, so one hop resolves.
-        let mut alias: Vec<usize> = (0..n).collect();
+        let mut alias: Vec<usize> = (0..self.instrs.len()).collect();
 
-        self.fold_constants(&mut kinds, &mut alias);
-        Self::cse(&kinds, &mut alias);
+        self.fold_constants(&mut alias);
+        self.cse(&mut alias);
 
         // Copy propagation: rewrite every source through the alias map so
-        // aliased registers go dead, then refresh the cached kinds.
+        // aliased registers go dead.
         if alias.iter().enumerate().any(|(i, &a)| a != i) {
-            for i in 0..n {
-                self.instrs[i] = self.instrs[i].remap(i, &alias);
+            for ins in &mut self.instrs {
+                ins.remap(&alias);
             }
             self.root = alias[self.root];
-            for (k, ins) in kinds.iter_mut().zip(&self.instrs) {
-                *k = ins.kind();
-            }
         }
 
-        self.fuse_muladd(&mut kinds);
-        self.dce_compact(&kinds);
-    }
-
-    /// Replaces instruction `i` with a constant `f64` fill. The register
-    /// keeps its `Vec<f64>` column maker, so only the instruction (and
-    /// its profile `op`) changes.
-    fn set_const_f64(&mut self, i: usize, value: f64, kinds: &mut [InstrKind]) {
-        self.instrs[i] = Box::new(FillPoint { value, dst: i });
-        self.metas[i].op = "point";
-        kinds[i] = InstrKind::ConstF64(value);
-    }
-
-    fn set_const_bool(&mut self, i: usize, value: bool, kinds: &mut [InstrKind]) {
-        self.instrs[i] = Box::new(FillPoint { value, dst: i });
-        self.metas[i].op = "point";
-        kinds[i] = InstrKind::ConstBool(value);
-    }
-
-    /// Strength-reduces a binary op with one constant operand to its `*K`
-    /// unary form (one column read instead of two).
-    fn set_unary(&mut self, i: usize, op: UnOp, src: usize, kinds: &mut [InstrKind]) {
-        self.instrs[i] = Box::new(UnF64 { op, src, dst: i });
-        self.metas[i].op = "unary";
-        kinds[i] = InstrKind::Un(op, src);
+        self.fuse_muladd();
+        self.dce_compact();
     }
 
     /// Forward constant-folding sweep. Also applies strength reduction
     /// (`Bin` with one constant operand → `*K` unary), the exact boolean
-    /// identities, and double-negation elimination.
+    /// identities, and double-negation elimination. A folded instruction
+    /// keeps its register, whose column type does not change.
     ///
     /// Deliberately **not** folded, because the "identity" is not one in
     /// IEEE arithmetic: `x + 0.0` (breaks on `-0.0`), `x * 1.0` and
@@ -1204,76 +955,71 @@ impl<T: Value> Kernel<T> {
     /// (breaks on infinities, NaN, and `-0.0`). Strength reduction with a
     /// NaN constant is skipped: for the commutative ops the operand swap
     /// could change which NaN payload propagates when both sides are NaN.
-    fn fold_constants(&mut self, kinds: &mut [InstrKind], alias: &mut [usize]) {
-        for i in 0..kinds.len() {
-            match kinds[i] {
-                InstrKind::Un(op, s) => {
-                    if let InstrKind::ConstF64(v) = kinds[alias[s]] {
-                        self.set_const_f64(i, op.apply(v), kinds);
-                    }
-                }
-                InstrKind::Bin(op, a, b) => {
+    fn fold_constants(&mut self, alias: &mut [usize]) {
+        for i in 0..self.instrs.len() {
+            let instrs = &self.instrs;
+            let f64_at = |r: usize| match instrs[r] {
+                Instr::ConstF64(v) => Some(v),
+                _ => None,
+            };
+            let bool_at = |r: usize| match instrs[r] {
+                Instr::ConstBool(v) => Some(v),
+                _ => None,
+            };
+            let folded = match instrs[i] {
+                Instr::Un(op, s) => f64_at(alias[s]).map(|v| Instr::ConstF64(op.apply(v))),
+                Instr::Bin(op, a, b) => {
                     let (ra, rb) = (alias[a], alias[b]);
-                    match (kinds[ra], kinds[rb]) {
-                        (InstrKind::ConstF64(x), InstrKind::ConstF64(y)) => {
-                            self.set_const_f64(i, op.apply(x, y), kinds);
+                    match (f64_at(ra), f64_at(rb)) {
+                        (Some(x), Some(y)) => Some(Instr::ConstF64(op.apply(x, y))),
+                        (Some(x), None) if !x.is_nan() => {
+                            op.with_const_lhs(x).map(|un| Instr::Un(un, rb))
                         }
-                        (InstrKind::ConstF64(x), _) if !x.is_nan() => {
-                            if let Some(un) = op.with_const_lhs(x) {
-                                self.set_unary(i, un, rb, kinds);
-                            }
+                        (None, Some(y)) if !y.is_nan() => {
+                            op.with_const_rhs(y).map(|un| Instr::Un(un, ra))
                         }
-                        (_, InstrKind::ConstF64(y)) if !y.is_nan() => {
-                            if let Some(un) = op.with_const_rhs(y) {
-                                self.set_unary(i, un, ra, kinds);
-                            }
-                        }
-                        _ => {}
+                        _ => None,
                     }
                 }
-                InstrKind::Cmp(op, a, b) => {
-                    if let (InstrKind::ConstF64(x), InstrKind::ConstF64(y)) =
-                        (kinds[alias[a]], kinds[alias[b]])
-                    {
-                        self.set_const_bool(i, op.apply(x, y), kinds);
-                    }
-                }
-                InstrKind::Bool(op, a, b) => {
+                Instr::Cmp(op, a, b) => match (f64_at(alias[a]), f64_at(alias[b])) {
+                    (Some(x), Some(y)) => Some(Instr::ConstBool(op.apply(x, y))),
+                    _ => None,
+                },
+                Instr::Bool(op, a, b) => {
                     let (ra, rb) = (alias[a], alias[b]);
-                    match (kinds[ra], kinds[rb]) {
-                        (InstrKind::ConstBool(x), InstrKind::ConstBool(y)) => {
-                            self.set_const_bool(i, op.apply(x, y), kinds);
-                        }
-                        (InstrKind::ConstBool(k), _) | (_, InstrKind::ConstBool(k)) => {
-                            let other = if matches!(kinds[ra], InstrKind::ConstBool(_)) {
-                                rb
-                            } else {
-                                ra
-                            };
+                    match (bool_at(ra), bool_at(rb)) {
+                        (Some(x), Some(y)) => Some(Instr::ConstBool(op.apply(x, y))),
+                        (Some(k), None) | (None, Some(k)) => {
+                            let other = if bool_at(ra).is_some() { rb } else { ra };
                             // Booleans have exact identities (unlike f64).
                             match (op, k) {
                                 (BoolOp::And, true)
                                 | (BoolOp::Or, false)
-                                | (BoolOp::Xor, false) => alias[i] = other,
-                                (BoolOp::And, false) => self.set_const_bool(i, false, kinds),
-                                (BoolOp::Or, true) => self.set_const_bool(i, true, kinds),
-                                (BoolOp::Xor, true) => {
-                                    self.instrs[i] = Box::new(NotBool { src: other, dst: i });
-                                    self.metas[i].op = "not";
-                                    kinds[i] = InstrKind::Not(other);
+                                | (BoolOp::Xor, false) => {
+                                    alias[i] = other;
+                                    None
                                 }
+                                (BoolOp::And, false) => Some(Instr::ConstBool(false)),
+                                (BoolOp::Or, true) => Some(Instr::ConstBool(true)),
+                                (BoolOp::Xor, true) => Some(Instr::Not(other)),
                             }
                         }
-                        _ => {}
+                        (None, None) => None,
                     }
                 }
-                InstrKind::Not(s) => match kinds[alias[s]] {
-                    InstrKind::ConstBool(v) => self.set_const_bool(i, !v, kinds),
+                Instr::Not(s) => match instrs[alias[s]] {
+                    Instr::ConstBool(v) => Some(Instr::ConstBool(!v)),
                     // `!!x == x` exactly.
-                    InstrKind::Not(inner) => alias[i] = alias[inner],
-                    _ => {}
+                    Instr::Not(inner) => {
+                        alias[i] = alias[inner];
+                        None
+                    }
+                    _ => None,
                 },
-                _ => {}
+                _ => None,
+            };
+            if let Some(ins) = folded {
+                self.instrs[i] = ins;
             }
         }
     }
@@ -1286,7 +1032,7 @@ impl<T: Value> Kernel<T> {
     /// propagates when both operands are NaN — so only syntactic matches
     /// merge. Leaves (RNG consumers), opaque closures, and non-scalar
     /// constants have no identity key and never merge.
-    fn cse(kinds: &[InstrKind], alias: &mut [usize]) {
+    fn cse(&self, alias: &mut [usize]) {
         #[derive(PartialEq, Eq, Hash)]
         enum Key {
             ConstF64(u64),
@@ -1297,19 +1043,21 @@ impl<T: Value> Kernel<T> {
             Bool(BoolOp, usize, usize),
             Not(usize),
         }
-        let mut table: HashMap<Key, usize> = HashMap::new();
-        for i in 0..kinds.len() {
+        // Constants and captured scalars can come off the wire, so the
+        // table keeps the standard (keyed) hasher.
+        let mut table: HashMap<Key, usize> = HashMap::with_capacity(self.instrs.len());
+        for (i, ins) in self.instrs.iter().enumerate() {
             if alias[i] != i {
                 continue;
             }
-            let key = match kinds[i] {
-                InstrKind::ConstF64(v) => Key::ConstF64(v.to_bits()),
-                InstrKind::ConstBool(b) => Key::ConstBool(b),
-                InstrKind::Un(op, s) => Key::Un(un_key(op), alias[s]),
-                InstrKind::Bin(op, a, b) => Key::Bin(op, alias[a], alias[b]),
-                InstrKind::Cmp(op, a, b) => Key::Cmp(op, alias[a], alias[b]),
-                InstrKind::Bool(op, a, b) => Key::Bool(op, alias[a], alias[b]),
-                InstrKind::Not(s) => Key::Not(alias[s]),
+            let key = match *ins {
+                Instr::ConstF64(v) => Key::ConstF64(v.to_bits()),
+                Instr::ConstBool(b) => Key::ConstBool(b),
+                Instr::Un(op, s) => Key::Un(un_key(op), alias[s]),
+                Instr::Bin(op, a, b) => Key::Bin(op, alias[a], alias[b]),
+                Instr::Cmp(op, a, b) => Key::Cmp(op, alias[a], alias[b]),
+                Instr::Bool(op, a, b) => Key::Bool(op, alias[a], alias[b]),
+                Instr::Not(s) => Key::Not(alias[s]),
                 _ => continue,
             };
             use std::collections::hash_map::Entry;
@@ -1325,11 +1073,11 @@ impl<T: Value> Kernel<T> {
     /// Fuses an `Add` whose `Mul` (or `MulK`) operand has no other use
     /// into one fused column pass — halving the loop and register traffic
     /// for the `a*b + c` shapes that dominate lifted arithmetic. Runs
-    /// after copy propagation, so kind source indices are final. The
+    /// after copy propagation, so source registers are final. The
     /// single-use requirement (counting the root as a use) guarantees the
     /// mul register goes dead and DCE reclaims it.
-    fn fuse_muladd(&mut self, kinds: &mut [InstrKind]) {
-        let n = kinds.len();
+    fn fuse_muladd(&mut self) {
+        let n = self.instrs.len();
         let mut uses = vec![0u32; n];
         for ins in &self.instrs {
             for s in ins.srcs() {
@@ -1338,75 +1086,36 @@ impl<T: Value> Kernel<T> {
         }
         uses[self.root] += 1;
         for i in 0..n {
-            let InstrKind::Bin(BinOp::Add, p, q) = kinds[i] else {
+            let Instr::Bin(BinOp::Add, p, q) = self.instrs[i] else {
                 continue;
             };
-            let (fused, kind): (Box<dyn Instr>, InstrKind) = match (kinds[p], kinds[q]) {
-                (InstrKind::Bin(BinOp::Mul, x, y), _) if uses[p] == 1 => (
-                    Box::new(MulAddF64 {
-                        a: x,
-                        b: y,
-                        c: q,
-                        c_first: false,
-                        dst: i,
-                    }),
-                    InstrKind::MulAdd {
-                        a: x,
-                        b: y,
-                        c: q,
-                        c_first: false,
-                    },
-                ),
-                (_, InstrKind::Bin(BinOp::Mul, x, y)) if uses[q] == 1 => (
-                    Box::new(MulAddF64 {
-                        a: x,
-                        b: y,
-                        c: p,
-                        c_first: true,
-                        dst: i,
-                    }),
-                    InstrKind::MulAdd {
-                        a: x,
-                        b: y,
-                        c: p,
-                        c_first: true,
-                    },
-                ),
-                (InstrKind::Un(UnOp::MulK(k), x), _) if uses[p] == 1 => (
-                    Box::new(MulKAddF64 {
-                        k,
-                        a: x,
-                        c: q,
-                        c_first: false,
-                        dst: i,
-                    }),
-                    InstrKind::MulKAdd {
-                        k,
-                        a: x,
-                        c: q,
-                        c_first: false,
-                    },
-                ),
-                (_, InstrKind::Un(UnOp::MulK(k), x)) if uses[q] == 1 => (
-                    Box::new(MulKAddF64 {
-                        k,
-                        a: x,
-                        c: p,
-                        c_first: true,
-                        dst: i,
-                    }),
-                    InstrKind::MulKAdd {
-                        k,
-                        a: x,
-                        c: p,
-                        c_first: true,
-                    },
-                ),
+            self.instrs[i] = match (&self.instrs[p], &self.instrs[q]) {
+                (&Instr::Bin(BinOp::Mul, a, b), _) if uses[p] == 1 => Instr::MulAdd {
+                    a,
+                    b,
+                    c: q,
+                    c_first: false,
+                },
+                (_, &Instr::Bin(BinOp::Mul, a, b)) if uses[q] == 1 => Instr::MulAdd {
+                    a,
+                    b,
+                    c: p,
+                    c_first: true,
+                },
+                (&Instr::Un(UnOp::MulK(k), a), _) if uses[p] == 1 => Instr::MulKAdd {
+                    k,
+                    a,
+                    c: q,
+                    c_first: false,
+                },
+                (_, &Instr::Un(UnOp::MulK(k), a)) if uses[q] == 1 => Instr::MulKAdd {
+                    k,
+                    a,
+                    c: p,
+                    c_first: true,
+                },
                 _ => continue,
             };
-            self.instrs[i] = fused;
-            self.metas[i].op = "muladd";
-            kinds[i] = kind;
         }
     }
 
@@ -1415,18 +1124,17 @@ impl<T: Value> Kernel<T> {
     /// stay so each sample's RNG draw sequence matches the tree-walk
     /// (which also samples dead leaves) — then renumbers the survivors
     /// densely so the register file shrinks with the tape.
-    fn dce_compact(&mut self, kinds: &[InstrKind]) {
+    fn dce_compact(&mut self) {
         let n = self.instrs.len();
         let mut keep = vec![false; n];
-        let mut used = vec![false; n];
-        used[self.root] = true;
+        keep[self.root] = true;
         // Reverse sweep is sound: an instruction's sources are strictly
         // below it, so every user of `i` was visited before `i`.
         for i in (0..n).rev() {
-            if used[i] || matches!(kinds[i], InstrKind::Leaf) {
+            if keep[i] || matches!(self.instrs[i], Instr::Leaf(_)) {
                 keep[i] = true;
                 for s in self.instrs[i].srcs() {
-                    used[s] = true;
+                    keep[s] = true;
                 }
             }
         }
@@ -1434,23 +1142,17 @@ impl<T: Value> Kernel<T> {
             return;
         }
         let mut map = vec![usize::MAX; n];
-        let mut next = 0;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                map[i] = next;
-                next += 1;
-            }
+        for (new, old) in (0..n).filter(|&i| keep[i]).enumerate() {
+            map[old] = new;
         }
-        let instrs = std::mem::take(&mut self.instrs);
-        let metas = std::mem::take(&mut self.metas);
-        let makers = std::mem::take(&mut self.makers);
-        self.instrs.reserve(next);
-        for (i, ((ins, meta), maker)) in instrs.into_iter().zip(metas).zip(makers).enumerate() {
-            if keep[i] {
-                self.instrs.push(ins.remap(map[i], &map));
-                self.metas.push(meta);
-                self.makers.push(maker);
-            }
+        let mut kept = keep.iter();
+        self.instrs
+            .retain(|_| *kept.next().expect("one flag per instruction"));
+        let mut kept = keep.iter();
+        self.nodes
+            .retain(|_| *kept.next().expect("one flag per instruction"));
+        for ins in &mut self.instrs {
+            ins.remap(&map);
         }
         self.root = map[self.root];
     }
@@ -1458,7 +1160,7 @@ impl<T: Value> Kernel<T> {
     /// Allocates an empty register file + RNG scratch for this kernel.
     pub(crate) fn new_state(&self) -> KernelState {
         KernelState {
-            regs: self.makers.iter().map(|make| make()).collect(),
+            regs: self.instrs.iter().map(Instr::new_col).collect(),
             rngs: Vec::new(),
         }
     }
@@ -1483,10 +1185,10 @@ impl<T: Value> Kernel<T> {
             state
                 .rngs
                 .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
-            for instr in &self.instrs {
-                instr.run(&mut state.regs, &mut state.rngs, take);
+            for (i, instr) in self.instrs.iter().enumerate() {
+                instr.run(&mut state.regs, i, &mut state.rngs, take);
             }
-            let root = col_ref::<T>(state.regs[self.root].as_ref());
+            let root = state.regs[self.root].typed::<T>();
             out.extend_from_slice(&root[..take]);
             done += take;
         }
@@ -1498,11 +1200,16 @@ impl<T: Value> Kernel<T> {
     /// reports the exclusive per-instruction costs. The rows draw exactly
     /// the values an unprofiled [`run`](Self::run) over the same seeds
     /// would; only wall time changes.
+    ///
+    /// `network` is the network this kernel was lowered from: each
+    /// instruction's label is its node's label there. The tape carries
+    /// only node ids, so lowering never builds a label string.
     #[cfg(feature = "obs")]
     pub(crate) fn profiled_run(
         &self,
         n: usize,
         mut next_seed: impl FnMut() -> u64,
+        network: &crate::graph::NetworkView,
     ) -> crate::obs::KernelProfile {
         let mut state = self.new_state();
         let mut ns = vec![0u64; self.instrs.len()];
@@ -1515,7 +1222,7 @@ impl<T: Value> Kernel<T> {
                 .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
             for (i, instr) in self.instrs.iter().enumerate() {
                 let start = std::time::Instant::now();
-                instr.run(&mut state.regs, &mut state.rngs, take);
+                instr.run(&mut state.regs, i, &mut state.rngs, take);
                 ns[i] += start.elapsed().as_nanos() as u64;
             }
             done += take;
@@ -1523,13 +1230,18 @@ impl<T: Value> Kernel<T> {
         let samples = n as u64;
         crate::obs::KernelProfile {
             instrs: self
-                .metas
+                .instrs
                 .iter()
+                .zip(&self.nodes)
                 .zip(ns)
-                .map(|(meta, ns)| crate::obs::InstrCost {
-                    node: meta.node,
-                    label: meta.label.clone(),
-                    op: meta.op,
+                .map(|((instr, &node), ns)| crate::obs::InstrCost {
+                    node,
+                    label: network
+                        .node(node)
+                        .expect("every lowered node is in its network")
+                        .label
+                        .clone(),
+                    op: instr.op(),
                     elems: samples,
                     ns,
                 })
@@ -1545,6 +1257,7 @@ mod tests {
     use super::*;
     use crate::runtime::sample_seed;
     use crate::uncertain::Uncertain;
+    use std::hint::black_box;
 
     fn run<T: Value>(k: &Kernel<T>, seed: u64, n: usize) -> Vec<T> {
         let mut seeds = (0..n as u64).map(|i| sample_seed(seed, i));
@@ -1554,13 +1267,13 @@ mod tests {
     }
 
     fn ops<T>(k: &Kernel<T>) -> Vec<&'static str> {
-        k.metas.iter().map(|m| m.op).collect()
+        k.instrs.iter().map(Instr::op).collect()
     }
 
     fn leaf_count<T>(k: &Kernel<T>) -> usize {
-        k.metas
+        k.instrs
             .iter()
-            .filter(|m| m.op == "leaf" || m.op == "leaf_vec")
+            .filter(|i| matches!(i, Instr::Leaf(_)))
             .count()
     }
 
@@ -1747,8 +1460,11 @@ mod tests {
         for op in all {
             op.fill(&inputs, &mut out, inputs.len());
             for (i, &x) in inputs.iter().enumerate() {
+                // `black_box` keeps the compiler from folding the scalar
+                // twin at build time, where it may pick another NaN sign
+                // than the hardware does at run time.
                 assert_eq!(
-                    op.apply(x).to_bits(),
+                    black_box(op).apply(black_box(x)).to_bits(),
                     out[i].to_bits(),
                     "{op:?} apply/fill disagree at x={x}"
                 );
@@ -1767,8 +1483,9 @@ mod tests {
                 let ys = [y; 6];
                 op.fill(&xs, &ys, &mut out, xs.len());
                 for (i, &x) in xs.iter().enumerate() {
+                    // Unfolded at build time; see the unary twin test.
                     assert_eq!(
-                        op.apply(x, y).to_bits(),
+                        black_box(op).apply(black_box(x), black_box(y)).to_bits(),
                         out[i].to_bits(),
                         "{op:?} apply/fill disagree at ({x}, {y})"
                     );
@@ -1797,14 +1514,16 @@ mod tests {
                 let lhs = op.with_const_lhs(k).unwrap();
                 let rhs = op.with_const_rhs(k).unwrap();
                 for &x in &xs {
+                    // Unfolded at build time; see the unary twin test.
+                    let (k, x) = (black_box(k), black_box(x));
                     assert_eq!(
-                        lhs.apply(x).to_bits(),
-                        op.apply(k, x).to_bits(),
+                        black_box(lhs).apply(x).to_bits(),
+                        black_box(op).apply(k, x).to_bits(),
                         "{op:?} const-lhs {k} at {x}"
                     );
                     assert_eq!(
-                        rhs.apply(x).to_bits(),
-                        op.apply(x, k).to_bits(),
+                        black_box(rhs).apply(x).to_bits(),
+                        black_box(op).apply(x, k).to_bits(),
                         "{op:?} const-rhs {k} at {x}"
                     );
                 }

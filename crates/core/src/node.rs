@@ -15,10 +15,12 @@
 //! joint sample.
 
 use crate::context::SampleContext;
-use crate::kernel::{self, KernelBuilder, Map2Tag, MapTag};
+use crate::kernel::{self, Instr, Map2Tag, MapTag, Opaque};
 use crate::uncertain::{Uncertain, Value};
 use crate::wire::WireOp;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uncertain_dist::DistSpec;
@@ -51,37 +53,72 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// A hash map keyed by [`NodeId`], hashed by [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<NodeId, V, BuildHasherDefault<IdHasher>>;
+
+/// A plain multiplicative hasher for [`NodeId`]s (one multiply). Ids come
+/// from a process-wide counter, never off the wire, so SipHash's
+/// resistance to chosen keys buys nothing here, at several times the cost
+/// per key. Keys that carry outside data (a decoded graph's constants)
+/// keep the standard hasher.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A node's children, left to right, borrowed from it. No node kind has
+/// more than two (the operands of a binary lift), so listing them neither
+/// allocates nor touches a reference count.
+pub(crate) type Children<'a> = [Option<&'a dyn NodeInfo>; 2];
+
 /// Type-erased view of a node: identity, display label, and children.
 ///
-/// This is the surface the graph-introspection module walks; it knows
-/// nothing about the value type.
+/// This is the surface the graph walks ([`crate::graph::post_order`])
+/// see; it knows nothing about the value type.
 pub(crate) trait NodeInfo: Send + Sync {
     /// This node's unique id.
     fn id(&self) -> NodeId;
     /// A short human-readable label (operator symbol or leaf description).
     fn label(&self) -> String;
     /// The nodes this node depends on (its parents in Bayesian-network
-    /// terminology; children of the expression tree).
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>>;
-    /// Whether this node is a leaf distribution (shaded in the paper's
-    /// figures).
-    fn is_leaf(&self) -> bool {
-        self.children().is_empty()
+    /// terminology; children of the expression tree), left to right.
+    fn children(&self) -> Children<'_>;
+
+    /// Whether this node kind can be a tape instruction: leaves, points
+    /// and lifted operators can; the kinds whose sampling needs
+    /// `SampleContext` machinery cannot. The lowering walk asks before it
+    /// descends, so a network that does not lower is rejected at the
+    /// first such node.
+    fn lowers(&self) -> bool {
+        false
     }
 
-    /// The children the columnar kernel must lower before this node — in
-    /// `sample_value` visit order, so a leaf column consumes each sample's
-    /// RNG exactly when the tree-walk would — or `None` when this node
-    /// kind cannot be expressed as a tape instruction.
-    fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
+    /// This node's tape instruction, reading its children's registers
+    /// `operands` (left to right), or `None` when it does not lower.
+    /// `this` hands out the kernel's own pointer to the node, which only
+    /// a leaf, a non-scalar point and an untagged closure keep.
+    fn lower(&self, operands: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
+        let _ = (operands, this);
         None
     }
 
-    /// Emits this node's tape instruction (children already lowered).
-    /// Returns `false` when the node cannot be lowered.
-    fn lower(self: Arc<Self>, k: &mut KernelBuilder) -> bool {
+    /// Child `k` as the kernel's pointer to it, when that child is a node
+    /// an instruction can point at (see [`TypedNode::as_opaque`]).
+    fn child_opaque(&self, k: usize) -> Option<Arc<dyn Opaque>> {
         let _ = k;
-        false
+        None
     }
 
     /// What this node means on the wire, when it is expressible there:
@@ -98,6 +135,13 @@ pub(crate) trait TypedNode<T>: NodeInfo {
     /// Draws this node's value within the given joint-sample context,
     /// memoizing by node id so shared nodes are computed exactly once.
     fn sample_value(&self, ctx: &mut SampleContext) -> T;
+
+    /// This node as a pointer a tape instruction can keep: a leaf's
+    /// sampler, a point mass, or a lifted closure. `None` for the kinds
+    /// that never lower.
+    fn as_opaque(self: Arc<Self>) -> Option<Arc<dyn Opaque>> {
+        None
+    }
 }
 
 pub(crate) type DynNode<T> = Arc<dyn TypedNode<T>>;
@@ -182,15 +226,14 @@ impl<T: Value> NodeInfo for LeafNode<T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        Vec::new()
+    fn children(&self) -> Children<'_> {
+        [None, None]
     }
-    fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
-        Some(Vec::new())
-    }
-    fn lower(self: Arc<Self>, k: &mut KernelBuilder) -> bool {
-        kernel::lower_leaf(self, k);
+    fn lowers(&self) -> bool {
         true
+    }
+    fn lower(&self, _: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
+        Some(Instr::Leaf(this()))
     }
     fn wire_op(&self) -> Option<WireOp> {
         self.spec.map(WireOp::Leaf)
@@ -200,6 +243,9 @@ impl<T: Value> NodeInfo for LeafNode<T> {
 impl<T: Value> TypedNode<T> for LeafNode<T> {
     fn sample_value(&self, ctx: &mut SampleContext) -> T {
         ctx.memoized(self.id, |ctx| (self.sample_fn)(ctx.rng()))
+    }
+    fn as_opaque(self: Arc<Self>) -> Option<Arc<dyn Opaque>> {
+        Some(self)
     }
 }
 
@@ -220,6 +266,11 @@ impl<T> PointNode<T> {
             value,
         }
     }
+
+    /// The constant this point mass holds.
+    pub(crate) fn value(&self) -> &T {
+        &self.value
+    }
 }
 
 impl<T: Value + fmt::Debug> NodeInfo for PointNode<T> {
@@ -229,15 +280,20 @@ impl<T: Value + fmt::Debug> NodeInfo for PointNode<T> {
     fn label(&self) -> String {
         format!("point({:?})", self.value)
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        Vec::new()
+    fn children(&self) -> Children<'_> {
+        [None, None]
     }
-    fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
-        Some(Vec::new())
-    }
-    fn lower(self: Arc<Self>, k: &mut KernelBuilder) -> bool {
-        kernel::lower_point(self.id, self.label(), self.value.clone(), k);
+    fn lowers(&self) -> bool {
         true
+    }
+    fn lower(&self, _: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
+        // The scalars the wire carries are tape data; any other type
+        // keeps its node and fills its column by cloning the value.
+        Some(match self.wire_op() {
+            Some(WireOp::PointF64(x)) => Instr::ConstF64(x),
+            Some(WireOp::PointBool(b)) => Instr::ConstBool(b),
+            _ => Instr::Point(this()),
+        })
     }
     fn wire_op(&self) -> Option<WireOp> {
         // `Value: 'static`, so the constant can be inspected through `Any`;
@@ -256,6 +312,9 @@ impl<T: Value + fmt::Debug> NodeInfo for PointNode<T> {
 impl<T: Value + fmt::Debug> TypedNode<T> for PointNode<T> {
     fn sample_value(&self, _ctx: &mut SampleContext) -> T {
         self.value.clone()
+    }
+    fn as_opaque(self: Arc<Self>) -> Option<Arc<dyn Opaque>> {
+        Some(self)
     }
 }
 
@@ -312,16 +371,17 @@ impl<A: Value, T: Value> NodeInfo for MapNode<A, T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![self.child.clone() as Arc<dyn NodeInfo>]
+    fn children(&self) -> Children<'_> {
+        [Some(&*self.child), None]
     }
-    fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
-        Some(vec![self.child.clone() as Arc<dyn NodeInfo>])
-    }
-    fn lower(self: Arc<Self>, k: &mut KernelBuilder) -> bool {
-        let (tag, child) = (self.tag, self.child.id());
-        kernel::lower_map(self, tag, child, k);
+    fn lowers(&self) -> bool {
         true
+    }
+    fn lower(&self, operands: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
+        Some(kernel::lower_map::<A, T>(self.tag, operands[0], this))
+    }
+    fn child_opaque(&self, _: usize) -> Option<Arc<dyn Opaque>> {
+        self.child.clone().as_opaque()
     }
     fn wire_op(&self) -> Option<WireOp> {
         // The tag *is* the closure's meaning (the kernel already relies on
@@ -339,6 +399,9 @@ impl<A: Value, T: Value> TypedNode<T> for MapNode<A, T> {
         let v = (self.f)(a);
         ctx.store(self.id, v.clone());
         v
+    }
+    fn as_opaque(self: Arc<Self>) -> Option<Arc<dyn Opaque>> {
+        Some(self)
     }
 }
 
@@ -398,20 +461,27 @@ impl<A: Value, B: Value, T: Value> NodeInfo for Map2Node<A, B, T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![
-            self.left.clone() as Arc<dyn NodeInfo>,
-            self.right.clone() as Arc<dyn NodeInfo>,
-        ]
-    }
-    fn lower_children(&self) -> Option<Vec<Arc<dyn NodeInfo>>> {
+    fn children(&self) -> Children<'_> {
         // Left before right: the order `sample_value` draws in.
-        Some(self.children())
+        [Some(&*self.left), Some(&*self.right)]
     }
-    fn lower(self: Arc<Self>, k: &mut KernelBuilder) -> bool {
-        let (tag, left, right) = (self.tag, self.left.id(), self.right.id());
-        kernel::lower_map2(self, tag, left, right, k);
+    fn lowers(&self) -> bool {
         true
+    }
+    fn lower(&self, operands: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
+        Some(kernel::lower_map2::<A, B, T>(
+            self.tag,
+            operands[0],
+            operands[1],
+            this,
+        ))
+    }
+    fn child_opaque(&self, k: usize) -> Option<Arc<dyn Opaque>> {
+        if k == 0 {
+            self.left.clone().as_opaque()
+        } else {
+            self.right.clone().as_opaque()
+        }
     }
     fn wire_op(&self) -> Option<WireOp> {
         self.tag.map(WireOp::Map2)
@@ -428,6 +498,9 @@ impl<A: Value, B: Value, T: Value> TypedNode<T> for Map2Node<A, B, T> {
         let v = (self.f)(a, b);
         ctx.store(self.id, v.clone());
         v
+    }
+    fn as_opaque(self: Arc<Self>) -> Option<Arc<dyn Opaque>> {
+        Some(self)
     }
 }
 
@@ -468,8 +541,8 @@ impl<A: Value, T: Value> NodeInfo for BindNode<A, T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![self.child.clone() as Arc<dyn NodeInfo>]
+    fn children(&self) -> Children<'_> {
+        [Some(&*self.child), None]
     }
 }
 
@@ -519,8 +592,8 @@ impl<T: Value> NodeInfo for EncapsulatedNode<T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![self.inner.clone() as Arc<dyn NodeInfo>]
+    fn children(&self) -> Children<'_> {
+        [Some(&*self.inner), None]
     }
 }
 
@@ -595,8 +668,8 @@ impl<T: Value> NodeInfo for WeightedNode<T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![self.inner.clone() as Arc<dyn NodeInfo>]
+    fn children(&self) -> Children<'_> {
+        [Some(&*self.inner), None]
     }
 }
 
@@ -709,8 +782,8 @@ impl<T: Value> NodeInfo for ConditionedNode<T> {
     fn label(&self) -> String {
         self.label.clone()
     }
-    fn children(&self) -> Vec<Arc<dyn NodeInfo>> {
-        vec![self.inner.clone() as Arc<dyn NodeInfo>]
+    fn children(&self) -> Children<'_> {
+        [Some(&*self.inner), None]
     }
 }
 

@@ -156,9 +156,11 @@ impl DecisionTrace {
 pub struct InstrCost {
     /// The network node this instruction materialises.
     pub node: NodeId,
-    /// The node's display label (e.g. `"Gaussian(0, 1)"`, `"+"`).
+    /// The node's display label (e.g. `"Gaussian(0, 1)"`, `"+"`), looked
+    /// up in the network when the profile is taken.
     pub label: String,
-    /// The instruction mnemonic (e.g. `"fill_leaf"`, `"bin_f64"`).
+    /// The instruction mnemonic (e.g. `"leaf_vec"`, `"binary"`,
+    /// `"muladd"`).
     pub op: &'static str,
     /// Column elements this instruction produced across the profiled run.
     pub elems: u64,
@@ -198,7 +200,7 @@ impl KernelProfile {
 
     /// Leaf-fill cost aggregated by distribution kind, hottest first.
     ///
-    /// Each entry sums the `FillLeaf` instructions of one distribution
+    /// Each entry sums the leaf instructions of one distribution
     /// family (label kind prefix, e.g. `"Gaussian"`), split by whether the
     /// leaf filled its column through the vectorized
     /// [`fill_column`](uncertain_dist::Distribution::fill_column) path
@@ -237,7 +239,7 @@ impl KernelProfile {
     }
 }
 
-/// Leaf sampling cost aggregated over every `FillLeaf` instruction of one
+/// Leaf sampling cost aggregated over every leaf instruction of one
 /// distribution kind, from [`KernelProfile::by_leaf_kind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafKindCost {
@@ -248,7 +250,7 @@ pub struct LeafKindCost {
     /// scalar sampling (`false`). The same kind can appear twice — once
     /// per path — when a network mixes tagged and closure leaves.
     pub vectorized: bool,
-    /// Distinct `FillLeaf` instructions aggregated.
+    /// Distinct leaf instructions aggregated.
     pub instrs: usize,
     /// Summed column elements produced.
     pub elems: u64,

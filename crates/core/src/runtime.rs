@@ -40,7 +40,7 @@ use crate::context::SampleContext;
 use crate::error::{Error, NotAnalyticError};
 use crate::exact::{self, BoolLaw, ScalarLaw};
 use crate::kernel::Kernel;
-use crate::node::{NodeId, NodeInfo};
+use crate::node::NodeId;
 #[cfg(feature = "obs")]
 use crate::obs::{DecisionTrace, Dispatch, KernelProfile, Recorder, StoppingReason, TracePoint};
 use crate::uncertain::{Uncertain, Value};
@@ -929,7 +929,7 @@ impl Session {
                 {
                     self.exact_analyses += 1;
                 }
-                let verdict = exact::analyze_bool(&(cond.node().clone() as Arc<dyn NodeInfo>));
+                let verdict = exact::analyze_bool(&**cond.node());
                 self.cache.note_exact_bool(id, verdict);
                 verdict
             }
@@ -946,7 +946,7 @@ impl Session {
                 {
                     self.exact_analyses += 1;
                 }
-                let verdict = exact::analyze_f64(&(u.node().clone() as Arc<dyn NodeInfo>));
+                let verdict = exact::analyze_f64(&**u.node());
                 self.cache.note_exact_f64(id, verdict);
                 verdict
             }
@@ -1031,7 +1031,7 @@ impl Session {
         let kernel = self.cached_kernel(u)?;
         self.joint_samples += n as u64;
         let mut q = self.seeds.begin_query();
-        Some(kernel.profiled_run(n, || q.next()))
+        Some(kernel.profiled_run(n, || q.next(), &u.network()))
     }
 
     /// The paper's `E` operator: the mean of `n` joint samples — or the

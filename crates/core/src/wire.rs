@@ -40,11 +40,10 @@
 //! survives the round trip.
 
 use crate::error::WireError;
+use crate::graph::{post_order, ChildOrder};
 use crate::kernel::{BinOp, BoolOp, CmpOp, Map2Tag, MapTag, UnOp};
-use crate::node::{NodeId, NodeInfo};
+use crate::node::NodeInfo;
 use crate::uncertain::Uncertain;
-use std::collections::HashMap;
-use std::sync::Arc;
 use uncertain_dist::{Bernoulli, Beta, DistSpec, Exponential, Gaussian, Rayleigh, Uniform};
 
 /// What a node means on the wire — the serializable summary each node
@@ -132,7 +131,7 @@ impl WireGraph {
     /// format cannot express (opaque leaf, bind, encapsulation, prior,
     /// conditioning, untagged operator).
     pub fn from_f64(u: &Uncertain<f64>) -> Result<Self, WireError> {
-        Self::encode_root(&(u.node().clone() as Arc<dyn NodeInfo>), false)
+        Self::encode_root(&**u.node(), false)
     }
 
     /// Encodes a `bool`-valued graph (the shape of every conditional).
@@ -141,43 +140,32 @@ impl WireGraph {
     ///
     /// [`WireError::Unsupported`] as for [`WireGraph::from_f64`].
     pub fn from_bool(u: &Uncertain<bool>) -> Result<Self, WireError> {
-        Self::encode_root(&(u.node().clone() as Arc<dyn NodeInfo>), true)
+        Self::encode_root(&**u.node(), true)
     }
 
-    fn encode_root(root: &Arc<dyn NodeInfo>, root_is_bool: bool) -> Result<Self, WireError> {
+    fn encode_root(root: &dyn NodeInfo, root_is_bool: bool) -> Result<Self, WireError> {
         let mut nodes: Vec<WireNode> = Vec::new();
-        let mut index: HashMap<NodeId, u32> = HashMap::new();
-        // Iterative post-order DFS (same walk as `NetworkView::capture`):
-        // children are emitted before their parent, shared nodes once.
-        let mut stack: Vec<(Arc<dyn NodeInfo>, bool)> = vec![(root.clone(), false)];
-        while let Some((node, expanded)) = stack.pop() {
-            let id = node.id();
-            if index.contains_key(&id) {
-                continue;
-            }
-            if expanded {
+        // Children are emitted before their parent and shared nodes once,
+        // right child first: that order numbers the nodes, so it is part
+        // of the format (server cache keys, `NodeId` minting on decode).
+        post_order(
+            root,
+            ChildOrder::RightFirst,
+            |_| Ok(()),
+            |node, kids, _| {
                 let op = node
                     .wire_op()
                     .ok_or_else(|| WireError::Unsupported(node.label()))?;
-                let kids: Vec<u32> = node.children().iter().map(|c| index[&c.id()]).collect();
-                let wn = match op {
+                nodes.push(match op {
                     WireOp::Leaf(s) => WireNode::Leaf(s),
                     WireOp::PointF64(x) => WireNode::PointF64(x),
                     WireOp::PointBool(b) => WireNode::PointBool(b),
-                    WireOp::Map(t) => WireNode::Map(t, kids[0]),
-                    WireOp::Map2(t) => WireNode::Map2(t, kids[0], kids[1]),
-                };
-                index.insert(id, nodes.len() as u32);
-                nodes.push(wn);
-            } else {
-                stack.push((node.clone(), true));
-                for child in node.children() {
-                    if !index.contains_key(&child.id()) {
-                        stack.push((child, false));
-                    }
-                }
-            }
-        }
+                    WireOp::Map(t) => WireNode::Map(t, kids[0] as u32),
+                    WireOp::Map2(t) => WireNode::Map2(t, kids[0] as u32, kids[1] as u32),
+                });
+                Ok(())
+            },
+        )?;
         debug_assert_eq!(
             nodes.last().map(WireNode::is_bool),
             Some(root_is_bool),
@@ -774,17 +762,33 @@ mod tests {
         (0..n).map(|_| s.sample(u)).collect()
     }
 
-    fn roundtrip_f64(u: &Uncertain<f64>) -> Uncertain<f64> {
+    /// Encodes, decodes, and checks that the decoded graph encodes to the
+    /// same bytes again; returns the bytes and the decoded graph.
+    fn roundtrip_f64(u: &Uncertain<f64>) -> (Vec<u8>, Uncertain<f64>) {
         let bytes = WireGraph::from_f64(u).unwrap().to_bytes();
-        WireGraph::from_bytes(&bytes).unwrap().decode_f64().unwrap()
+        let rebuilt = WireGraph::from_bytes(&bytes).unwrap().decode_f64().unwrap();
+        let again = WireGraph::from_f64(&rebuilt).unwrap().to_bytes();
+        assert_eq!(bytes, again, "re-encoding the decoded graph moved bytes");
+        (bytes, rebuilt)
     }
 
-    fn roundtrip_bool(u: &Uncertain<bool>) -> Uncertain<bool> {
+    fn roundtrip_bool(u: &Uncertain<bool>) -> (Vec<u8>, Uncertain<bool>) {
         let bytes = WireGraph::from_bool(u).unwrap().to_bytes();
-        WireGraph::from_bytes(&bytes)
+        let rebuilt = WireGraph::from_bytes(&bytes)
             .unwrap()
             .decode_bool()
-            .unwrap()
+            .unwrap();
+        let again = WireGraph::from_bool(&rebuilt).unwrap().to_bytes();
+        assert_eq!(bytes, again, "re-encoding the decoded graph moved bytes");
+        (bytes, rebuilt)
+    }
+
+    /// 64-bit FNV-1a, to pin encoded bytes in a test without spelling
+    /// them out.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     #[test]
@@ -793,7 +797,7 @@ mod tests {
         let fix_err = Uncertain::rayleigh(4.0).unwrap();
         let speed = (&fix_err + &Uncertain::rayleigh(3.0).unwrap()) / 5.0;
         let query = speed.gt(1.2);
-        let rebuilt = roundtrip_bool(&query);
+        let (_, rebuilt) = roundtrip_bool(&query);
         assert_eq!(
             samples_bool(&query, 42, 256),
             samples_bool(&rebuilt, 42, 256)
@@ -805,7 +809,7 @@ mod tests {
         // x - x == 0 exactly, iff the decoder preserves sharing.
         let x = Uncertain::normal(0.0, 10.0).unwrap();
         let diff = &x - &x;
-        let rebuilt = roundtrip_f64(&diff);
+        let (_, rebuilt) = roundtrip_f64(&diff);
         let g = WireGraph::from_f64(&diff).unwrap();
         assert_eq!(g.node_count(), 2, "x emitted once, minus once");
         for bits in samples_f64(&rebuilt, 7, 64) {
@@ -827,8 +831,12 @@ mod tests {
                 .atan()
                 .to_radians()
                 .to_degrees();
-        let rebuilt = roundtrip_f64(&expr);
+        let (bytes, rebuilt) = roundtrip_f64(&expr);
         assert_eq!(samples_f64(&expr, 3, 128), samples_f64(&rebuilt, 3, 128));
+        // The node order is part of the format: the server keys its
+        // decoded-graph cache on these bytes, and the decoder mints node
+        // ids in this order.
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (290, 0x0d0d_87ff_edc7_4e9c));
     }
 
     #[test]
@@ -839,8 +847,10 @@ mod tests {
         let big = a.max_u(&b).min_u(&a).atan2(&b).ge(0.0);
         let small = a.lt(&b) | a.eq_exact(&b) | a.ne_exact(&b) | a.le(&b);
         let q = (&big & &small) ^ (!&flag) ^ Uncertain::point(true);
-        let rebuilt = roundtrip_bool(&q);
+        let (bytes, rebuilt) = roundtrip_bool(&q);
         assert_eq!(samples_bool(&q, 99, 256), samples_bool(&rebuilt, 99, 256));
+        // Pinned like `all_distributions_and_scalar_ops_roundtrip`'s.
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (208, 0x597e_0d17_7a07_e4e0));
     }
 
     #[test]

@@ -147,6 +147,33 @@ fn session_kernel_profile_attributes_cost_across_the_gps_network() {
     for kind in ["Rayleigh", "Uniform"] {
         assert!(kinds.iter().any(|k| k == kind), "{kind} missing: {kinds:?}");
     }
+    // Every instruction is labelled with its own node's label, and the
+    // optimized tape's mnemonics are pinned: each fix's two leaves and
+    // destination latitude, then the longitudes, the haversine and the
+    // scaling to mph.
+    let network = speed.network();
+    for instr in &profile.instrs {
+        let node = network
+            .node(instr.node)
+            .expect("profiled node is in the network");
+        assert_eq!(instr.label, node.label, "instruction {instr:?}");
+    }
+    let fix = [
+        "leaf_vec", "unary", "unary", "unary", "leaf_vec", "unary", "unary", "binary", "unary",
+        "muladd", "unary",
+    ];
+    let rest = [
+        "binary", "unary", "unary", "unary", "unary", "binary", "unary", "binary", "unary",
+        "unary", "binary", "binary", "unary", "unary", "binary", "unary", "unary", "binary",
+        "binary", "unary", "binary", "unary", "unary", "binary", "binary", "muladd", "unary",
+        "unary", "unary", "unary", "unary",
+    ];
+    let ops: Vec<&str> = profile.instrs.iter().map(|i| i.op).collect();
+    assert_eq!(ops, [&fix[..], &fix[..], &rest[..]].concat());
+    assert_eq!(
+        (profile.pre_opt_instrs, profile.post_opt_instrs()),
+        (56, 53)
+    );
     // The profile consumed exactly the seeds an unprofiled batch of N
     // rows would: the stream continues bit for bit.
     let mut plain = Session::sequential(9);
