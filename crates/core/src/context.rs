@@ -87,6 +87,15 @@ impl SampleContext {
         SampleContext::from_seed(self.rng.gen())
     }
 
+    /// Turns `sub` into the next [`fork`](Self::fork) of this context:
+    /// re-seeds it from this context's stream and clears its memo, keeping
+    /// the memo's allocation. A loop that forks once per iteration can
+    /// refork one context instead and draw the same bits.
+    pub(crate) fn refork(&mut self, sub: &mut SampleContext) {
+        sub.reseed(self.rng.gen());
+        sub.begin_joint_sample();
+    }
+
     /// Starts the next joint sample: clears the memo table while keeping
     /// its allocation, so one context draws many joint samples of the same
     /// network.
@@ -144,6 +153,20 @@ mod tests {
         let xa: u64 = a.rng().next_u64();
         let xb: u64 = b.rng().next_u64();
         assert_eq!(xa, xb);
+    }
+
+    #[test]
+    fn refork_matches_fork() {
+        let mut a = SampleContext::from_seed(5);
+        let mut b = SampleContext::from_seed(5);
+        let mut sub = SampleContext::from_seed(0);
+        sub.store(NodeId::fresh(), 1_u8);
+        for _ in 0..3 {
+            a.refork(&mut sub);
+            let mut fresh = b.fork();
+            assert!(sub.memo.is_empty(), "a refork starts with an empty memo");
+            assert_eq!(sub.rng().next_u64(), fresh.rng().next_u64());
+        }
     }
 
     #[test]

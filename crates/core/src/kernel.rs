@@ -19,7 +19,10 @@
 //!   `Vec<bool>`, or `Vec<T>` for opaque values), one per instruction.
 //!   Because emission is post-order, an instruction's destination index is
 //!   strictly greater than its sources' — `split_at_mut` gives the
-//!   disjoint mutable/shared views without unsafe code.
+//!   disjoint mutable/shared views without unsafe code. The columns live
+//!   in a [`KernelState`] the session keeps and every run refits to its
+//!   tape, and a tape runs [`Kernel::chunk`] rows per pass: 256 KiB of
+//!   8-byte registers, within 128–4096 rows.
 //! * **Leaves** fill their column from per-sample RNGs seeded exactly as
 //!   the tree-walk seeds each joint sample (from the session's query
 //!   stream), and instructions consume each sample's RNG in exactly the
@@ -47,13 +50,20 @@ use rand::SeedableRng;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Rows evaluated per column pass when [`Kernel::run`] streams a large
-/// batch in chunks: big enough that per-chunk setup amortizes to nothing,
-/// small enough that register columns stay cache- and memory-friendly for
-/// thousand-node tapes.
-pub(crate) const KERNEL_CHUNK: usize = 4096;
+/// Bytes of register columns one pass over a chunk of rows may span
+/// ([`Kernel::chunk`]). It bounds the scratch a session keeps between
+/// queries, not only the working set of one pass.
+const CHUNK_BYTES: usize = 256 * 1024;
+
+/// Fewest rows per column pass, for tapes past 256 registers: shorter
+/// passes pay the per-instruction dispatch on too few rows.
+const MIN_CHUNK: usize = 128;
+
+/// Most rows per column pass, for tapes of a few registers.
+const MAX_CHUNK: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Operation tags
@@ -422,6 +432,24 @@ impl Col {
         }
     }
 
+    /// Empties this register and makes it a column of `T`s with room for
+    /// `rows` rows, reserved exactly. A column that already holds `T`s
+    /// keeps its buffer, capacity included; telling costs a type
+    /// comparison, not an allocation.
+    fn fit<T: Value>(&mut self, rows: usize) {
+        let holds = match self {
+            Col::F64(_) => TypeId::of::<T>() == TypeId::of::<f64>(),
+            Col::Bool(_) => TypeId::of::<T>() == TypeId::of::<bool>(),
+            Col::Other(v) => (**v).is::<Vec<T>>(),
+        };
+        if !holds {
+            *self = Col::of::<T>();
+        }
+        let v = self.typed_mut::<T>();
+        v.clear();
+        v.reserve_exact(rows);
+    }
+
     fn f64s(&self) -> &[f64] {
         let Col::F64(v) = self else {
             panic!("{MISTYPED}")
@@ -479,8 +507,9 @@ impl Col {
 /// as data. The node implements it itself, so an instruction points at
 /// its node and lowering one costs a reference count, not an allocation.
 pub(crate) trait Opaque: Send + Sync {
-    /// An empty column of the node's value type.
-    fn new_col(&self) -> Col;
+    /// Fits `col` to hold `rows` rows of the node's value type
+    /// ([`Col::fit`]).
+    fn fit(&self, col: &mut Col, rows: usize);
 
     /// Writes `n` rows to `out` from the operand columns `args` (left to
     /// right), or, for a leaf, from the rows' RNGs.
@@ -492,8 +521,8 @@ pub(crate) trait Opaque: Send + Sync {
 }
 
 impl<T: Value> Opaque for LeafNode<T> {
-    fn new_col(&self) -> Col {
-        Col::of::<T>()
+    fn fit(&self, col: &mut Col, rows: usize) {
+        col.fit::<T>(rows);
     }
 
     fn fill(&self, _: &[&Col], out: &mut Col, rngs: &mut [SmallRng], n: usize) {
@@ -523,8 +552,8 @@ impl<T: Value> Opaque for LeafNode<T> {
 }
 
 impl<T: Value> Opaque for PointNode<T> {
-    fn new_col(&self) -> Col {
-        Col::of::<T>()
+    fn fit(&self, col: &mut Col, rows: usize) {
+        col.fit::<T>(rows);
     }
 
     fn fill(&self, _: &[&Col], out: &mut Col, _: &mut [SmallRng], n: usize) {
@@ -539,8 +568,8 @@ impl<T: Value> Opaque for PointNode<T> {
 }
 
 impl<A: Value, T: Value> Opaque for MapNode<A, T> {
-    fn new_col(&self) -> Col {
-        Col::of::<T>()
+    fn fit(&self, col: &mut Col, rows: usize) {
+        col.fit::<T>(rows);
     }
 
     fn fill(&self, args: &[&Col], out: &mut Col, _: &mut [SmallRng], n: usize) {
@@ -556,8 +585,8 @@ impl<A: Value, T: Value> Opaque for MapNode<A, T> {
 }
 
 impl<A: Value, B: Value, T: Value> Opaque for Map2Node<A, B, T> {
-    fn new_col(&self) -> Col {
-        Col::of::<T>()
+    fn fit(&self, col: &mut Col, rows: usize) {
+        col.fit::<T>(rows);
     }
 
     fn fill(&self, args: &[&Col], out: &mut Col, _: &mut [SmallRng], n: usize) {
@@ -632,18 +661,21 @@ pub(crate) enum Instr {
 }
 
 impl Instr {
-    /// An empty column of this instruction's output type.
-    fn new_col(&self) -> Col {
+    /// Fits `col` to hold `rows` rows of this instruction's output type
+    /// ([`Col::fit`]).
+    fn fit(&self, col: &mut Col, rows: usize) {
         match self {
-            Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => f.new_col(),
+            Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => {
+                f.fit(col, rows)
+            }
             Instr::ConstBool(_) | Instr::Cmp(..) | Instr::Bool(..) | Instr::Not(_) => {
-                Col::Bool(Vec::new())
+                col.fit::<bool>(rows)
             }
             Instr::ConstF64(_)
             | Instr::Un(..)
             | Instr::Bin(..)
             | Instr::MulAdd { .. }
-            | Instr::MulKAdd { .. } => Col::F64(Vec::new()),
+            | Instr::MulKAdd { .. } => col.fit::<f64>(rows),
         }
     }
 
@@ -810,8 +842,9 @@ pub(crate) fn lower_map2<A: Value, B: Value, T: Value>(
 /// instruction tape whose instructions also say what column each
 /// register holds.
 ///
-/// A kernel is immutable and shareable (`Send + Sync`); per-thread scratch
-/// lives in a [`KernelState`].
+/// A kernel is immutable and shareable (`Send + Sync`); the scratch it
+/// runs in is a [`KernelState`], which one session keeps for all its
+/// kernels.
 pub(crate) struct Kernel<T> {
     instrs: Vec<Instr>,
     /// The network node each instruction computes. Profiles look its
@@ -822,6 +855,9 @@ pub(crate) struct Kernel<T> {
     /// Tape length as lowered, before the optimizer ran.
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     pre_opt_len: usize,
+    /// This tape's number, unique in the process: a scratch already
+    /// fitted to it needs no refit ([`KernelState::fit`]).
+    tape: u64,
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -834,19 +870,84 @@ impl<T> std::fmt::Debug for Kernel<T> {
     }
 }
 
-/// The mutable scratch of one kernel executor: the register columns and
-/// the per-sample RNGs. Reused across batches so steady-state SPRT runs
-/// stop allocating.
+/// The scratch a tape runs in: the register columns and the per-row RNGs.
+///
+/// A session keeps one and runs every kernel query in it, whatever tape
+/// the query runs: [`Kernel::run`] refits it to its tape, so a query on a
+/// cached kernel allocates nothing here. Between queries a session keeps
+/// only the last tape's registers, each with room for the largest pass a
+/// tape has run in it, which is at most that tape's
+/// [`chunk`](Kernel::chunk). An empty scratch (`default`) is where a
+/// sharded worker starts.
+#[derive(Default)]
 pub(crate) struct KernelState {
     regs: Vec<Col>,
     rngs: Vec<SmallRng>,
+    /// The tape ([`Kernel::tape`]) the registers are fitted to, and the
+    /// rows each has room for.
+    fitted: Option<(u64, usize)>,
 }
+
+/// Numbers every tape lowered in the process ([`Kernel::tape`]).
+static TAPES: AtomicU64 = AtomicU64::new(0);
 
 impl std::fmt::Debug for KernelState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelState")
             .field("regs", &self.regs.len())
             .finish()
+    }
+}
+
+impl KernelState {
+    /// Refits the scratch to tape number `tape`, `instrs`, for passes of
+    /// up to `rows` rows: a register whose column already holds its
+    /// instruction's type keeps its buffer, any other is retyped, and
+    /// registers past the tape are dropped. A scratch last fitted to the
+    /// same tape for as many rows is left as it is.
+    fn fit(&mut self, tape: u64, instrs: &[Instr], rows: usize) {
+        if matches!(self.fitted, Some((t, r)) if t == tape && r >= rows) {
+            return;
+        }
+        self.fitted = Some((tape, rows));
+        self.regs.truncate(instrs.len());
+        self.regs.resize_with(instrs.len(), || Col::F64(Vec::new()));
+        for (instr, col) in instrs.iter().zip(&mut self.regs) {
+            instr.fit(col, rows);
+        }
+        self.rngs.clear();
+        self.rngs.reserve_exact(rows);
+    }
+
+    /// Seeds the RNGs of the next `take` rows from the query stream.
+    fn seed_rows(&mut self, take: usize, next_seed: &mut impl FnMut() -> u64) {
+        self.rngs.clear();
+        self.rngs
+            .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
+    }
+
+    /// Drops the rows of registers that hold neither `f64` nor `bool`:
+    /// such values can own memory, and a session keeps buffers between
+    /// queries, not values.
+    fn drop_values(&mut self, instrs: &[Instr]) {
+        for (instr, col) in instrs.iter().zip(&mut self.regs) {
+            if let Col::Other(_) = col {
+                instr.fit(col, 0);
+            }
+        }
+    }
+
+    /// Bytes of column buffer the `f64` and `bool` registers hold.
+    #[cfg(test)]
+    pub(crate) fn scalar_column_bytes(&self) -> usize {
+        self.regs
+            .iter()
+            .map(|col| match col {
+                Col::F64(v) => v.capacity() * std::mem::size_of::<f64>(),
+                Col::Bool(v) => v.capacity(),
+                Col::Other(_) => 0,
+            })
+            .sum()
     }
 }
 
@@ -903,6 +1004,9 @@ impl<T: Value> Kernel<T> {
             nodes,
             root,
             pre_opt_len: root + 1,
+            // The optimizer rewrites the tape in place before anything
+            // runs it, so the number stays this tape's.
+            tape: TAPES.fetch_add(1, Ordering::Relaxed),
             _marker: PhantomData,
         })
     }
@@ -1157,18 +1261,21 @@ impl<T: Value> Kernel<T> {
         self.root = map[self.root];
     }
 
-    /// Allocates an empty register file + RNG scratch for this kernel.
-    pub(crate) fn new_state(&self) -> KernelState {
-        KernelState {
-            regs: self.instrs.iter().map(Instr::new_col).collect(),
-            rngs: Vec::new(),
-        }
+    /// Rows per column pass: as many as fit [`CHUNK_BYTES`] of 8-byte
+    /// registers, clamped to [`MIN_CHUNK`]`..=`[`MAX_CHUNK`].
+    fn chunk(&self) -> usize {
+        (CHUNK_BYTES / (8 * self.instrs.len())).clamp(MIN_CHUNK, MAX_CHUNK)
     }
 
-    /// Runs the tape over `n` rows and **appends** the root column to
-    /// `out`. Row `i`'s RNG is seeded with the `i`-th `next_seed()`, exactly
-    /// as the tree-walk reseeds per joint sample; rows run a
-    /// [`KERNEL_CHUNK`] at a time, pulling seeds in row order.
+    /// Runs the tape over `n` rows in `state` and **appends** the root
+    /// column to `out`. Row `i`'s RNG is seeded with the `i`-th
+    /// `next_seed()`, exactly as the tree-walk reseeds per joint sample;
+    /// rows run a [`chunk`](Self::chunk) at a time, pulling seeds in row
+    /// order.
+    ///
+    /// `state` is first refitted to this tape ([`KernelState`]), so it may
+    /// come from any earlier run, of this tape or another: a run on a
+    /// scratch that already fits allocates nothing but `out`'s growth.
     pub(crate) fn run(
         &self,
         n: usize,
@@ -1176,15 +1283,13 @@ impl<T: Value> Kernel<T> {
         state: &mut KernelState,
         out: &mut Vec<T>,
     ) {
-        debug_assert_eq!(state.regs.len(), self.instrs.len());
+        let chunk = self.chunk();
+        state.fit(self.tape, &self.instrs, n.min(chunk));
         out.reserve(n);
         let mut done = 0;
         while done < n {
-            let take = KERNEL_CHUNK.min(n - done);
-            state.rngs.clear();
-            state
-                .rngs
-                .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
+            let take = chunk.min(n - done);
+            state.seed_rows(take, &mut next_seed);
             for (i, instr) in self.instrs.iter().enumerate() {
                 instr.run(&mut state.regs, i, &mut state.rngs, take);
             }
@@ -1192,14 +1297,15 @@ impl<T: Value> Kernel<T> {
             out.extend_from_slice(&root[..take]);
             done += take;
         }
+        state.drop_values(&self.instrs);
     }
 
-    /// Profiles `n` rows of the tape: runs it in [`KERNEL_CHUNK`]-row
-    /// chunks, seeding each row with the next `next_seed()`, with a
-    /// wall-clock timer around every instruction's column pass, and
-    /// reports the exclusive per-instruction costs. The rows draw exactly
-    /// the values an unprofiled [`run`](Self::run) over the same seeds
-    /// would; only wall time changes.
+    /// Profiles `n` rows of the tape: runs it in `state` a
+    /// [`chunk`](Self::chunk) at a time, seeding each row with the next
+    /// `next_seed()`, with a wall-clock timer around every instruction's
+    /// column pass, and reports the exclusive per-instruction costs. The
+    /// rows draw exactly the values an unprofiled [`run`](Self::run) over
+    /// the same seeds would; only wall time changes.
     ///
     /// `network` is the network this kernel was lowered from: each
     /// instruction's label is its node's label there. The tape carries
@@ -1209,17 +1315,16 @@ impl<T: Value> Kernel<T> {
         &self,
         n: usize,
         mut next_seed: impl FnMut() -> u64,
+        state: &mut KernelState,
         network: &crate::graph::NetworkView,
     ) -> crate::obs::KernelProfile {
-        let mut state = self.new_state();
+        let chunk = self.chunk();
+        state.fit(self.tape, &self.instrs, n.min(chunk));
         let mut ns = vec![0u64; self.instrs.len()];
         let mut done = 0;
         while done < n {
-            let take = KERNEL_CHUNK.min(n - done);
-            state.rngs.clear();
-            state
-                .rngs
-                .extend((0..take).map(|_| SmallRng::seed_from_u64(next_seed())));
+            let take = chunk.min(n - done);
+            state.seed_rows(take, &mut next_seed);
             for (i, instr) in self.instrs.iter().enumerate() {
                 let start = std::time::Instant::now();
                 instr.run(&mut state.regs, i, &mut state.rngs, take);
@@ -1227,6 +1332,7 @@ impl<T: Value> Kernel<T> {
             }
             done += take;
         }
+        state.drop_values(&self.instrs);
         let samples = n as u64;
         crate::obs::KernelProfile {
             instrs: self
@@ -1261,8 +1367,8 @@ mod tests {
 
     fn run<T: Value>(k: &Kernel<T>, seed: u64, n: usize) -> Vec<T> {
         let mut seeds = (0..n as u64).map(|i| sample_seed(seed, i));
-        let mut out = Vec::new();
-        k.run(n, || seeds.next().unwrap(), &mut k.new_state(), &mut out);
+        let (mut state, mut out) = (KernelState::default(), Vec::new());
+        k.run(n, || seeds.next().unwrap(), &mut state, &mut out);
         out
     }
 

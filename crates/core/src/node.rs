@@ -675,19 +675,21 @@ impl<T: Value> NodeInfo for WeightedNode<T> {
 
 impl<T: Value> WeightedNode<T> {
     /// One sampling–importance–resampling draw: a pool of `candidates`
-    /// draws in forked sub-contexts, resampled by one draw from this
-    /// context's RNG (the pool is redrawn while every weight is zero).
+    /// draws, each in its own fork of this context, resampled by one draw
+    /// from this context's RNG (the pool is redrawn while every weight is
+    /// zero). One sub-context is reforked for every candidate.
     fn draw(&self, ctx: &mut SampleContext) -> T {
         /// If every candidate in a pool has zero weight, redraw the pool up
         /// to this many times before falling back to an unweighted draw.
         const ZERO_WEIGHT_ROUNDS: usize = 8;
         let mut pool = Vec::with_capacity(self.candidates);
         let mut weights = Vec::with_capacity(self.candidates);
+        let mut sub = SampleContext::from_seed(0);
         for _ in 0..ZERO_WEIGHT_ROUNDS {
             pool.clear();
             weights.clear();
             for _ in 0..self.candidates {
-                let mut sub = ctx.fork();
+                ctx.refork(&mut sub);
                 let v = self.inner.sample_value(&mut sub);
                 let raw = (self.weight)(&v);
                 pool.push(v);
@@ -789,10 +791,11 @@ impl<T: Value> NodeInfo for ConditionedNode<T> {
 
 impl<T: Value> ConditionedNode<T> {
     /// One rejection-sampling draw: each try samples the inner network in
-    /// a fresh forked sub-context.
+    /// its own fork of this context (one sub-context, reforked per try).
     fn draw(&self, ctx: &mut SampleContext) -> T {
+        let mut sub = SampleContext::from_seed(0);
         for _ in 0..self.max_tries {
-            let mut sub = ctx.fork();
+            ctx.refork(&mut sub);
             let v = self.inner.sample_value(&mut sub);
             if (self.predicate)(&v) {
                 return v;

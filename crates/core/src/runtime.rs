@@ -22,7 +22,10 @@
 //!   thread-count-invariant;
 //! * the **worker pool** used by batched sampling — a configured worker
 //!   count whose scoped threads shard large batches without changing a
-//!   single sampled value.
+//!   single sampled value;
+//! * the **kernel scratch** — one register file that every kernel batch,
+//!   decision and profile on the session runs in, refitted to each tape,
+//!   so a query on a cached kernel allocates only its answer.
 //!
 //! Root `NodeId` is a sound cache key because node ids are process-wide
 //! unique (never reused) and networks are immutable once built: a root id
@@ -39,7 +42,7 @@ use crate::condition::{EvalConfig, EvalStrategy, HypothesisOutcome, Provenance, 
 use crate::context::SampleContext;
 use crate::error::{Error, NotAnalyticError};
 use crate::exact::{self, BoolLaw, ScalarLaw};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelState};
 use crate::node::NodeId;
 #[cfg(feature = "obs")]
 use crate::obs::{DecisionTrace, Dispatch, KernelProfile, Recorder, StoppingReason, TracePoint};
@@ -87,35 +90,32 @@ enum Exec<T> {
 }
 
 impl<T: Value> Exec<T> {
-    /// Draws `n` joint samples, seeding row `i` with the `i`-th
-    /// `next_seed()`. Both executors pull seeds in row order and draw the
-    /// same bits; `ctx` is the tree-walk's scratch context.
+    /// Draws `n` joint samples and appends them to `out`, seeding row `i`
+    /// with the `i`-th `next_seed()`. Both executors pull seeds in row
+    /// order and draw the same bits; `ctx` is the tree-walk's scratch and
+    /// `state` the kernel's.
     fn rows(
         &self,
         n: usize,
         ctx: &mut SampleContext,
+        state: &mut KernelState,
         mut next_seed: impl FnMut() -> u64,
-    ) -> Vec<T> {
+        out: &mut Vec<T>,
+    ) {
         match self {
-            Exec::Kernel(k) => {
-                let mut out = Vec::new();
-                k.run(n, next_seed, &mut k.new_state(), &mut out);
-                out
-            }
-            Exec::Tree(u) => (0..n)
-                .map(|_| {
-                    ctx.reseed(next_seed());
-                    tree_walk(u, ctx)
-                })
-                .collect(),
+            Exec::Kernel(k) => k.run(n, next_seed, state, out),
+            Exec::Tree(u) => out.extend((0..n).map(|_| {
+                ctx.reseed(next_seed());
+                tree_walk(u, ctx)
+            })),
         }
     }
 
     /// Draws rows `0..n` of the index-seeded query `substream` on `threads`
     /// scoped workers, each running [`Exec::rows`] over one contiguous
-    /// range. Row `i` is seeded `sample_seed(substream, i)` whichever
-    /// worker draws it, so the result is bitwise identical for any worker
-    /// count.
+    /// range in an empty scratch of its own. Row `i` is seeded
+    /// `sample_seed(substream, i)` whichever worker draws it, so the result
+    /// is bitwise identical for any worker count.
     fn rows_sharded(&self, substream: u64, n: usize, threads: usize) -> Vec<T> {
         let chunk = n.div_ceil(threads).max(1);
         let mut out = Vec::with_capacity(n);
@@ -126,8 +126,15 @@ impl<T: Value> Exec<T> {
                     let len = chunk.min(n - lo);
                     scope.spawn(move || {
                         let mut seeds = (lo as u64..).map(|i| sample_seed(substream, i));
-                        let mut ctx = SampleContext::from_seed(0);
-                        self.rows(len, &mut ctx, || seeds.next().unwrap())
+                        let mut rows = Vec::new();
+                        self.rows(
+                            len,
+                            &mut SampleContext::from_seed(0),
+                            &mut KernelState::default(),
+                            || seeds.next().unwrap(),
+                            &mut rows,
+                        );
+                        rows
                     })
                 })
                 .collect();
@@ -501,7 +508,11 @@ pub struct Session {
     seeds: SeedPolicy,
     threads: usize,
     config: EvalConfig,
+    /// The tree-walk's scratch context.
     ctx: SampleContext,
+    /// The kernel scratch every kernel query on this session runs in:
+    /// batches, SPRT decisions and profiles, whatever tape they run.
+    kernel: KernelState,
     joint_samples: u64,
     /// Queries answered by the analytic backend with zero samples
     /// ([`Session::exact_hits`]).
@@ -567,6 +578,7 @@ impl Session {
             threads: 1,
             config: EvalConfig::default(),
             ctx: SampleContext::from_seed(0),
+            kernel: KernelState::default(),
             joint_samples: 0,
             exact_hits: 0,
             cached_test: None,
@@ -774,9 +786,11 @@ impl Session {
         self.cache.entries.remove(&root).is_some()
     }
 
-    /// Drops every cached entry, keeping the counters.
+    /// Drops every cached entry and the kernel scratch, keeping the
+    /// counters.
     pub fn clear_cache(&mut self) {
         self.cache.entries.clear();
+        self.kernel = KernelState::default();
     }
 
     /// The session's stream position: how many queries it has answered.
@@ -965,7 +979,11 @@ impl Session {
             Some(substream) if self.threads > 1 && n >= PAR_MIN_BATCH => {
                 exec.rows_sharded(substream, n, self.threads)
             }
-            _ => exec.rows(n, &mut self.ctx, || q.next()),
+            _ => {
+                let mut out = Vec::new();
+                exec.rows(n, &mut self.ctx, &mut self.kernel, || q.next(), &mut out);
+                out
+            }
         }
     }
 
@@ -1031,7 +1049,7 @@ impl Session {
         let kernel = self.cached_kernel(u)?;
         self.joint_samples += n as u64;
         let mut q = self.seeds.begin_query();
-        Some(kernel.profiled_run(n, || q.next(), &u.network()))
+        Some(kernel.profiled_run(n, || q.next(), &mut self.kernel, &u.network()))
     }
 
     /// The paper's `E` operator: the mean of `n` joint samples — or the
@@ -1277,25 +1295,17 @@ impl Session {
         let mut points: Vec<TracePoint> = Vec::new();
         #[cfg(feature = "obs")]
         let mut traced_successes: u64 = 0;
-        let ctx = &mut self.ctx;
+        let (ctx, state) = (&mut self.ctx, &mut self.kernel);
         let mut q = self.seeds.begin_query();
         let mut drawn = 0usize;
-        // A kernel decision reuses one register file and one bool buffer
-        // across every batch, counting successes straight off the root
-        // column.
-        let mut state = None;
+        // Every batch runs in the session's scratch and refills one bool
+        // buffer, counting successes straight off it.
         let mut batch: Vec<bool> = Vec::new();
         let outcome = test.run_counted_while(
             |take| {
                 drawn += take;
-                match &exec {
-                    Exec::Kernel(k) => {
-                        batch.clear();
-                        let state = state.get_or_insert_with(|| k.new_state());
-                        k.run(take, || q.next(), state, &mut batch);
-                    }
-                    Exec::Tree(_) => batch = exec.rows(take, ctx, || q.next()),
-                }
+                batch.clear();
+                exec.rows(take, ctx, state, || q.next(), &mut batch);
                 let successes = batch.iter().filter(|&&b| b).count() as u64;
                 #[cfg(feature = "obs")]
                 if tracing {
@@ -1760,6 +1770,28 @@ mod tests {
             s.evaluate(&expr.gt(0.0), 0.5);
             assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
         }
+    }
+
+    #[test]
+    fn the_kept_kernel_scratch_is_bounded_by_the_chunk() {
+        // After a large batch on a long chain, and then on a speed-sized
+        // tape, the session keeps at most 256 KiB of columns, or 128 rows
+        // of every register on a tape past 256 registers.
+        let kept_at_most = |registers: usize| (256 << 10).max(128 * registers * 8);
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let chain = deep_chain(&x, 1500);
+        let speed_sized = deep_chain(&x, 52);
+        let mut s = Session::seeded(12);
+        s.samples(&chain, 10_000);
+        let after_chain = s.kernel.scalar_column_bytes();
+        assert!(after_chain > 0, "the scratch outlives the query");
+        assert!(after_chain <= kept_at_most(1501), "{after_chain} B kept");
+        s.samples(&speed_sized, 2_000);
+        let after_speed = s.kernel.scalar_column_bytes();
+        assert!(after_speed > 0);
+        assert!(after_speed <= kept_at_most(53), "{after_speed} B kept");
+        s.clear_cache();
+        assert_eq!(s.kernel.scalar_column_bytes(), 0, "clear_cache releases it");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! tree-walk reference interpreter **bitwise**: identical sample streams
 //! (compared through `f64::to_bits`, so NaN propagation must match too),
 //! identical SPRT decisions, across batch splits, chunk boundaries, and
-//! worker thread counts.
+//! worker thread counts, and whatever other tapes the session's one
+//! kernel scratch ran before.
 //!
 //! The oracle is [`Session::sample`] on a `Session::sequential(seed)`
 //! stream: each call tree-walks one joint sample and consumes one seed,
@@ -136,8 +137,44 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 /// The oracle: `n` tree-walk draws of `net` on a fresh
 /// `Session::sequential(seed)`.
 fn tree_walk<T: Value>(net: &Uncertain<T>, seed: u64, n: usize) -> Vec<T> {
-    let mut session = Session::sequential(seed);
+    tree_rows(&mut Session::sequential(seed), net, n)
+}
+
+/// `n` tree-walk draws of `net` on `session`, the oracle for one `n`-row
+/// batch query on a second session at the same stream position.
+fn tree_rows<T: Value>(session: &mut Session, net: &Uncertain<T>, n: usize) -> Vec<T> {
     (0..n).map(|_| session.sample(net)).collect()
+}
+
+/// Rows per kernel chunk of `net`'s tape: 256 KiB of 8-byte registers,
+/// within 128–4096 rows, read off the tape's profile.
+#[cfg(feature = "obs")]
+fn chunk_rows<T: Value>(net: &Uncertain<T>) -> usize {
+    let registers = Session::seeded(0)
+        .kernel_profile(net, 0)
+        .expect("the root lowers")
+        .instrs
+        .len();
+    (256 * 1024 / (8 * registers)).clamp(128, 4096)
+}
+
+/// Without the profiler, the largest chunk: three of them span at least
+/// three of any tape's chunks.
+#[cfg(not(feature = "obs"))]
+fn chunk_rows<T: Value>(_: &Uncertain<T>) -> usize {
+    4096
+}
+
+/// A tape of about 300 registers, past the 256 at which 256 KiB holds
+/// 128 rows, so it runs at the 128-row floor: a running sum over 100
+/// fresh leaves with a lift per step.
+fn floor_tape() -> Uncertain<f64> {
+    let mut acc = Uncertain::normal(0.0, 1.0).unwrap();
+    for i in 0..100 {
+        let leaf = Uncertain::uniform(-1.0, i as f64).unwrap();
+        acc = (acc * 0.5 + leaf).sin();
+    }
+    acc
 }
 
 /// `n` rows of `net` drawn on a fresh `Session::sequential(seed)` as two
@@ -221,20 +258,73 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A session runs all its kernel queries in one scratch register file,
+    /// refitted to each tape. Interleaving `f64`, `bool` and pair roots of
+    /// different tape lengths — one-row queries, a batch of three chunks
+    /// between two short queries, and an SPRT decision — on one
+    /// `Session::sequential(seed)` draws exactly the tree-walk stream of
+    /// the same queries on a second one.
+    #[test]
+    fn one_session_interleaves_many_kernels_bitwise(
+        fexpr in f_expr(),
+        bexpr in b_expr(),
+        threshold in 0.1f64..0.9,
+        seed in 0u64..10_000,
+    ) {
+        let f = build_f(&fexpr);
+        let b = build_b(&bexpr);
+        // A root of neither `f64` nor `bool`: the pair `probability_given`
+        // draws, over a tape longer than either side's.
+        let pair = f.gt(0.0).zip(&b);
+        let big = 3 * chunk_rows(&f) + 7;
+        let cfg = EvalConfig::default();
+        let mut kernel = Session::sequential(seed);
+        let mut tree = Session::sequential(seed);
+
+        prop_assert_eq!(kernel.samples(&b, 1), tree_rows(&mut tree, &b, 1));
+        prop_assert_eq!(
+            bits(&kernel.samples(&f, big)),
+            bits(&tree_rows(&mut tree, &f, big))
+        );
+        let outcome = kernel.try_evaluate(&b, threshold, &cfg).unwrap();
+        let test = SequentialTest::with_params(
+            threshold, cfg.delta, cfg.alpha, cfg.beta, cfg.batch, cfg.max_samples,
+        ).unwrap();
+        let reference = test.run_batched(|k| tree_rows(&mut tree, &b, k));
+        prop_assert_eq!(outcome.samples, reference.samples);
+        prop_assert_eq!(outcome.estimate.to_bits(), reference.estimate.to_bits());
+        prop_assert_eq!(kernel.samples(&pair, 1), tree_rows(&mut tree, &pair, 1));
+        prop_assert_eq!(
+            bits(&kernel.samples(&f, 1)),
+            bits(&tree_rows(&mut tree, &f, 1))
+        );
+        prop_assert_eq!(kernel.samples(&pair, 300), tree_rows(&mut tree, &pair, 300));
+        prop_assert_eq!(
+            bits(&kernel.samples(&f, 5)),
+            bits(&tree_rows(&mut tree, &f, 5))
+        );
+        prop_assert_eq!(kernel.cache_stats().entries, 3, "every root lowered");
+    }
+}
+
+proptest! {
     // These cases draw thousands of samples each; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batch draws that straddle the kernel's internal 4096-sample chunk
-    /// boundary — sliced into uneven batch queries — still reproduce the
-    /// tree-walk stream exactly.
+    /// Batch draws that straddle the kernel's chunk boundaries — three
+    /// chunks and more of the tape, sliced into uneven batch queries —
+    /// still reproduce the tree-walk stream exactly.
     #[test]
     fn chunk_boundary_slicing_cannot_move_the_stream(
         expr in f_expr(),
         cut in 1usize..4096,
         seed in 0u64..1000,
     ) {
-        let n = 4096 + 513;
         let net = build_f(&expr);
+        let n = 3 * chunk_rows(&net) + 513;
+        let cut = cut % n;
         let reference = tree_walk(&net, seed, n);
 
         let mut session = Session::sequential(seed);
@@ -242,6 +332,22 @@ proptest! {
         got.extend(session.samples(&net, n - cut));
         prop_assert_eq!(session.cache_stats().entries, 1, "the root lowered");
 
+        prop_assert_eq!(bits(&reference), bits(&got));
+    }
+
+    /// The same at the 128-row floor of a long tape.
+    #[test]
+    fn chunk_boundaries_at_the_row_floor_cannot_move_the_stream(
+        cut in 1usize..4096,
+        seed in 0u64..1000,
+    ) {
+        let net = floor_tape();
+        #[cfg(feature = "obs")]
+        prop_assert_eq!(chunk_rows(&net), 128, "the tape runs at the floor");
+        let n = 3 * chunk_rows(&net) + 41;
+        let cut = cut % n;
+        let reference = tree_walk(&net, seed, n);
+        let got = split_batches(&net, seed, n, cut);
         prop_assert_eq!(bits(&reference), bits(&got));
     }
 
@@ -404,16 +510,17 @@ proptest! {
     // Chunk-straddling cases draw ~4.6k samples each; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Vectorized fills that straddle the kernel's 4096-row chunk
-    /// boundary — with the draw split at an arbitrary point — cannot
-    /// diverge from the scalar stream.
+    /// Vectorized fills that straddle the kernel's chunk boundaries —
+    /// three chunks and more, with the draw split at an arbitrary point —
+    /// cannot diverge from the scalar stream.
     #[test]
     fn vectorized_fill_survives_chunk_boundaries(
         dist in vec_dist(),
         cut in 1usize..4096,
         seed in 0u64..1000,
     ) {
-        let n = 4096 + 513;
+        let n = 3 * chunk_rows(&dist.vectorized()) + 513;
+        let cut = cut % n;
         let reference = Session::sequential(seed).samples(&dist.scalar(), n);
         let got = split_batches(&dist.vectorized(), seed, n, cut);
         prop_assert_eq!(bits(&reference), bits(&got));
