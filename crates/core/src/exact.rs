@@ -1,9 +1,10 @@
 //! Analytic recognition of tractable subgraphs — the zero-sample backend.
 //!
 //! The SPRT machinery spends thousands of draws deciding conditionals that
-//! have closed forms. This module walks the node DAG through the same
-//! type-erased surface the wire codec uses ([`NodeInfo::wire_op`] +
-//! [`NodeInfo::children`]) and recognizes two families:
+//! have closed forms. This module reads the node DAG in the vocabulary
+//! kernel lowering and the wire encoder read ([`NodeInfo::op`]), in one
+//! iterative [`post_order`] pass that derives each node's form from its
+//! operands' forms, and recognizes two families:
 //!
 //! * **Bernoulli/boolean evidence chains** — `&`/`|`/`^`/`!` over Bernoulli
 //!   leaves and point masses whose branches touch *disjoint* leaf sets.
@@ -25,18 +26,19 @@
 //!
 //! Everything else — opaque closures, `flat_map`, conditioning,
 //! non-affine operators over non-constant operands — is *declined*
-//! (`None`), and the caller falls back to the sampling path bitwise
-//! unchanged. The analysis never guesses: a returned law is exact (or an
-//! exact moment match), not an approximation of convenience.
+//! (`None`), as is a graph whose analysis would pass a fixed work budget,
+//! and the caller falls back to the sampling path bitwise unchanged. The
+//! analysis never guesses: a returned law is exact (or an exact moment
+//! match), not an approximation of convenience.
 //!
 //! Verdicts are cached per root `NodeId` in the session's plan cache,
-//! beside the kernel tapes (mirroring the `no_tape` memo), so the walk
-//! runs once per graph, not once per query.
+//! in the same per-root memo as its "does not lower" verdicts, so the
+//! pass runs once per graph, not once per query.
 
+use crate::graph::{post_order, ChildOrder};
 use crate::kernel::{BinOp, BoolOp, CmpOp, Map2Tag, MapTag, UnOp};
-use crate::node::{NodeId, NodeInfo};
-use crate::wire::WireOp;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::node::{IdMap, NodeId, NodeInfo, Op};
+use std::collections::{BTreeMap, BTreeSet};
 use uncertain_dist::{Continuous, DistSpec, Gaussian};
 
 /// How an exact answer was obtained — carried in
@@ -107,15 +109,24 @@ impl ScalarLaw {
     }
 }
 
-/// Recursion budget for the analysis walk: graphs deeper than this
-/// decline to the sampling path rather than risk the stack.
-const MAX_ANALYSIS_DEPTH: usize = 2500;
+/// Work budget of one analysis pass, in form entries (an affine form's
+/// coefficients, an event's leaves). Deriving a node's form takes time,
+/// and the form space, within a small multiple of one entry plus its
+/// operands' entries; each node is charged that sum before its form is
+/// derived, and a pass past the budget declines to sampling. Every form
+/// lives until the pass ends: without the budget a left-deep sum of `n`
+/// distinct leaves, or a conjunction of `n` Bernoulli clauses, would
+/// build and hold `n(n+1)/2` entries. The budget admits such chains up
+/// to 2 500 links (3.13 million entries).
+const MAX_ANALYSIS_WORK: usize = 3 << 20;
 
 /// Analyzes a `bool`-rooted DAG; `None` means "not analytically
 /// tractable — sample it".
 pub(crate) fn analyze_bool(root: &dyn NodeInfo) -> Option<BoolLaw> {
     let mut a = Analyzer::default();
-    let event = a.event_of(root, 0)?;
+    let Form::Event(event) = a.run(root)? else {
+        return None;
+    };
     let method = if a.used_gaussian {
         ExactMethod::GaussianCdf
     } else {
@@ -131,7 +142,9 @@ pub(crate) fn analyze_bool(root: &dyn NodeInfo) -> Option<BoolLaw> {
 /// law; `None` means "not analytically tractable — sample it".
 pub(crate) fn analyze_f64(root: &dyn NodeInfo) -> Option<ScalarLaw> {
     let mut a = Analyzer::default();
-    let aff = a.affine_of(root, 0)?;
+    let Form::Affine(aff) = a.run(root)? else {
+        return None;
+    };
     let (mean, variance) = a.moments(&aff)?;
     let gaussian = aff.coeffs.keys().all(|id| a.leaves[id].gaussian);
     Some(ScalarLaw {
@@ -311,13 +324,28 @@ impl GaussAtom {
     }
 }
 
+/// What the analysis knows about one node: an `f64` node's affine form,
+/// or a `bool` node's event.
+enum Form {
+    Affine(Affine),
+    Event(Event),
+}
+
+impl Form {
+    /// The form's entries: an affine form's coefficients, an event's
+    /// leaves (a Gaussian atom holds one coefficient per leaf besides).
+    fn entries(&self) -> usize {
+        match self {
+            Form::Affine(a) => a.coeffs.len(),
+            Form::Event(e) => e.leaves.len(),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Analyzer {
     /// Moments of every leaf seen so far, by node id.
-    leaves: HashMap<NodeId, LeafMoments>,
-    /// Affine forms already derived, by node id — shared subexpressions
-    /// analyze once (the DAG encodes sharing by identity).
-    affine_memo: HashMap<NodeId, Option<Affine>>,
+    leaves: IdMap<LeafMoments>,
     /// Whether any normal-CDF reduction fired (method attribution).
     used_gaussian: bool,
 }
@@ -346,39 +374,71 @@ impl Analyzer {
             .sum()
     }
 
-    /// Derives the affine form of an `f64`-valued node, or declines.
-    fn affine_of(&mut self, node: &dyn NodeInfo, depth: usize) -> Option<Affine> {
-        if depth > MAX_ANALYSIS_DEPTH {
-            return None;
-        }
-        let id = node.id();
-        if let Some(memo) = self.affine_memo.get(&id) {
-            return memo.clone();
-        }
-        let result = self.affine_of_uncached(node, depth);
-        self.affine_memo.insert(id, result.clone());
-        result
+    /// The root's form, from one [`post_order`] pass that derives every
+    /// reachable node's form once (a shared node is analyzed once, however
+    /// many parents read it), or `None` at the first node outside the
+    /// analytic fragment or past [`MAX_ANALYSIS_WORK`]. The pass is
+    /// iterative, so depth costs no stack.
+    fn run(&mut self, root: &dyn NodeInfo) -> Option<Form> {
+        let mut forms: Vec<Form> = Vec::new();
+        let mut work = 0;
+        post_order(
+            root,
+            ChildOrder::LeftFirst,
+            |node| match node.op() {
+                Some(Op::Leaf(None) | Op::Opaque) | None => Err(()),
+                Some(_) => Ok(()),
+            },
+            |node, operands, _| {
+                work += 1 + operands.iter().map(|&i| forms[i].entries()).sum::<usize>();
+                if work > MAX_ANALYSIS_WORK {
+                    return Err(());
+                }
+                let form = self.form(node, operands, &forms).ok_or(())?;
+                forms.push(form);
+                Ok(())
+            },
+        )
+        .ok()?;
+        // Post-order visits the root last.
+        forms.pop()
     }
 
-    fn affine_of_uncached(&mut self, node: &dyn NodeInfo, depth: usize) -> Option<Affine> {
-        let aff = match node.wire_op()? {
-            WireOp::Leaf(spec) => {
-                let m = leaf_moments(spec)?;
-                self.leaves.insert(node.id(), m);
-                Affine::leaf(node.id())
+    /// The form of `node` from its operands' (their post-order positions
+    /// in `forms`), or `None` when the node declines.
+    fn form(&mut self, node: &dyn NodeInfo, operands: &[usize], forms: &[Form]) -> Option<Form> {
+        let affine = |k: usize| match &forms[operands[k]] {
+            Form::Affine(a) => Some(a),
+            Form::Event(_) => None,
+        };
+        let event = |k: usize| match &forms[operands[k]] {
+            Form::Event(e) => Some(e),
+            Form::Affine(_) => None,
+        };
+        let form = match node.op()? {
+            Op::Leaf(Some(DistSpec::Bernoulli { p })) => {
+                if !(0.0..=1.0).contains(&p) {
+                    return None;
+                }
+                Form::Event(Event {
+                    p,
+                    leaves: BTreeSet::from([node.id()]),
+                    gauss: None,
+                })
             }
-            WireOp::PointF64(x) => Affine::constant(x),
-            WireOp::PointBool(_) => return None,
-            WireOp::Map(MapTag::NotBool) => return None,
-            WireOp::Map(MapTag::F64(op)) => {
-                let [child, _] = node.children();
-                let child = self.affine_of(child?, depth + 1)?;
-                if let Some(k) = child.as_constant() {
+            Op::Leaf(Some(spec)) => {
+                self.leaves.insert(node.id(), leaf_moments(spec)?);
+                Form::Affine(Affine::leaf(node.id()))
+            }
+            Op::PointF64(x) => Form::Affine(Affine::constant(x)),
+            Op::PointBool(b) => Form::Event(Event::constant(if b { 1.0 } else { 0.0 })),
+            Op::Map(MapTag::F64(op)) => {
+                let child = affine(0)?;
+                Form::Affine(match child.as_constant() {
                     // Any tagged unary folds over a constant — the scalar
                     // `apply` twin is the loop body the kernel would run.
-                    Affine::constant(op.apply(k))
-                } else {
-                    match op {
+                    Some(k) => Affine::constant(op.apply(k)),
+                    None => match op {
                         UnOp::Neg => child.scaled(-1.0),
                         UnOp::AddK(k) => child.shifted(k),
                         UnOp::SubK(k) => child.shifted(-k),
@@ -388,77 +448,42 @@ impl Analyzer {
                         UnOp::ToRadians => child.scaled(std::f64::consts::PI / 180.0),
                         UnOp::ToDegrees => child.scaled(180.0 / std::f64::consts::PI),
                         _ => return None,
-                    }
-                }
+                    },
+                })
             }
-            WireOp::Map2(Map2Tag::F64(op)) => {
-                let [l, r] = node.children();
-                let a = self.affine_of(l?, depth + 1)?;
-                let b = self.affine_of(r?, depth + 1)?;
-                match (a.as_constant(), b.as_constant()) {
+            Op::Map(MapTag::NotBool) => Form::Event(event(0)?.complement()),
+            Op::Map2(Map2Tag::F64(op)) => {
+                let (a, b) = (affine(0)?, affine(1)?);
+                Form::Affine(match (a.as_constant(), b.as_constant()) {
                     (Some(x), Some(y)) => Affine::constant(op.apply(x, y)),
-                    _ => match op {
-                        BinOp::Add => a.combined(&b, 1.0),
-                        BinOp::Sub => a.combined(&b, -1.0),
-                        BinOp::Mul => match (a.as_constant(), b.as_constant()) {
+                    (x, y) => match op {
+                        BinOp::Add => a.combined(b, 1.0),
+                        BinOp::Sub => a.combined(b, -1.0),
+                        BinOp::Mul => match (x, y) {
                             (Some(x), None) => b.scaled(x),
                             (None, Some(y)) => a.scaled(y),
                             // Products of non-constant forms are not
                             // affine (and not Gaussian).
                             _ => return None,
                         },
-                        BinOp::Div => match b.as_constant() {
-                            Some(y) => a.scaled(1.0 / y),
-                            None => return None,
-                        },
+                        BinOp::Div => a.scaled(1.0 / y?),
                         _ => return None,
                     },
-                }
+                })
             }
-            WireOp::Map2(Map2Tag::Cmp(_) | Map2Tag::Bool(_)) => return None,
+            Op::Map2(Map2Tag::Cmp(op)) => {
+                Form::Event(self.comparison_event(op, affine(0)?, affine(1)?)?)
+            }
+            Op::Map2(Map2Tag::Bool(op)) => {
+                Form::Event(self.connective_event(op, event(0)?, event(1)?)?)
+            }
+            Op::Leaf(None) | Op::Opaque => return None,
         };
-        aff.is_finite().then_some(aff)
-    }
-
-    /// Derives the event description of a `bool`-valued node, or declines.
-    fn event_of(&mut self, node: &dyn NodeInfo, depth: usize) -> Option<Event> {
-        if depth > MAX_ANALYSIS_DEPTH {
-            return None;
-        }
-        let event = match node.wire_op()? {
-            WireOp::Leaf(DistSpec::Bernoulli { p }) => {
-                if !(0.0..=1.0).contains(&p) {
-                    return None;
-                }
-                let mut leaves = BTreeSet::new();
-                leaves.insert(node.id());
-                Event {
-                    p,
-                    leaves,
-                    gauss: None,
-                }
-            }
-            WireOp::Leaf(_) | WireOp::PointF64(_) | WireOp::Map(MapTag::F64(_)) => return None,
-            WireOp::PointBool(b) => Event::constant(if b { 1.0 } else { 0.0 }),
-            WireOp::Map(MapTag::NotBool) => {
-                let [child, _] = node.children();
-                self.event_of(child?, depth + 1)?.complement()
-            }
-            WireOp::Map2(Map2Tag::Cmp(op)) => {
-                let [l, r] = node.children();
-                let a = self.affine_of(l?, depth + 1)?;
-                let b = self.affine_of(r?, depth + 1)?;
-                self.comparison_event(op, &a, &b)?
-            }
-            WireOp::Map2(Map2Tag::Bool(op)) => {
-                let [l, r] = node.children();
-                let a = self.event_of(l?, depth + 1)?;
-                let b = self.event_of(r?, depth + 1)?;
-                self.connective_event(op, a, b)?
-            }
-            WireOp::Map2(Map2Tag::F64(_)) => return None,
+        let finite = match &form {
+            Form::Affine(a) => a.is_finite(),
+            Form::Event(e) => e.p.is_finite(),
         };
-        event.p.is_finite().then_some(event)
+        finite.then_some(form)
     }
 
     /// The event `[a op b]` for affine `a`, `b` — a constant when the
@@ -504,11 +529,11 @@ impl Analyzer {
     }
 
     /// Combines two recognized events through a boolean connective.
-    fn connective_event(&mut self, op: BoolOp, a: Event, b: Event) -> Option<Event> {
+    fn connective_event(&mut self, op: BoolOp, a: &Event, b: &Event) -> Option<Event> {
         // Constant operands short-circuit *before* the disjointness
         // check so they absorb/pass the other side with its atom intact
         // (e.g. `true & cmp` can still pair with a correlated sibling).
-        for (konst, other) in [(&a, &b), (&b, &a)] {
+        for (konst, other) in [(a, b), (b, a)] {
             if konst.leaves.is_empty() && (konst.p == 0.0 || konst.p == 1.0) {
                 let t = konst.p == 1.0;
                 return Some(match (op, t) {
@@ -609,7 +634,11 @@ fn phi2(h: f64, k: f64, rho: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::{EvalConfig, EvalStrategy, Provenance};
+    use crate::error::Error;
+    use crate::runtime::Session;
     use crate::uncertain::Uncertain;
+    use crate::wire::WireGraph;
 
     fn law_of_bool(u: &Uncertain<bool>) -> Option<BoolLaw> {
         analyze_bool(&**u.node())
@@ -727,5 +756,153 @@ mod tests {
         let law = law_of_f64(&b).expect("beta leaf");
         assert!((law.mean - 2.0 / 7.0).abs() < 1e-12);
         assert!((law.variance - 10.0 / (49.0 * 8.0)).abs() < 1e-12);
+    }
+
+    /// The evidence conditional of `tests/exact_calibration.rs` and
+    /// perfbench (159 nodes at `n = 50`): affine chains over two shared
+    /// Gaussian leaves, compared and conjoined, so the conjunction of two
+    /// correlated comparisons takes the Φ₂ path.
+    fn evidence_chain(n: usize) -> Uncertain<bool> {
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let y = Uncertain::normal(1.0, 2.0).unwrap();
+        let mut left = x.clone();
+        let mut right = y.clone();
+        for _ in 0..n {
+            left = left + &x;
+            right = right * 0.99 + &y;
+        }
+        let a = left.lt(&(right + 40.0 + 8.0 * n as f64));
+        let b = (&x + &y).gt(-10.0);
+        &a & &b
+    }
+
+    #[test]
+    fn answers_keep_their_bits() {
+        // Each answer's bits as built, then after a wire round trip
+        // (encode, bytes, parse, decode). The decoder mints node ids in
+        // wire order, and the sums over leaves run in id order, so the
+        // two are pinned separately.
+        let x = Uncertain::normal(3.0, 2.0).unwrap();
+        let u = Uncertain::normal(0.0, 1.0).unwrap();
+        let v = Uncertain::normal(1.0, 2.0).unwrap();
+        let [a, b, c] = [0.3, 0.6, 0.9].map(|p| Uncertain::<bool>::bernoulli(p).unwrap());
+        let conditions = [
+            evidence_chain(50),
+            (&x * 2.0 + 1.0).lt(7.0),
+            // Correlation 1/√65 between the two comparisons: Φ₂.
+            &(&u + &v).lt(1.5) & &(&u * 3.0 - &v).gt(-0.5),
+            &a & &!(&b & &!&c),
+        ];
+        let p = |u: &Uncertain<bool>| law_of_bool(u).expect("analytic").p.to_bits();
+        let shipped = |u: &Uncertain<bool>| {
+            let bytes = WireGraph::from_bool(u).unwrap().to_bytes();
+            let graph = WireGraph::from_bytes(&bytes).unwrap();
+            p(&graph.decode_bool().unwrap())
+        };
+        assert_eq!(
+            conditions.each_ref().map(|u| [p(u), shipped(u)]),
+            [
+                [0x3fef_fffe_a193_1bb3, 0x3fef_fffe_a193_1bb3],
+                [0x3fe0_0000_0000_0000, 0x3fe0_0000_0000_0000],
+                [0x3fd1_f99c_72f5_1941, 0x3fd1_f99c_72f5_1941],
+                [0x3fd2_0c49_ba5e_3540, 0x3fd2_0c49_ba5e_3540],
+            ]
+        );
+
+        let exponential = uncertain_dist::Exponential::new(2.0).unwrap();
+        let mixed = Uncertain::uniform(0.0, 6.0).unwrap() * 2.0
+            + Uncertain::from_distribution(exponential)
+            + Uncertain::rayleigh(1.5).unwrap();
+        let scalars = [mixed, &u - &u];
+        let moments = |u: &Uncertain<f64>| {
+            let law = law_of_f64(u).expect("analytic");
+            [law.mean.to_bits(), law.variance.to_bits()]
+        };
+        let shipped = |u: &Uncertain<f64>| {
+            let bytes = WireGraph::from_f64(u).unwrap().to_bytes();
+            let graph = WireGraph::from_bytes(&bytes).unwrap();
+            moments(&graph.decode_f64().unwrap())
+        };
+        let mixed_bits = [0x4020_c28b_95fe_2751, 0x402a_6e71_504c_d351];
+        assert_eq!(
+            scalars.each_ref().map(|u| [moments(u), shipped(u)]),
+            [[mixed_bits, mixed_bits], [[0, 0], [0, 0]]]
+        );
+    }
+
+    /// A 3 001-node affine chain over one standard Gaussian that computes
+    /// `x + 500` exactly (each `·2`, `+1`, `·0.5` step is exact in binary
+    /// floating point), with a sine after step `sin_at`, if given.
+    fn deep_chain(sin_at: Option<usize>) -> Uncertain<f64> {
+        let mut c = Uncertain::normal(0.0, 1.0).unwrap();
+        for i in 0..3000 {
+            c = match i % 3 {
+                0 => c * 2.0,
+                1 => c + 1.0,
+                _ => c * 0.5,
+            };
+            if sin_at == Some(i) {
+                c = c.sin();
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn deep_analytic_chains_decide_exactly() {
+        let config = EvalConfig::default().with_strategy(EvalStrategy::ExactOnly);
+        let chain = deep_chain(None);
+        assert_eq!(chain.network().node_count(), 3001);
+        let outcome = Session::seeded(1)
+            .try_evaluate(&chain.lt(501.0), 0.5, &config)
+            .expect("an affine chain is analytic at any depth");
+        assert_eq!(
+            outcome.provenance,
+            Provenance::Exact {
+                method: ExactMethod::GaussianCdf
+            }
+        );
+        // Pr[x + 500 < 501] = Φ(1).
+        assert!((outcome.estimate - phi(1.0)).abs() < 1e-12);
+        // One sine in the chain still declines, and finding it costs no
+        // stack: the pass is iterative.
+        let bent = deep_chain(Some(1500)).lt(501.0);
+        assert!(matches!(
+            Session::seeded(1).try_evaluate(&bent, 0.5, &config),
+            Err(Error::NotAnalytic(_))
+        ));
+    }
+
+    #[test]
+    fn long_chains_of_distinct_leaves_stay_within_the_work_budget() {
+        // A left-deep sum of `n` distinct Gaussian leaves, and a
+        // conjunction of `n` Bernoulli clauses: link `k` derives a form of
+        // `k` entries, so a chain derives `n(n+1)/2`.
+        let sum = |n: usize| {
+            let leaf = || Uncertain::normal(0.0, 1.0).unwrap();
+            (1..n).fold(leaf(), |s, _| s + leaf())
+        };
+        let all = |n: usize| {
+            let clause = || Uncertain::<bool>::bernoulli(0.999).unwrap();
+            (1..n).fold(clause(), |c, _| &c & &clause())
+        };
+        // Chains of 2 500 links still decide.
+        let law = law_of_f64(&sum(2_500)).expect("within budget");
+        assert_eq!((law.mean, law.variance), (0.0, 2_500.0));
+        let law = law_of_bool(&all(2_500)).expect("within budget");
+        assert!((law.p - 0.999f64.powi(2_500)).abs() < 1e-12);
+        // Ten times longer, they would derive 2·10⁸ entries; the pass
+        // declines once it has charged its budget instead. Dropping a
+        // network recurses once per link, which a 20 000-link chain in a
+        // debug build does past a test thread's 2 MiB stack.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || {
+                assert!(law_of_f64(&sum(20_000)).is_none());
+                assert!(law_of_bool(&all(20_000)).is_none());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -43,7 +43,7 @@
 //! reproducible.
 
 use crate::graph::{post_order, ChildOrder};
-use crate::node::{LeafNode, Map2Node, MapNode, NodeId, PointNode};
+use crate::node::{LeafNode, Map2Node, MapNode, NodeId, Op, PointNode};
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -517,7 +517,7 @@ pub(crate) trait Opaque: Send + Sync {
 
     /// The profile mnemonic ([`crate::obs::InstrCost::op`]).
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    fn op(&self) -> &'static str;
+    fn mnemonic(&self) -> &'static str;
 }
 
 impl<T: Value> Opaque for LeafNode<T> {
@@ -540,7 +540,7 @@ impl<T: Value> Opaque for LeafNode<T> {
         }
     }
 
-    fn op(&self) -> &'static str {
+    fn mnemonic(&self) -> &'static str {
         // Vectorized column fills are told apart so the obs layer can
         // report scalar vs. batched leaf cost separately.
         if self.fill_fn().is_some() {
@@ -562,7 +562,7 @@ impl<T: Value> Opaque for PointNode<T> {
         out.extend((0..n).map(|_| self.value().clone()));
     }
 
-    fn op(&self) -> &'static str {
+    fn mnemonic(&self) -> &'static str {
         "point"
     }
 }
@@ -579,7 +579,7 @@ impl<A: Value, T: Value> Opaque for MapNode<A, T> {
         out.extend(a[..n].iter().map(|v| self.apply(v.clone())));
     }
 
-    fn op(&self) -> &'static str {
+    fn mnemonic(&self) -> &'static str {
         "map"
     }
 }
@@ -601,7 +601,7 @@ impl<A: Value, B: Value, T: Value> Opaque for Map2Node<A, B, T> {
         );
     }
 
-    fn op(&self) -> &'static str {
+    fn mnemonic(&self) -> &'static str {
         "map2"
     }
 }
@@ -681,9 +681,11 @@ impl Instr {
 
     /// The profile mnemonic ([`crate::obs::InstrCost::op`]).
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    fn op(&self) -> &'static str {
+    fn mnemonic(&self) -> &'static str {
         match self {
-            Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => f.op(),
+            Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => {
+                f.mnemonic()
+            }
             Instr::ConstF64(_) | Instr::ConstBool(_) => "point",
             Instr::Un(..) => "unary",
             Instr::Bin(..) => "binary",
@@ -781,56 +783,6 @@ impl Instr {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-node lowering (called from the NodeInfo hooks in node.rs)
-// ---------------------------------------------------------------------------
-
-pub(crate) fn lower_map<A: Value, T: Value>(
-    tag: Option<MapTag>,
-    src: usize,
-    this: &dyn Fn() -> Arc<dyn Opaque>,
-) -> Instr {
-    match tag {
-        Some(MapTag::F64(op))
-            if TypeId::of::<A>() == TypeId::of::<f64>()
-                && TypeId::of::<T>() == TypeId::of::<f64>() =>
-        {
-            Instr::Un(op, src)
-        }
-        Some(MapTag::NotBool)
-            if TypeId::of::<A>() == TypeId::of::<bool>()
-                && TypeId::of::<T>() == TypeId::of::<bool>() =>
-        {
-            Instr::Not(src)
-        }
-        _ => Instr::Map(this(), src),
-    }
-}
-
-pub(crate) fn lower_map2<A: Value, B: Value, T: Value>(
-    tag: Option<Map2Tag>,
-    a: usize,
-    b: usize,
-    this: &dyn Fn() -> Arc<dyn Opaque>,
-) -> Instr {
-    let f64_in =
-        TypeId::of::<A>() == TypeId::of::<f64>() && TypeId::of::<B>() == TypeId::of::<f64>();
-    let bool_in =
-        TypeId::of::<A>() == TypeId::of::<bool>() && TypeId::of::<B>() == TypeId::of::<bool>();
-    match tag {
-        Some(Map2Tag::F64(op)) if f64_in && TypeId::of::<T>() == TypeId::of::<f64>() => {
-            Instr::Bin(op, a, b)
-        }
-        Some(Map2Tag::Cmp(op)) if f64_in && TypeId::of::<T>() == TypeId::of::<bool>() => {
-            Instr::Cmp(op, a, b)
-        }
-        Some(Map2Tag::Bool(op)) if bool_in && TypeId::of::<T>() == TypeId::of::<bool>() => {
-            Instr::Bool(op, a, b)
-        }
-        _ => Instr::Map2(this(), a, b),
     }
 }
 
@@ -968,11 +920,12 @@ impl<T: Value> Kernel<T> {
     ///
     /// One [`post_order`] walk, left child first (the order the tree-walk
     /// draws in, so each leaf column consumes every row's RNG exactly when
-    /// the tree-walk would), emits each node's instruction over its
-    /// children's registers. The walk is iterative, so thousand-node
-    /// evidence chains lower safely in debug builds, and it allocates
-    /// nothing per node beyond the tape itself: no label, no list of
-    /// children, no boxed instruction.
+    /// the tree-walk would), maps each node's [`Op`] to its instruction
+    /// over its children's registers, and stops at the first node without
+    /// one. The walk is iterative, so thousand-node evidence chains lower
+    /// safely in debug builds, and it allocates nothing per node beyond
+    /// the tape itself: no label, no list of children, no boxed
+    /// instruction.
     pub(crate) fn lower_raw(network: &Uncertain<T>) -> Option<Self> {
         let root = network.node();
         let mut instrs = Vec::new();
@@ -980,7 +933,7 @@ impl<T: Value> Kernel<T> {
         post_order(
             &**root,
             ChildOrder::LeftFirst,
-            |node| if node.lowers() { Ok(()) } else { Err(()) },
+            |node| node.op().map(|_| ()).ok_or(()),
             |node, operands, parent| {
                 // The pointer a leaf or closure instruction keeps comes
                 // from whoever owns the node: its parent, or the network.
@@ -992,7 +945,21 @@ impl<T: Value> Kernel<T> {
                     .expect("a node that lowers can be pointed at")
                 };
                 nodes.push(node.id());
-                instrs.push(node.lower(operands, &this).ok_or(())?);
+                instrs.push(match node.op().ok_or(())? {
+                    Op::Leaf(_) => Instr::Leaf(this()),
+                    Op::PointF64(x) => Instr::ConstF64(x),
+                    Op::PointBool(b) => Instr::ConstBool(b),
+                    Op::Map(MapTag::F64(op)) => Instr::Un(op, operands[0]),
+                    Op::Map(MapTag::NotBool) => Instr::Not(operands[0]),
+                    Op::Map2(Map2Tag::F64(op)) => Instr::Bin(op, operands[0], operands[1]),
+                    Op::Map2(Map2Tag::Cmp(op)) => Instr::Cmp(op, operands[0], operands[1]),
+                    Op::Map2(Map2Tag::Bool(op)) => Instr::Bool(op, operands[0], operands[1]),
+                    Op::Opaque => match *operands {
+                        [] => Instr::Point(this()),
+                        [a] => Instr::Map(this(), a),
+                        [a, b, ..] => Instr::Map2(this(), a, b),
+                    },
+                });
                 Ok(())
             },
         )
@@ -1347,7 +1314,7 @@ impl<T: Value> Kernel<T> {
                         .expect("every lowered node is in its network")
                         .label
                         .clone(),
-                    op: instr.op(),
+                    op: instr.mnemonic(),
                     elems: samples,
                     ns,
                 })
@@ -1373,7 +1340,7 @@ mod tests {
     }
 
     fn ops<T>(k: &Kernel<T>) -> Vec<&'static str> {
-        k.instrs.iter().map(Instr::op).collect()
+        k.instrs.iter().map(Instr::mnemonic).collect()
     }
 
     fn leaf_count<T>(k: &Kernel<T>) -> usize {

@@ -15,9 +15,9 @@
 //! joint sample.
 
 use crate::context::SampleContext;
-use crate::kernel::{self, Instr, Map2Tag, MapTag, Opaque};
+use crate::kernel::{Map2Tag, MapTag, Opaque};
 use crate::uncertain::{Uncertain, Value};
-use crate::wire::WireOp;
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -83,7 +83,32 @@ impl Hasher for IdHasher {
 /// allocates nor touches a reference count.
 pub(crate) type Children<'a> = [Option<&'a dyn NodeInfo>; 2];
 
-/// Type-erased view of a node: identity, display label, and children.
+/// What a node is: the one vocabulary that kernel lowering, the wire
+/// encoder and the exact backend all read ([`NodeInfo::op`]).
+///
+/// A tag is only reported over the types it names, so every reader can
+/// trust that a `Map(MapTag::F64(_))` maps `f64` to `f64`, a `Cmp` reads
+/// two `f64`s, and so on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    /// A leaf, with the closed-form description of its distribution when
+    /// it has one (which is what makes it wire-expressible and analytic).
+    Leaf(Option<DistSpec>),
+    /// A point mass over `f64`.
+    PointF64(f64),
+    /// A point mass over `bool`.
+    PointBool(bool),
+    /// A tagged unary lift.
+    Map(MapTag),
+    /// A tagged binary lift.
+    Map2(Map2Tag),
+    /// What only the kernel can run, through the node's own code: a point
+    /// mass of another type, or an untagged lift of one or two operands.
+    Opaque,
+}
+
+/// Type-erased view of a node: identity, display label, children, and
+/// what it is.
 ///
 /// This is the surface the graph walks ([`crate::graph::post_order`])
 /// see; it knows nothing about the value type.
@@ -96,21 +121,12 @@ pub(crate) trait NodeInfo: Send + Sync {
     /// terminology; children of the expression tree), left to right.
     fn children(&self) -> Children<'_>;
 
-    /// Whether this node kind can be a tape instruction: leaves, points
-    /// and lifted operators can; the kinds whose sampling needs
-    /// `SampleContext` machinery cannot. The lowering walk asks before it
-    /// descends, so a network that does not lower is rejected at the
-    /// first such node.
-    fn lowers(&self) -> bool {
-        false
-    }
-
-    /// This node's tape instruction, reading its children's registers
-    /// `operands` (left to right), or `None` when it does not lower.
-    /// `this` hands out the kernel's own pointer to the node, which only
-    /// a leaf, a non-scalar point and an untagged closure keep.
-    fn lower(&self, operands: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
-        let _ = (operands, this);
+    /// What this node is, or `None` for the kinds whose sampling needs
+    /// `SampleContext` machinery (bind, encapsulation, priors,
+    /// conditioning): such a node neither lowers to a tape, nor crosses
+    /// the wire, nor has a closed form, so each walk that reads `op`
+    /// stops at the first one.
+    fn op(&self) -> Option<Op> {
         None
     }
 
@@ -120,14 +136,12 @@ pub(crate) trait NodeInfo: Send + Sync {
         let _ = k;
         None
     }
+}
 
-    /// What this node means on the wire, when it is expressible there:
-    /// a closed-form leaf distribution, a point mass over `f64`/`bool`,
-    /// or a tagged lifted operator. `None` marks the node — and therefore
-    /// the whole graph — as not serializable (see [`crate::WireGraph`]).
-    fn wire_op(&self) -> Option<WireOp> {
-        None
-    }
+/// Whether `X` is `Y`: how a lift checks that its tag names its own
+/// operand and value types.
+fn same<X: 'static, Y: 'static>() -> bool {
+    TypeId::of::<X>() == TypeId::of::<Y>()
 }
 
 /// A node that produces values of type `T`.
@@ -229,14 +243,8 @@ impl<T: Value> NodeInfo for LeafNode<T> {
     fn children(&self) -> Children<'_> {
         [None, None]
     }
-    fn lowers(&self) -> bool {
-        true
-    }
-    fn lower(&self, _: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
-        Some(Instr::Leaf(this()))
-    }
-    fn wire_op(&self) -> Option<WireOp> {
-        self.spec.map(WireOp::Leaf)
+    fn op(&self) -> Option<Op> {
+        Some(Op::Leaf(self.spec))
     }
 }
 
@@ -283,29 +291,17 @@ impl<T: Value + fmt::Debug> NodeInfo for PointNode<T> {
     fn children(&self) -> Children<'_> {
         [None, None]
     }
-    fn lowers(&self) -> bool {
-        true
-    }
-    fn lower(&self, _: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
-        // The scalars the wire carries are tape data; any other type
-        // keeps its node and fills its column by cloning the value.
-        Some(match self.wire_op() {
-            Some(WireOp::PointF64(x)) => Instr::ConstF64(x),
-            Some(WireOp::PointBool(b)) => Instr::ConstBool(b),
-            _ => Instr::Point(this()),
+    fn op(&self) -> Option<Op> {
+        // `Value: 'static`, so the constant can be inspected through `Any`.
+        // The two scalar types the tape and the wire hold as data are
+        // data; any other type keeps its node, and only the kernel can
+        // fill its column (by cloning the value).
+        let v: &dyn Any = &self.value;
+        Some(match (v.downcast_ref::<f64>(), v.downcast_ref::<bool>()) {
+            (Some(&x), _) => Op::PointF64(x),
+            (_, Some(&b)) => Op::PointBool(b),
+            _ => Op::Opaque,
         })
-    }
-    fn wire_op(&self) -> Option<WireOp> {
-        // `Value: 'static`, so the constant can be inspected through `Any`;
-        // only the two scalar types the wire format carries are accepted.
-        let v: &dyn std::any::Any = &self.value;
-        if let Some(x) = v.downcast_ref::<f64>() {
-            return Some(WireOp::PointF64(*x));
-        }
-        if let Some(b) = v.downcast_ref::<bool>() {
-            return Some(WireOp::PointBool(*b));
-        }
-        None
     }
 }
 
@@ -374,19 +370,18 @@ impl<A: Value, T: Value> NodeInfo for MapNode<A, T> {
     fn children(&self) -> Children<'_> {
         [Some(&*self.child), None]
     }
-    fn lowers(&self) -> bool {
-        true
-    }
-    fn lower(&self, operands: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
-        Some(kernel::lower_map::<A, T>(self.tag, operands[0], this))
+    fn op(&self) -> Option<Op> {
+        // The tag *is* the closure's meaning over the types it names, so a
+        // tagged map is a column loop, a wire opcode and an affine step;
+        // over any other types the node is its closure.
+        Some(match self.tag {
+            Some(tag @ MapTag::F64(_)) if same::<(A, T), (f64, f64)>() => Op::Map(tag),
+            Some(tag @ MapTag::NotBool) if same::<(A, T), (bool, bool)>() => Op::Map(tag),
+            _ => Op::Opaque,
+        })
     }
     fn child_opaque(&self, _: usize) -> Option<Arc<dyn Opaque>> {
         self.child.clone().as_opaque()
-    }
-    fn wire_op(&self) -> Option<WireOp> {
-        // The tag *is* the closure's meaning (the kernel already relies on
-        // that equivalence), so a tagged map is exactly reconstructible.
-        self.tag.map(WireOp::Map)
     }
 }
 
@@ -465,16 +460,16 @@ impl<A: Value, B: Value, T: Value> NodeInfo for Map2Node<A, B, T> {
         // Left before right: the order `sample_value` draws in.
         [Some(&*self.left), Some(&*self.right)]
     }
-    fn lowers(&self) -> bool {
-        true
-    }
-    fn lower(&self, operands: &[usize], this: &dyn Fn() -> Arc<dyn Opaque>) -> Option<Instr> {
-        Some(kernel::lower_map2::<A, B, T>(
-            self.tag,
-            operands[0],
-            operands[1],
-            this,
-        ))
+    fn op(&self) -> Option<Op> {
+        // As for `MapNode::op`: a tag is only trusted over its own types.
+        Some(match self.tag {
+            Some(tag @ Map2Tag::F64(_)) if same::<(A, B, T), (f64, f64, f64)>() => Op::Map2(tag),
+            Some(tag @ Map2Tag::Cmp(_)) if same::<(A, B, T), (f64, f64, bool)>() => Op::Map2(tag),
+            Some(tag @ Map2Tag::Bool(_)) if same::<(A, B, T), (bool, bool, bool)>() => {
+                Op::Map2(tag)
+            }
+            _ => Op::Opaque,
+        })
     }
     fn child_opaque(&self, k: usize) -> Option<Arc<dyn Opaque>> {
         if k == 0 {
@@ -482,9 +477,6 @@ impl<A: Value, B: Value, T: Value> NodeInfo for Map2Node<A, B, T> {
         } else {
             self.right.clone().as_opaque()
         }
-    }
-    fn wire_op(&self) -> Option<WireOp> {
-        self.tag.map(WireOp::Map2)
     }
 }
 

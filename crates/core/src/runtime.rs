@@ -43,7 +43,7 @@ use crate::context::SampleContext;
 use crate::error::{Error, NotAnalyticError};
 use crate::exact::{self, BoolLaw, ScalarLaw};
 use crate::kernel::{Kernel, KernelState};
-use crate::node::NodeId;
+use crate::node::{IdMap, NodeId};
 #[cfg(feature = "obs")]
 use crate::obs::{DecisionTrace, Dispatch, KernelProfile, Recorder, StoppingReason, TracePoint};
 use crate::uncertain::{Uncertain, Value};
@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use uncertain_stats::{Histogram, SequentialTest, StatsError, Summary, TestDecision};
@@ -319,33 +319,41 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// Upper bound on the no-tape memo ([`PlanCache::no_tape`]). Far above any
-/// realistic number of distinct non-lowerable roots a session sees; if it
+/// Upper bound on the per-root memo ([`PlanCache::verdicts`]). Far above
+/// any realistic number of distinct roots a session learns about; if it
 /// is ever hit the memo resets, which only re-pays one lowering attempt
-/// per root.
-const NO_TAPE_MEMO_CAP: usize = 4096;
+/// or graph analysis per root.
+const VERDICT_MEMO_CAP: usize = 4096;
 
-/// Upper bound on each analytic-verdict memo ([`PlanCache::exact_bool`],
-/// [`PlanCache::exact_f64`]). Same clear-on-overflow policy as the
-/// no-tape memo: hitting the cap only re-pays one graph analysis per root.
-const EXACT_MEMO_CAP: usize = 4096;
+/// What a session has learned about one root besides its kernel. Node ids
+/// name immutable DAGs, so a verdict can never go stale, and none is
+/// subject to the kernels' LRU eviction: a root whose kernel churns out of
+/// the cache keeps its (possibly negative) verdict.
+enum Verdict {
+    /// The root does not lower to a kernel tape: it holds a node whose
+    /// sampling needs `SampleContext`, so it has no closed form either.
+    /// Such a root never becomes an entry, so this is what keeps a
+    /// tree-walk tenant from repeating the (futile) lowering walk on every
+    /// query.
+    NoTape,
+    /// The analytic backend's verdict. Boxed, so that the thousands of
+    /// roots a sampling session only ever fails to lower cost the memo a
+    /// word each.
+    Analyzed(Box<Law>),
+}
+
+/// The analytic backend's verdict on a boolean or a scalar root: `None`
+/// when it declined.
+enum Law {
+    Bool(Option<BoolLaw>),
+    Scalar(Option<ScalarLaw>),
+}
 
 /// LRU cache of lowered kernels, keyed by root [`NodeId`].
 struct PlanCache {
     entries: HashMap<NodeId, CacheEntry>,
-    /// Roots known **not** to lower to a kernel tape. Node ids name
-    /// immutable DAGs, so this verdict can never go stale. Such roots never
-    /// become entries, so this memo is what keeps a tree-walk tenant from
-    /// repeating the (futile) lowering walk on every query.
-    no_tape: HashSet<NodeId>,
-    /// Analytic verdicts for boolean roots: `Some(law)` when the graph
-    /// reduced to a closed form, `None` when the analyzer declined. Like
-    /// `no_tape`, immune to LRU eviction — node ids name immutable DAGs,
-    /// so a verdict can never go stale, and a root whose *kernel* churns
-    /// out of the cache keeps its (possibly negative) analysis verdict.
-    exact_bool: HashMap<NodeId, Option<BoolLaw>>,
-    /// Analytic verdicts for scalar roots, same lifecycle as `exact_bool`.
-    exact_f64: HashMap<NodeId, Option<ScalarLaw>>,
+    /// Per-root verdicts, cleared whole when full.
+    verdicts: IdMap<Verdict>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -357,9 +365,7 @@ impl PlanCache {
     fn new(capacity: usize) -> Self {
         Self {
             entries: HashMap::new(),
-            no_tape: HashSet::new(),
-            exact_bool: HashMap::new(),
-            exact_f64: HashMap::new(),
+            verdicts: IdMap::default(),
             capacity,
             tick: 0,
             hits: 0,
@@ -368,44 +374,13 @@ impl PlanCache {
         }
     }
 
-    /// Whether `id` is memoized as "does not lower to a tape".
-    fn known_no_tape(&self, id: NodeId) -> bool {
-        self.no_tape.contains(&id)
-    }
-
-    /// Memoizes the non-lowerable verdict for `id`.
-    fn note_no_tape(&mut self, id: NodeId) {
-        if self.no_tape.len() >= NO_TAPE_MEMO_CAP {
-            self.no_tape.clear();
+    /// Records root `id`'s verdict, clearing the memo first when it is
+    /// full.
+    fn note(&mut self, id: NodeId, verdict: Verdict) {
+        if self.verdicts.len() >= VERDICT_MEMO_CAP {
+            self.verdicts.clear();
         }
-        self.no_tape.insert(id);
-    }
-
-    /// The memoized analytic verdict for boolean root `id`, if recorded.
-    /// Outer `None` = never analyzed; inner `None` = analyzed, declined.
-    fn known_exact_bool(&self, id: NodeId) -> Option<Option<BoolLaw>> {
-        self.exact_bool.get(&id).copied()
-    }
-
-    /// Memoizes the analytic verdict (positive or negative) for `id`.
-    fn note_exact_bool(&mut self, id: NodeId, verdict: Option<BoolLaw>) {
-        if self.exact_bool.len() >= EXACT_MEMO_CAP {
-            self.exact_bool.clear();
-        }
-        self.exact_bool.insert(id, verdict);
-    }
-
-    /// The memoized analytic verdict for scalar root `id`, if recorded.
-    fn known_exact_f64(&self, id: NodeId) -> Option<Option<ScalarLaw>> {
-        self.exact_f64.get(&id).copied()
-    }
-
-    /// Memoizes the analytic verdict (positive or negative) for `id`.
-    fn note_exact_f64(&mut self, id: NodeId, verdict: Option<ScalarLaw>) {
-        if self.exact_f64.len() >= EXACT_MEMO_CAP {
-            self.exact_f64.clear();
-        }
-        self.exact_f64.insert(id, verdict);
+        self.verdicts.insert(id, verdict);
     }
 
     /// The cached kernel for `id`, bumping the hit counter and LRU stamp.
@@ -890,13 +865,13 @@ impl Session {
             return Some(kernel);
         }
         self.cache.misses += 1;
-        if self.cache.known_no_tape(u.id()) {
+        if matches!(self.cache.verdicts.get(&u.id()), Some(Verdict::NoTape)) {
             return None;
         }
         let kernel = self.timed(|s| s.lower_kernel(u));
         match &kernel {
             Some(k) => self.cache.insert(u.id(), k.clone()),
-            None => self.cache.note_no_tape(u.id()),
+            None => self.cache.note(u.id(), Verdict::NoTape),
         }
         kernel
     }
@@ -914,57 +889,53 @@ impl Session {
 
     /// The closed-form law of a boolean network, if the analytic backend
     /// recognizes it — `Pr[cond]` for Bernoulli evidence chains and
-    /// linear-Gaussian comparisons. Memoized beside the plan cache, so
-    /// repeated probes (and the queries that follow) pay the graph walk
-    /// once per root. Strategy-independent: this reports *recognition*;
-    /// whether a query uses the law is [`EvalConfig::strategy`]'s call.
-    /// Draws nothing and never touches the seed stream.
+    /// linear-Gaussian comparisons. Memoized beside the plan cache,
+    /// negative verdicts included and immune to its eviction, so repeated
+    /// probes (and the queries that follow) pay the graph walk once per
+    /// root. Strategy-independent: this reports *recognition*; whether a
+    /// query uses the law is [`EvalConfig::strategy`]'s call. Draws
+    /// nothing and never touches the seed stream.
     pub fn analyze_bool(&mut self, cond: &Uncertain<bool>) -> Option<BoolLaw> {
-        self.bool_law(cond)
+        match self.cache.verdicts.get(&cond.id()) {
+            Some(Verdict::NoTape) => return None,
+            Some(Verdict::Analyzed(law)) => {
+                if let Law::Bool(law) = **law {
+                    return law;
+                }
+            }
+            None => {}
+        }
+        #[cfg(test)]
+        {
+            self.exact_analyses += 1;
+        }
+        let law = exact::analyze_bool(&**cond.node());
+        let verdict = Verdict::Analyzed(Box::new(Law::Bool(law)));
+        self.cache.note(cond.id(), verdict);
+        law
     }
 
     /// Scalar twin of [`Session::analyze_bool`]: the closed-form moments
     /// (and, for all-Gaussian networks, the full law) of an `f64` network
     /// the analytic backend recognizes.
     pub fn analyze_f64(&mut self, u: &Uncertain<f64>) -> Option<ScalarLaw> {
-        self.scalar_law(u)
-    }
-
-    /// The analytic verdict for a boolean root: analyzed once on first
-    /// sight, then served from the plan cache's eviction-immune memo
-    /// (negative verdicts included, so unrecognized graphs pay the walk
-    /// once, not once per query).
-    fn bool_law(&mut self, cond: &Uncertain<bool>) -> Option<BoolLaw> {
-        let id = cond.node().id();
-        match self.cache.known_exact_bool(id) {
-            Some(verdict) => verdict,
-            None => {
-                #[cfg(test)]
-                {
-                    self.exact_analyses += 1;
+        match self.cache.verdicts.get(&u.id()) {
+            Some(Verdict::NoTape) => return None,
+            Some(Verdict::Analyzed(law)) => {
+                if let Law::Scalar(law) = **law {
+                    return law;
                 }
-                let verdict = exact::analyze_bool(&**cond.node());
-                self.cache.note_exact_bool(id, verdict);
-                verdict
             }
+            None => {}
         }
-    }
-
-    /// Scalar twin of [`Session::bool_law`].
-    fn scalar_law(&mut self, u: &Uncertain<f64>) -> Option<ScalarLaw> {
-        let id = u.node().id();
-        match self.cache.known_exact_f64(id) {
-            Some(verdict) => verdict,
-            None => {
-                #[cfg(test)]
-                {
-                    self.exact_analyses += 1;
-                }
-                let verdict = exact::analyze_f64(&**u.node());
-                self.cache.note_exact_f64(id, verdict);
-                verdict
-            }
+        #[cfg(test)]
+        {
+            self.exact_analyses += 1;
         }
+        let law = exact::analyze_f64(&**u.node());
+        let verdict = Verdict::Analyzed(Box::new(Law::Scalar(law)));
+        self.cache.note(u.id(), verdict);
+        law
     }
 
     // -- queries ----------------------------------------------------------
@@ -1079,7 +1050,7 @@ impl Session {
     pub fn try_e(&mut self, u: &Uncertain<f64>, n: usize) -> Result<f64, Error> {
         assert!(n > 0, "expected value needs at least one sample");
         if self.config.strategy != EvalStrategy::SamplingOnly {
-            if let Some(law) = self.scalar_law(u) {
+            if let Some(law) = self.analyze_f64(u) {
                 // Consume exactly one query index (like every query) while
                 // drawing zero samples, so following queries in a substream
                 // session are bitwise unaffected by the fast path.
@@ -1147,7 +1118,7 @@ impl Session {
         n: usize,
     ) -> Result<StatsOutcome, Error> {
         if self.config.strategy != EvalStrategy::SamplingOnly {
-            match self.scalar_law(u) {
+            match self.analyze_f64(u) {
                 Some(law) if law.gaussian => {
                     let summary = exact_summary(&law, n)?;
                     let _ = self.seeds.begin_query();
@@ -1247,7 +1218,7 @@ impl Session {
             }
         };
         if config.strategy != EvalStrategy::SamplingOnly {
-            if let Some(law) = self.bool_law(cond) {
+            if let Some(law) = self.analyze_bool(cond) {
                 // The analytic fast path: decide in closed form with zero
                 // samples. Like every query (aborted ones included), it
                 // consumes exactly one query index of the seed stream, so

@@ -10,9 +10,10 @@
 //! closure/tape equivalence, and RNG draw order depends only on graph
 //! structure, never on `NodeId` values.
 //!
-//! The same "tape-expressible" subset the kernel lowers is what the wire
-//! can express. Graphs containing opaque closures (`from_fn`), monadic
-//! binds, encapsulation, priors, or conditioning fail to encode with
+//! The encoder reads the node vocabulary the kernel lowers from
+//! ([`Op`]), and carries the part of it that is data. Graphs containing
+//! opaque closures (`from_fn`, untagged lifts), monadic binds,
+//! encapsulation, priors, or conditioning fail to encode with
 //! [`WireError::Unsupported`]; remote callers keep those workloads
 //! in-process.
 //!
@@ -42,27 +43,12 @@
 use crate::error::WireError;
 use crate::graph::{post_order, ChildOrder};
 use crate::kernel::{BinOp, BoolOp, CmpOp, Map2Tag, MapTag, UnOp};
-use crate::node::NodeInfo;
+use crate::node::{NodeInfo, Op};
 use crate::uncertain::Uncertain;
 use uncertain_dist::{Bernoulli, Beta, DistSpec, Exponential, Gaussian, Rayleigh, Uniform};
 
-/// What a node means on the wire — the serializable summary each node
-/// kind advertises through `NodeInfo::wire_op`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum WireOp {
-    /// A leaf with a closed-form distribution.
-    Leaf(DistSpec),
-    /// A point mass over `f64`.
-    PointF64(f64),
-    /// A point mass over `bool`.
-    PointBool(bool),
-    /// A tagged unary lift.
-    Map(MapTag),
-    /// A tagged binary lift.
-    Map2(Map2Tag),
-}
-
-/// One decoded/encodable node with children resolved to indices.
+/// One decoded/encodable node with children resolved to indices: an
+/// [`Op`] the wire can carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WireNode {
     Leaf(DistSpec),
@@ -153,15 +139,17 @@ impl WireGraph {
             ChildOrder::RightFirst,
             |_| Ok(()),
             |node, kids, _| {
-                let op = node
-                    .wire_op()
-                    .ok_or_else(|| WireError::Unsupported(node.label()))?;
-                nodes.push(match op {
-                    WireOp::Leaf(s) => WireNode::Leaf(s),
-                    WireOp::PointF64(x) => WireNode::PointF64(x),
-                    WireOp::PointBool(b) => WireNode::PointBool(b),
-                    WireOp::Map(t) => WireNode::Map(t, kids[0] as u32),
-                    WireOp::Map2(t) => WireNode::Map2(t, kids[0] as u32, kids[1] as u32),
+                nodes.push(match node.op() {
+                    Some(Op::Leaf(Some(s))) => WireNode::Leaf(s),
+                    Some(Op::PointF64(x)) => WireNode::PointF64(x),
+                    Some(Op::PointBool(b)) => WireNode::PointBool(b),
+                    Some(Op::Map(t)) => WireNode::Map(t, kids[0] as u32),
+                    Some(Op::Map2(t)) => WireNode::Map2(t, kids[0] as u32, kids[1] as u32),
+                    // A leaf without a closed form, a node only the kernel
+                    // can run, or one that needs `SampleContext`.
+                    Some(Op::Leaf(None) | Op::Opaque) | None => {
+                        return Err(WireError::Unsupported(node.label()))
+                    }
                 });
                 Ok(())
             },

@@ -1,7 +1,9 @@
 //! The service runtime: shard workers, per-shard session pools, request
 //! execution, and lifecycle (start → drain → shutdown).
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -245,10 +247,22 @@ fn process(
         // `stats_with_provenance`) see the per-request override. Every
         // request sets it, so a previous override never leaks forward.
         session.set_config(eval);
+        let start = session
+            .query_index()
+            .expect("pool sessions are substream-seeded");
+        // The query indices a completed request of this kind consumes.
+        let spent = match &kind {
+            RequestKind::Evaluate { .. } | RequestKind::Pr { .. } => 1,
+            RequestKind::E { n, .. } | RequestKind::Stats { n, .. } => {
+                n.div_ceil(SAMPLE_CHUNK) as u64
+            }
+        };
         let work_started = Instant::now();
         let work_started_ns = if tracer.is_some() { monotonic_ns() } else { 0 };
         let builds_before = session.plan_build_ns();
-        let result = match kind {
+        // User code runs inside (closures, `condition_on`'s rejection
+        // budget), so a request may panic; the shard must outlive it.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| match kind {
             RequestKind::Evaluate { cond, threshold } => {
                 let r = decide(
                     session,
@@ -303,7 +317,7 @@ fn process(
                 stats_request(session, &expr, n, &eval, deadline, stats, &mut tracer)
                     .map(Response::Summary)
             }
-        };
+        }));
         // Split the request's execution time into its compile share
         // (the session counts compile nanoseconds monotonically; the delta
         // is this request's share, 0 on a warm cache) and everything else
@@ -316,6 +330,23 @@ fn process(
             .record(total_ns.saturating_sub(compile_ns));
         if let Some(tr) = tracer.as_mut() {
             tr.compile(work_started_ns, compile_ns);
+        }
+        let panicked = ran.is_err();
+        let result = ran.unwrap_or_else(|payload| {
+            // The trace recorder a traced decision installed goes too.
+            session.take_recorder();
+            Err(ServeError::Invalid(StatsError::new(format!(
+                "request panicked: {}",
+                panic_message(&*payload)
+            ))))
+        });
+        // A request that stops early, timed out or panicked, leaves the
+        // tenant's cursor where a completed one would: its abort point
+        // never leaks into the tenant's later results. Every query reseeds
+        // what it reads (the tree-walk's context each sample, the kernel
+        // scratch each column), so nothing else of a panic outlives it.
+        if panicked || matches!(result, Err(ServeError::Timeout)) {
+            session.resume_at(start + spent);
         }
         result
     };
@@ -369,6 +400,15 @@ fn maybe_audit(
         let mismatch = sampled.conclusive && sampled.accepted != outcome.accepted;
         tr.audit(started, &sampled, mismatch);
     }
+}
+
+/// The message a panic was raised with, when it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
 }
 
 /// Maps a core evaluation error onto the service's wire-expressible error
@@ -512,10 +552,10 @@ fn stats_request(
         .and_then(|samples| Summary::from_slice(&samples).map_err(ServeError::Invalid))
 }
 
-/// Draws `n` joint samples in [`SAMPLE_CHUNK`]-sized queries, checking the
-/// deadline between chunks. Completed or aborted, the session's cursor
-/// ends at `start + ceil(n / SAMPLE_CHUNK)`: the abort point never leaks
-/// into the tenant's later results.
+/// Draws `n` joint samples in [`SAMPLE_CHUNK`]-sized queries, one query
+/// index each, checking the deadline between chunks. On a timeout,
+/// `process` moves the cursor on to where all `ceil(n / SAMPLE_CHUNK)`
+/// chunks would have left it.
 fn chunked_samples(
     session: &mut Session,
     expr: &Uncertain<f64>,
@@ -528,16 +568,11 @@ fn chunked_samples(
             "sample requests need n >= 1",
         )));
     }
-    let start = session
-        .query_index()
-        .expect("pool sessions are substream-seeded");
-    let total_chunks = n.div_ceil(SAMPLE_CHUNK) as u64;
     let mut out = Vec::with_capacity(n);
     let mut remaining = n;
     let mut chunk_index = 0u64;
     while remaining > 0 {
         if expired(deadline) {
-            session.resume_at(start + total_chunks);
             return Err(ServeError::Timeout);
         }
         let take = remaining.min(SAMPLE_CHUNK);

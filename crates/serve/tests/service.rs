@@ -2,6 +2,8 @@
 //! round-trips against reference sessions, backpressure, shutdown
 //! draining, and metrics.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use uncertain_core::{ServeError, Session, Uncertain};
 use uncertain_serve::{tenant_seed, ServeConfig, Service};
@@ -257,4 +259,73 @@ fn tenants_are_isolated_from_each_others_traffic() {
         r
     };
     assert_eq!(quiet, noisy);
+}
+
+#[test]
+fn a_panicking_request_is_invalid_and_its_shard_keeps_serving() {
+    // Each run sends tenant 1 three requests, each followed by probes for
+    // tenants 1 and 2 on the same shard: a traced decision and a
+    // 10 000-sample `e` on a variable whose `condition_on` runs out of its
+    // rejection budget (a panic in the tree-walk), and a 10 000-sample `e`
+    // over an untagged closure that fails on some rows (a panic inside the
+    // kernel). The panicking run's requests panic; its twin's complete.
+    let x = Uncertain::normal(0.0, 1.0).unwrap();
+    let probe = Uncertain::normal(0.05, 1.0).unwrap().gt(0.0);
+    let run = |panics: bool| {
+        let conditioned = x.condition_on(move |_| !panics, 4);
+        let armed = Arc::new(AtomicBool::new(panics));
+        let lifted = {
+            let armed = Arc::clone(&armed);
+            x.map("bounded", move |v| {
+                assert!(
+                    v < 2.0 || !armed.load(Ordering::Relaxed),
+                    "row out of range"
+                );
+                v
+            })
+        };
+        let service = Service::start(ServeConfig::default().with_shards(1).with_seed(21));
+        let client = service.client();
+        let probes = || {
+            [1, 2].map(|tenant| {
+                let decided = client.pr(tenant, &probe, 0.5).unwrap();
+                (decided, client.evaluate(tenant, &probe, 0.5).unwrap())
+            })
+        };
+        let pending = client
+            .submit_evaluate_traced(1, &conditioned.gt(0.0), 0.5, None)
+            .unwrap();
+        let trace_id = pending.trace_id().unwrap();
+        let decision = pending.wait_traced().map(|_| ());
+        let after_decision = probes();
+        let mean = client.e(1, &conditioned, 10_000).map(|_| ());
+        let after_mean = probes();
+        let lifted_mean = client.e(1, &lifted, 10_000).map(|_| ());
+        // The same tape again with the closure disarmed, on the kernel
+        // scratch the panic left fitted to it.
+        armed.store(false, Ordering::Relaxed);
+        let rerun = client.e(1, &lifted, 10_000).unwrap().to_bits();
+        let after_lift = probes();
+        let trace = service.trace(trace_id).map(|t| (t.status, t.error));
+        service.shutdown();
+        (
+            [decision, mean, lifted_mean],
+            trace,
+            rerun,
+            [after_decision, after_mean, after_lift],
+        )
+    };
+
+    let (results, trace, rerun, after_panics) = run(true);
+    for result in results {
+        assert!(matches!(result, Err(ServeError::Invalid(_))), "{result:?}");
+    }
+    assert_eq!(trace, Some(("invalid", true)), "errors are always retained");
+
+    // The same requests completing leave every tenant's stream where the
+    // panicking ones did.
+    let (results, _, rerun_after_completion, after_completions) = run(false);
+    assert_eq!(results, [Ok(()), Ok(()), Ok(())]);
+    assert_eq!(rerun, rerun_after_completion);
+    assert_eq!(after_panics, after_completions);
 }
