@@ -9,18 +9,21 @@
 //! The memo is a `NodeId → Box<dyn Any>` hash map. It also covers nodes
 //! discovered dynamically (e.g. networks produced inside a `flat_map`
 //! closure): a dynamic sub-network that closes over an outer variable reads
-//! the same per-joint-sample value through the same id.
+//! the same per-joint-sample value through the same id. It is hashed by
+//! [`IdHasher`](crate::node::IdHasher), one multiply per key: ids come
+//! from a process-wide counter, and the memo is only looked up, inserted
+//! into and cleared, never iterated, so the hasher cannot change a value
+//! or an order.
 
-use crate::node::NodeId;
+use crate::node::{IdMap, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Evaluation state for one joint sample of a network.
 pub(crate) struct SampleContext {
     rng: SmallRng,
-    memo: HashMap<NodeId, Box<dyn Any + Send>>,
+    memo: IdMap<Box<dyn Any + Send>>,
 }
 
 impl SampleContext {
@@ -28,7 +31,7 @@ impl SampleContext {
     pub(crate) fn from_seed(seed: u64) -> Self {
         Self {
             rng: SmallRng::seed_from_u64(seed),
-            memo: HashMap::new(),
+            memo: IdMap::default(),
         }
     }
 

@@ -108,6 +108,15 @@ pub struct WireGraph {
 
 const WIRE_VERSION: u8 = 1;
 
+/// The deepest graph [`WireGraph::from_bytes`] accepts, counted in nodes
+/// along its longest root-to-leaf path. Dropping a decoded network
+/// recurses once per level, and on a default 2 MiB thread stack that
+/// overflows, aborting the whole process, past about 7 000 levels in a
+/// debug build and 30 000 in release. The bound stays well under both and
+/// more than ten times deeper than any query this repository's tests and
+/// benchmarks send.
+const MAX_WIRE_DEPTH: usize = 4096;
+
 impl WireGraph {
     /// Encodes an `f64`-valued graph.
     ///
@@ -229,7 +238,7 @@ impl WireGraph {
     ///
     /// [`WireError::Truncated`] when the bytes end mid-structure;
     /// [`WireError::Malformed`] for unknown opcodes, out-of-range child
-    /// references, or an empty graph.
+    /// references, an empty graph, or a graph more than 4 096 levels deep.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let version = r.u8()?;
@@ -256,6 +265,11 @@ impl WireGraph {
             )));
         }
         let mut nodes = Vec::with_capacity(count);
+        // Each node's depth, 1 + its deepest child's. A graph of at most
+        // `MAX_WIRE_DEPTH` nodes cannot be deeper than that, so only a
+        // larger one pays for the list.
+        let track_depth = count > MAX_WIRE_DEPTH;
+        let mut depths: Vec<u32> = Vec::with_capacity(if track_depth { count } else { 0 });
         for i in 0..count {
             let child = |idx: u32| -> Result<u32, WireError> {
                 if (idx as usize) < i {
@@ -295,6 +309,19 @@ impl WireGraph {
                 }
                 op => return Err(WireError::Malformed(format!("unknown node opcode {op}"))),
             };
+            if track_depth {
+                let depth = 1 + match node {
+                    WireNode::Map(_, c) => depths[c as usize],
+                    WireNode::Map2(_, l, r) => depths[l as usize].max(depths[r as usize]),
+                    WireNode::Leaf(_) | WireNode::PointF64(_) | WireNode::PointBool(_) => 0,
+                };
+                if depth as usize > MAX_WIRE_DEPTH {
+                    return Err(WireError::Malformed(format!(
+                        "node {i} is {depth} levels deep, past the limit of {MAX_WIRE_DEPTH}"
+                    )));
+                }
+                depths.push(depth);
+            }
             nodes.push(node);
         }
         let graph = Self {
@@ -915,6 +942,57 @@ mod tests {
         };
         let parsed = WireGraph::from_bytes(&sick.to_bytes()).unwrap();
         assert!(matches!(parsed.decode_f64(), Err(WireError::Malformed(_))));
+    }
+
+    /// `levels` levels of a graph written node by node, so no deep network
+    /// is built in-process: a chain of negations over one leaf, or a
+    /// left-deep running sum over fresh leaves.
+    fn deep_graph(levels: usize, sums: bool) -> Vec<u8> {
+        let leaf = WireNode::Leaf(DistSpec::Gaussian {
+            mean: 0.0,
+            std_dev: 1.0,
+        });
+        let mut nodes = vec![leaf];
+        for _ in 1..levels {
+            let top = nodes.len() as u32 - 1;
+            if sums {
+                nodes.push(leaf);
+                nodes.push(WireNode::Map2(Map2Tag::F64(BinOp::Add), top, top + 1));
+            } else {
+                nodes.push(WireNode::Map(MapTag::F64(UnOp::Neg), top));
+            }
+        }
+        WireGraph {
+            nodes,
+            root_is_bool: false,
+        }
+        .to_bytes()
+    }
+
+    #[test]
+    fn graphs_deeper_than_the_bound_are_rejected_before_they_are_built() {
+        for sums in [false, true] {
+            // At the bound, a graph decodes, and dropping it stays within a
+            // default-sized thread stack.
+            let bytes = deep_graph(MAX_WIRE_DEPTH, sums);
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let graph = WireGraph::from_bytes(&bytes).expect("at the depth bound");
+                    drop(graph.decode_f64().expect("decodes"));
+                })
+                .expect("spawn")
+                .join()
+                .expect("decode and drop at the bound");
+            let deeper = deep_graph(MAX_WIRE_DEPTH + 1, sums);
+            assert!(
+                matches!(
+                    WireGraph::from_bytes(&deeper),
+                    Err(WireError::Malformed(msg)) if msg.contains("4097 levels deep")
+                ),
+                "sums={sums}"
+            );
+        }
     }
 
     #[test]

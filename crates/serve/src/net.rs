@@ -557,11 +557,16 @@ impl EventLoop {
         self.net.http_scrapes.inc();
         let inner = Arc::clone(&self.inner);
         let net = Arc::clone(&self.net);
-        self.http_handles.push(std::thread::spawn(move || {
-            serve_scrape(stream, leftover, &inner);
-            net.connections_open.dec();
-            net.closed.inc();
-        }));
+        self.http_handles.push(
+            std::thread::Builder::new()
+                .name("http-scrape".into())
+                .spawn(move || {
+                    serve_scrape(stream, leftover, &inner);
+                    net.connections_open.dec();
+                    net.closed.inc();
+                })
+                .expect("failed to spawn a scrape handler thread"),
+        );
     }
 
     fn reap_http_handles(&mut self) {
@@ -871,7 +876,12 @@ impl Listener {
                 http_handles: Vec::new(),
                 read_buf: vec![0u8; 64 * 1024],
             };
-            loops.push(std::thread::spawn(move || event_loop.run()));
+            loops.push(
+                std::thread::Builder::new()
+                    .name(format!("loop-{index}"))
+                    .spawn(move || event_loop.run())
+                    .expect("failed to spawn an event loop thread"),
+            );
         }
         Ok(Self {
             addr,
@@ -1132,31 +1142,34 @@ impl TcpTransport {
             let mut read_stream = stream.try_clone().map_err(|e| io_err("clone failed", e))?;
             let pending = Arc::clone(&pending);
             let alive = Arc::clone(&alive);
-            std::thread::spawn(move || {
-                while let Ok(Some(payload)) = wire::read_frame(&mut read_stream) {
-                    let Ok((id, trace_id, result)) = wire::decode_response(&payload) else {
-                        // An undecodable reply means the stream is no
-                        // longer trustworthy.
-                        break;
-                    };
-                    if let Some(tx) = pending.lock().expect("pending map lock").remove(&id) {
-                        let _ = tx.send(Reply { result, trace_id });
+            std::thread::Builder::new()
+                .name("client-reader".into())
+                .spawn(move || {
+                    while let Ok(Some(payload)) = wire::read_frame(&mut read_stream) {
+                        let Ok((id, trace_id, result)) = wire::decode_response(&payload) else {
+                            // An undecodable reply means the stream is no
+                            // longer trustworthy.
+                            break;
+                        };
+                        if let Some(tx) = pending.lock().expect("pending map lock").remove(&id) {
+                            let _ = tx.send(Reply { result, trace_id });
+                        }
                     }
-                }
-                alive.store(false, Ordering::SeqCst);
-                // Fail everything still waiting on this socket.
-                let drained: Vec<_> = pending
-                    .lock()
-                    .expect("pending map lock")
-                    .drain()
-                    .map(|(_, tx)| tx)
-                    .collect();
-                for tx in drained {
-                    let _ = tx.send(Reply::bare(Err(ServeError::Transport(
-                        "connection closed".into(),
-                    ))));
-                }
-            })
+                    alive.store(false, Ordering::SeqCst);
+                    // Fail everything still waiting on this socket.
+                    let drained: Vec<_> = pending
+                        .lock()
+                        .expect("pending map lock")
+                        .drain()
+                        .map(|(_, tx)| tx)
+                        .collect();
+                    for tx in drained {
+                        let _ = tx.send(Reply::bare(Err(ServeError::Transport(
+                            "connection closed".into(),
+                        ))));
+                    }
+                })
+                .expect("failed to spawn a client reader thread")
         };
         Ok(ClientConn {
             stream,

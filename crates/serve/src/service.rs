@@ -654,9 +654,14 @@ impl Service {
             let worker_stats = Arc::clone(&stats);
             let worker_config = config.clone();
             let worker_flight = Arc::clone(&flight);
-            workers.push(std::thread::spawn(move || {
-                run_shard(rx, worker_stats, worker_config, worker_flight, shard_index)
-            }));
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("shard-{shard_index}"))
+                    .spawn(move || {
+                        run_shard(rx, worker_stats, worker_config, worker_flight, shard_index)
+                    })
+                    .expect("failed to spawn a shard worker thread"),
+            );
             shards.push(ShardHandle {
                 tx: Mutex::new(Some(tx)),
                 stats,

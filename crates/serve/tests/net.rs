@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use uncertain_core::{Uncertain, WireGraph};
+use uncertain_core::{Uncertain, WireError, WireGraph};
 use uncertain_serve::{ServeClient, ServeConfig, ServeError, Service};
 
 /// A wire-expressible evidence network with shared sub-expressions, so
@@ -169,6 +169,51 @@ fn malformed_frames_get_error_replies_and_the_service_survives() {
     let metrics = service.metrics();
     assert!(metrics.net.wire_errors >= 1, "hostility must be counted");
     assert!(metrics.net.accepted >= 4);
+    listener.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn a_graph_too_deep_to_drop_is_malformed_and_the_service_survives() {
+    let service = Service::start(ServeConfig::default().with_shards(1).with_seed(7));
+    let listener = service.listen().expect("listen");
+    let mut stream = TcpStream::connect(listener.local_addr()).expect("connect");
+    stream.write_all(b"UNC1").expect("magic");
+
+    // An `e` over 40 000 levels of negation, written byte by byte: 240 KB,
+    // far under the frame cap, and deep enough that dropping the decoded
+    // network would overflow a default thread stack.
+    const LEVELS: u32 = 40_000;
+    let mut deep = Vec::new();
+    deep.extend_from_slice(&44u64.to_le_bytes()); // id
+    deep.extend_from_slice(&1u64.to_le_bytes()); // tenant
+    deep.extend_from_slice(&0u64.to_le_bytes()); // no deadline
+    deep.push(0); // strategy: inherit
+    deep.push(0); // trace: none
+    deep.push(3); // kind: E
+    deep.extend_from_slice(&100u64.to_le_bytes()); // n
+    deep.extend_from_slice(&[1, 0]); // graph version 1, f64 root
+    deep.extend_from_slice(&LEVELS.to_le_bytes());
+    deep.extend_from_slice(&[1, 1]); // a Gaussian leaf
+    deep.extend_from_slice(&0.0f64.to_le_bytes());
+    deep.extend_from_slice(&1.0f64.to_le_bytes());
+    for child in 0..LEVELS - 1 {
+        deep.extend_from_slice(&[4, 1]); // negate
+        deep.extend_from_slice(&child.to_le_bytes());
+    }
+    send_frame(&mut stream, &deep);
+    let (id, _, result) =
+        uncertain_serve::wire::decode_response(&recv_frame(&mut stream)).expect("a reply");
+    assert_eq!(id, 44);
+    assert!(
+        matches!(result, Err(ServeError::Wire(WireError::Malformed(_)))),
+        "{result:?}"
+    );
+
+    // The service answers the next request.
+    let cond = Uncertain::bernoulli(0.9).unwrap();
+    let tcp = ServeClient::connect(listener.local_addr()).expect("connect");
+    assert!(tcp.pr(1, &cond, 0.5).expect("post-hostility request"));
     listener.shutdown();
     service.shutdown();
 }

@@ -3,7 +3,7 @@
 //! draining, and metrics.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use uncertain_core::{ServeError, Session, Uncertain};
 use uncertain_serve::{tenant_seed, ServeConfig, Service};
@@ -328,4 +328,35 @@ fn a_panicking_request_is_invalid_and_its_shard_keeps_serving() {
     assert_eq!(results, [Ok(()), Ok(()), Ok(())]);
     assert_eq!(rerun, rerun_after_completion);
     assert_eq!(after_panics, after_completions);
+}
+
+#[test]
+fn requests_run_on_named_shard_threads() {
+    // A panic caught on a shard prints the thread's name, so an operator
+    // can tell which shard it hit.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let named = {
+        let seen = Arc::clone(&seen);
+        Uncertain::normal(0.0, 1.0)
+            .unwrap()
+            .map("record", move |v| {
+                let name = std::thread::current().name().map(str::to_owned);
+                seen.lock().expect("no recorder panics").push(name);
+                v
+            })
+    };
+    let service = Service::start(ServeConfig::default().with_shards(2).with_seed(5));
+    let client = service.client();
+    for tenant in 0..4 {
+        client.e(tenant, &named, 16).unwrap();
+    }
+    service.shutdown();
+    let seen = seen.lock().expect("no recorder panics");
+    assert!(!seen.is_empty());
+    for name in seen.iter() {
+        assert!(
+            name.as_deref().is_some_and(|n| n.starts_with("shard-")),
+            "{name:?}"
+        );
+    }
 }
