@@ -387,7 +387,7 @@ proptest! {
 // odd batch sizes, and worker thread counts.
 
 use std::sync::Arc;
-use uncertain_core::dist::{Bernoulli, Exponential, Gaussian, Rayleigh, Uniform};
+use uncertain_core::dist::{Bernoulli, Exponential, Gaussian, Rayleigh, Truncated, Uniform};
 use uncertain_core::prelude::Distribution;
 
 /// A distribution with a hand-vectorized `fill_column` path, buildable as
@@ -541,5 +541,30 @@ proptest! {
         prop_assert_eq!(bits(&serial), bits(&sharded));
         let scalar = Session::seeded(seed).with_threads(8).samples(&dist.scalar(), n);
         prop_assert_eq!(bits(&serial), bits(&scalar));
+    }
+}
+
+/// A `Truncated` leaf fills its column through the per-row default loop.
+/// Keeping at least half its base's mass, it samples by rejection, a
+/// varying number of base draws per row; below that, by one inverse-CDF
+/// draw. Either way each row draws only from its own RNG, so the kernel
+/// stays the tree-walk's bitwise twin, across a chunk boundary too.
+#[test]
+fn truncated_leaves_match_the_tree_walk_in_both_sampling_branches() {
+    // Kept mass 0.977 (the walking prior: rejection) and 0.067 (inverse CDF).
+    for (mean, sd, low, high) in [(3.0, 1.5, 0.0, 8.0), (0.0, 1.0, 1.5, 4.0)] {
+        let base = Arc::new(Gaussian::new(mean, sd).unwrap());
+        let leaf = Uncertain::from_distribution(Truncated::new(base, low, high).unwrap());
+        let net = leaf * 2.0 + 1.0;
+        let n = 5_000;
+        let reference = tree_walk(&net, 23, n);
+        let mut session = Session::sequential(23);
+        let got = session.samples(&net, n);
+        assert_eq!(session.cache_stats().entries, 1, "the root lowered");
+        assert_eq!(
+            bits(&reference),
+            bits(&got),
+            "N({mean}, {sd}) on [{low}, {high}]"
+        );
     }
 }

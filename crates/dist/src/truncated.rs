@@ -9,9 +9,27 @@ use std::sync::Arc;
 ///
 /// Truncation is the simplest *constraint abstraction* from the paper's
 /// prior-knowledge discussion (§3.5): "humans are incredibly unlikely to
-/// walk at 60 mph" becomes a truncated walking-speed distribution. Sampling
-/// uses the inverse-CDF of the base distribution restricted to the interval,
-/// so it never rejects.
+/// walk at 60 mph" becomes a truncated walking-speed distribution.
+///
+/// Sampling picks one of two exact samplers by the mass the base keeps on
+/// the interval:
+///
+/// * At least ½: draw from the base until a draw lands in `[low, high]`,
+///   which takes at most two draws on average. A draw accepted this way
+///   follows the truncated law exactly, for any base and whatever the
+///   accuracy of its `cdf` and `quantile`. After 64 misses, which happen
+///   together with probability at most 2⁻⁶⁴, it falls back to the inverse
+///   CDF below, itself a draw from the truncated law, so the mixture is
+///   still exactly that law. The cap also keeps a base whose `sample`
+///   disagrees with its `cdf` (one that returns NaN, say) from looping
+///   forever.
+/// * Below ½: invert the base's CDF on the interval,
+///   `quantile(cdf(low) + u · mass)`. Rejection would need `1 / mass`
+///   draws on average, which grows without bound as the mass shrinks.
+///
+/// Either way a sample consumes draws from the one RNG it is given, so a
+/// varying number of draws per sample keeps batched and one-at-a-time
+/// sampling bitwise identical.
 ///
 /// # Examples
 ///
@@ -91,9 +109,24 @@ impl fmt::Debug for Truncated {
     }
 }
 
+/// The least kept mass at which [`Truncated`] samples by rejection.
+const REJECTION_MIN_MASS: f64 = 0.5;
+
+/// Base draws a rejection sample tries before it falls back to the
+/// inverse CDF.
+const MAX_REJECTIONS: usize = 64;
+
 impl Distribution<f64> for Truncated {
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
         use rand::Rng;
+        if self.mass >= REJECTION_MIN_MASS {
+            for _ in 0..MAX_REJECTIONS {
+                let x = self.base.sample(rng);
+                if self.low <= x && x <= self.high {
+                    return x;
+                }
+            }
+        }
         let u: f64 = rng.gen();
         let p = self.cdf_low + u * self.mass;
         self.base.quantile(p).clamp(self.low, self.high)
@@ -206,6 +239,48 @@ mod tests {
             (m - (2.0 / core::f64::consts::PI).sqrt()).abs() < 1e-3,
             "m={m}"
         );
+    }
+
+    /// Uniform on [0, 1] by its CDF, but a sampler that only returns NaN.
+    struct NanSampler;
+
+    impl Distribution<f64> for NanSampler {
+        fn sample(&self, _: &mut dyn RngCore) -> f64 {
+            f64::NAN
+        }
+    }
+
+    impl Continuous for NanSampler {
+        fn ln_pdf(&self, x: f64) -> f64 {
+            if (0.0..=1.0).contains(&x) {
+                0.0
+            } else {
+                f64::NEG_INFINITY
+            }
+        }
+        fn cdf(&self, x: f64) -> f64 {
+            x.clamp(0.0, 1.0)
+        }
+        fn mean(&self) -> f64 {
+            0.5
+        }
+        fn variance(&self) -> f64 {
+            1.0 / 12.0
+        }
+        fn support(&self) -> (f64, f64) {
+            (0.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn a_base_that_never_lands_in_the_interval_falls_back_to_the_inverse_cdf() {
+        let t = Truncated::new(Arc::new(NanSampler), -1.0, 2.0).unwrap();
+        assert_eq!(t.base_mass(), 1.0);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for _ in 0..100 {
+            let x = t.sample(&mut rng);
+            assert!((-1.0..=2.0).contains(&x), "x={x}");
+        }
     }
 
     #[test]

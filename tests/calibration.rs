@@ -92,8 +92,18 @@ fn rician_is_calibrated() {
 
 #[test]
 fn truncated_is_calibrated() {
-    let base = Arc::new(Gaussian::new(0.0, 2.0).unwrap());
-    assert_calibrated("truncated", Truncated::new(base, -1.0, 3.0).unwrap(), 12);
+    // Kept mass 0.62 and 0.977 (the walking prior) sample by rejection
+    // from the base, 0.067 by the base's inverse CDF, and the exponential
+    // base keeps 0.68: rejection over a non-Gaussian base.
+    let normal = |mean, sd, low, high| {
+        Truncated::new(Arc::new(Gaussian::new(mean, sd).unwrap()), low, high).unwrap()
+    };
+    assert_calibrated("N(0, 2) on [-1, 3]", normal(0.0, 2.0, -1.0, 3.0), 12);
+    assert_calibrated("N(3, 1.5) on [0, 8]", normal(3.0, 1.5, 0.0, 8.0), 19);
+    assert_calibrated("N(0, 1) on [1.5, 4]", normal(0.0, 1.0, 1.5, 4.0), 20);
+    let exponential = Arc::new(Exponential::new(0.5).unwrap());
+    let window = Truncated::new(exponential, 0.2, 3.0).unwrap();
+    assert_calibrated("Exp(0.5) on [0.2, 3]", window, 21);
 }
 
 #[test]
