@@ -8,8 +8,8 @@
 //!
 //! - `fig9_gps`: the literal Fig. 9 conditional (`Speed < 4 mph` from two
 //!   ε = 4 m fixes), transcendental-heavy with shared subexpressions.
-//! - `evidence_chain`: the 159-node chain the `bench_session`/`bench_serve`
-//!   family uses — long dependency chains, cheap per-node math.
+//! - `evidence_chain`: the 159-node chain the `bench_serve` family uses —
+//!   long dependency chains, cheap per-node math.
 //! - `wide_dag`: a 129-node network: a balanced reduction over 64 Gaussian leaves —
 //!   maximum instruction-level breadth per tape step.
 //!

@@ -42,7 +42,7 @@ const POOL: usize = 16;
 const SEED: u64 = 2014;
 const THRESHOLD: f64 = 0.5;
 
-/// A `3n + 7`-node evidence conditional from the `bench_session` family,
+/// A `3n + 7`-node evidence conditional from the `bench_serve` family,
 /// built only from kernel-tagged ops so it is wire-expressible. The
 /// margin keeps the SPRT decisive: the decision cost is dominated by
 /// plan/session state, which is what connection churn stresses.
@@ -254,7 +254,7 @@ fn run_load_polled(conns: usize, per_conn: usize, cond: &Uncertain<bool>) -> Loa
     // storm would otherwise cap actual concurrency at the connect rate
     // (early connections finish before late ones exist), and the first
     // decision carries the tenant's one-time session build + plan
-    // compile, a session-layer cold-start cost (bench_session's subject)
+    // compile, a session-layer cold-start cost (`session.compile_us`)
     // that scales with the tenant count, not with what this sweep
     // measures — connection concurrency at the socket edge. Warmup
     // outcomes still fold into the fingerprint, so rows stay bitwise

@@ -27,6 +27,7 @@ fn main() {
 
     let mut evaluate = |label: &str, gaussian: bool| {
         let mut matrix = ConfusionMatrix::new();
+        let mut decisions = Vec::with_capacity(test.len());
         let start = Instant::now();
         for (x, &t) in test.inputs.iter().zip(&test.targets) {
             let ppd = if gaussian {
@@ -37,7 +38,9 @@ fn main() {
             let p = ppd
                 .gt(EDGE_THRESHOLD)
                 .probability_in(&mut session, samples_per_input);
-            matrix.record(p > alpha, t > EDGE_THRESHOLD);
+            let edge = p > alpha;
+            matrix.record(edge, t > EDGE_THRESHOLD);
+            decisions.push(edge);
         }
         let elapsed = start.elapsed();
         println!(
@@ -47,14 +50,21 @@ fn main() {
             elapsed,
             elapsed.as_micros() as f64 / test.len() as f64
         );
+        decisions
     };
 
-    evaluate("Monte-Carlo PPD", false);
-    evaluate("Gaussian approximation", true);
+    let monte_carlo = evaluate("Monte-Carlo PPD", false);
+    let gaussian = evaluate("Gaussian approximation", true);
+    let agree = monte_carlo
+        .iter()
+        .zip(&gaussian)
+        .filter(|(a, b)| a == b)
+        .count();
+    println!("decisions agree on {agree} of {} inputs", test.len());
 
     println!();
     println!("the Gaussian mode runs the pool once per input and then samples a");
-    println!("closed-form normal — same decisions, far fewer network executions,");
-    println!("appropriate exactly when the posterior is approximately Gaussian");
+    println!("closed-form normal — far fewer network executions, appropriate");
+    println!("exactly when the posterior is approximately Gaussian");
     println!("(as the Sobel posterior is, paper Fig. 15).");
 }

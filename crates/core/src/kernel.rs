@@ -516,7 +516,6 @@ pub(crate) trait Opaque: Send + Sync {
     fn fill(&self, args: &[&Col], out: &mut Col, rngs: &mut [SmallRng], n: usize);
 
     /// The profile mnemonic ([`crate::obs::InstrCost::op`]).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     fn mnemonic(&self) -> &'static str;
 }
 
@@ -680,7 +679,6 @@ impl Instr {
     }
 
     /// The profile mnemonic ([`crate::obs::InstrCost::op`]).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     fn mnemonic(&self) -> &'static str {
         match self {
             Instr::Leaf(f) | Instr::Point(f) | Instr::Map(f, _) | Instr::Map2(f, ..) => {
@@ -801,11 +799,9 @@ pub(crate) struct Kernel<T> {
     instrs: Vec<Instr>,
     /// The network node each instruction computes. Profiles look its
     /// label up in the network only when asked.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     nodes: Vec<NodeId>,
     root: usize,
     /// Tape length as lowered, before the optimizer ran.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     pre_opt_len: usize,
     /// This tape's number, unique in the process: a scratch already
     /// fitted to it needs no refit ([`KernelState::fit`]).
@@ -1277,7 +1273,6 @@ impl<T: Value> Kernel<T> {
     /// `network` is the network this kernel was lowered from: each
     /// instruction's label is its node's label there. The tape carries
     /// only node ids, so lowering never builds a label string.
-    #[cfg(feature = "obs")]
     pub(crate) fn profiled_run(
         &self,
         n: usize,

@@ -80,7 +80,6 @@ mod kernel;
 mod logic;
 mod math;
 mod node;
-#[cfg(feature = "obs")]
 mod obs;
 mod ops;
 mod runtime;
@@ -95,7 +94,6 @@ pub use error::{ConfigError, Error, NotAnalyticError, ServeError, WireError};
 pub use exact::{BoolLaw, ExactMethod, ScalarLaw};
 pub use graph::{NetworkView, NodeMeta};
 pub use node::NodeId;
-#[cfg(feature = "obs")]
 pub use obs::{
     DecisionTrace, Dispatch, InstrCost, KernelProfile, LeafKindCost, Recorder, StoppingReason,
     TracePoint,
@@ -129,7 +127,6 @@ pub mod prelude {
         HypothesisOutcome, InconclusiveError, IntoUncertain, NetworkView, NotAnalyticError,
         Provenance, ServeError, Session, StatsOutcome, Uncertain,
     };
-    #[cfg(feature = "obs")]
     pub use crate::{DecisionTrace, Recorder, StoppingReason};
     pub use uncertain_dist::{Continuous, Discrete, Distribution};
 }

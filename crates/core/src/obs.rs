@@ -1,10 +1,9 @@
 //! Observability hooks: SPRT decision traces and kernel cost profiles.
 //!
-//! This module (feature `obs`, default-on) defines the *event types* the
-//! runtime emits and the [`Recorder`] trait that consumes them; the
-//! `uncertain-obs` crate provides ready-made recorders (in-memory trace
-//! logs, JSON-lines export) and the metrics registry the serving stack
-//! builds on.
+//! This module defines the *event types* the runtime emits and the
+//! [`Recorder`] trait that consumes them; the `uncertain-obs` crate
+//! provides ready-made recorders (in-memory trace logs, JSON-lines
+//! export) and the metrics registry the serving stack builds on.
 //!
 //! Two instruments live here:
 //!
@@ -74,8 +73,8 @@ impl StoppingReason {
 /// ([`Session::last_dispatch`](crate::Session::last_dispatch)).
 ///
 /// Recording it costs one enum store per decision, so it is always
-/// tracked under the `obs` feature; the serve layer turns it into a
-/// span attribute when request tracing is on.
+/// tracked; the serve layer turns it into a span attribute when request
+/// tracing is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dispatch {
     /// The analytic backend answered in closed form, zero samples.

@@ -44,7 +44,6 @@ use crate::error::{Error, NotAnalyticError};
 use crate::exact::{self, BoolLaw, ScalarLaw};
 use crate::kernel::{Kernel, KernelState};
 use crate::node::{IdMap, NodeId};
-#[cfg(feature = "obs")]
 use crate::obs::{DecisionTrace, Dispatch, KernelProfile, Recorder, StoppingReason, TracePoint};
 use crate::uncertain::{Uncertain, Value};
 use rand::rngs::StdRng;
@@ -498,19 +497,16 @@ pub struct Session {
     /// Decision-trace sink. `None` (the default) keeps the SPRT loop on
     /// its unrecorded fast path — the only residual cost is checking this
     /// option once per decision and once per batch.
-    #[cfg(feature = "obs")]
     recorder: Option<Box<dyn Recorder>>,
     /// Cumulative nanoseconds spent lowering networks to kernel tapes —
     /// the compile phase of a request, separable from sampling time by
     /// diffing this counter around a query.
-    #[cfg(feature = "obs")]
     plan_build_ns: u64,
     /// Which backend answered the most recent decision-family query
     /// ([`Session::last_dispatch`]). One enum store per decision — cheap
-    /// enough to track unconditionally under `obs`, so request tracing
+    /// enough to track unconditionally, so request tracing
     /// can attribute kernel-vs-tree-walk-vs-exact dispatch without
     /// installing a recorder.
-    #[cfg(feature = "obs")]
     last_dispatch: Option<Dispatch>,
     /// Kernel-lowering attempts (cheap observability for the no-tape memo
     /// tests; a memo hit must not re-attempt lowering).
@@ -557,11 +553,8 @@ impl Session {
             joint_samples: 0,
             exact_hits: 0,
             cached_test: None,
-            #[cfg(feature = "obs")]
             recorder: None,
-            #[cfg(feature = "obs")]
             plan_build_ns: 0,
-            #[cfg(feature = "obs")]
             last_dispatch: None,
             #[cfg(test)]
             lower_attempts: 0,
@@ -652,8 +645,7 @@ impl Session {
     }
 
     /// Returns the session with the given plan-cache capacity. `0`
-    /// disables caching (every query lowers its network — the baseline the
-    /// `bench_session` binary compares against).
+    /// disables caching: every query lowers its network.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache = PlanCache::new(capacity);
         self
@@ -711,20 +703,17 @@ impl Session {
     /// Recording changes wall time only — the sample stream, verdicts,
     /// and every counter are bitwise identical with or without a
     /// recorder installed.
-    #[cfg(feature = "obs")]
     pub fn install_recorder(&mut self, recorder: Box<dyn Recorder>) -> Option<Box<dyn Recorder>> {
         self.recorder.replace(recorder)
     }
 
     /// Removes and returns the installed [`Recorder`], restoring the
     /// unrecorded fast path.
-    #[cfg(feature = "obs")]
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
         self.recorder.take()
     }
 
     /// Builder form of [`Session::install_recorder`].
-    #[cfg(feature = "obs")]
     pub fn with_recorder(mut self, recorder: impl Recorder + 'static) -> Self {
         self.recorder = Some(Box::new(recorder));
         self
@@ -736,7 +725,6 @@ impl Session {
     /// to lower, never touch this. Diff the counter around a query
     /// to attribute its compile phase separately from sampling — how the
     /// serving stack splits request spans.
-    #[cfg(feature = "obs")]
     pub fn plan_build_ns(&self) -> u64 {
         self.plan_build_ns
     }
@@ -748,7 +736,6 @@ impl Session {
     ///
     /// Purely observational — reading it never perturbs the sample
     /// stream; the serve layer attaches it to request spans.
-    #[cfg(feature = "obs")]
     pub fn last_dispatch(&self) -> Option<Dispatch> {
         self.last_dispatch
     }
@@ -830,15 +817,11 @@ impl Session {
     }
 
     /// Runs `build`, charging its wall time to the session's compile
-    /// counter ([`Session::plan_build_ns`]) when the `obs` feature is on.
+    /// counter ([`Session::plan_build_ns`]).
     fn timed<R>(&mut self, build: impl FnOnce(&mut Self) -> R) -> R {
-        #[cfg(feature = "obs")]
         let start = std::time::Instant::now();
         let built = build(self);
-        #[cfg(feature = "obs")]
-        {
-            self.plan_build_ns += start.elapsed().as_nanos() as u64;
-        }
+        self.plan_build_ns += start.elapsed().as_nanos() as u64;
         built
     }
 
@@ -1011,7 +994,6 @@ impl Session {
     /// # Ok(())
     /// # }
     /// ```
-    #[cfg(feature = "obs")]
     pub fn kernel_profile<T: Value>(
         &mut self,
         u: &Uncertain<T>,
@@ -1229,10 +1211,7 @@ impl Session {
                 // sampled test is calibrated to resolve.
                 let _ = self.seeds.begin_query();
                 self.exact_hits += 1;
-                #[cfg(feature = "obs")]
-                {
-                    self.last_dispatch = Some(Dispatch::Exact);
-                }
+                self.last_dispatch = Some(Dispatch::Exact);
                 return Ok(Some(HypothesisOutcome {
                     threshold,
                     accepted: law.p > threshold,
@@ -1247,24 +1226,17 @@ impl Session {
             }
         }
         let exec = self.executor(cond);
-        #[cfg(feature = "obs")]
-        {
-            self.last_dispatch = Some(match exec {
-                Exec::Kernel(_) => Dispatch::Kernel,
-                Exec::Tree(_) => Dispatch::Closure,
-            });
-        }
+        self.last_dispatch = Some(match exec {
+            Exec::Kernel(_) => Dispatch::Kernel,
+            Exec::Tree(_) => Dispatch::Closure,
+        });
         // Tracing state: dormant unless a recorder is installed. The
         // per-batch tracing work (a success tally and one LLR evaluation)
         // happens inside the batch generator so the recorded trajectory
         // is exactly the sequence of states the stopping rule inspected.
-        #[cfg(feature = "obs")]
         let tracing = self.recorder.is_some();
-        #[cfg(feature = "obs")]
         let started = tracing.then(std::time::Instant::now);
-        #[cfg(feature = "obs")]
         let mut points: Vec<TracePoint> = Vec::new();
-        #[cfg(feature = "obs")]
         let mut traced_successes: u64 = 0;
         let (ctx, state) = (&mut self.ctx, &mut self.kernel);
         let mut q = self.seeds.begin_query();
@@ -1278,7 +1250,6 @@ impl Session {
                 batch.clear();
                 exec.rows(take, ctx, state, || q.next(), &mut batch);
                 let successes = batch.iter().filter(|&&b| b).count() as u64;
-                #[cfg(feature = "obs")]
                 if tracing {
                     traced_successes += successes;
                     points.push(TracePoint {
@@ -1295,7 +1266,6 @@ impl Session {
         );
         // Aborted tests still drew their completed batches; count them.
         self.joint_samples += drawn as u64;
-        #[cfg(feature = "obs")]
         if tracing {
             let stopping = match &outcome {
                 None => StoppingReason::Aborted,
@@ -1736,11 +1706,8 @@ mod tests {
         assert_eq!(s.sample(&expr), reference.sample(&expr));
         let stats = s.cache_stats();
         assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 1));
-        #[cfg(feature = "obs")]
-        {
-            s.evaluate(&expr.gt(0.0), 0.5);
-            assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
-        }
+        s.evaluate(&expr.gt(0.0), 0.5);
+        assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
     }
 
     #[test]
@@ -1785,11 +1752,8 @@ mod tests {
         );
         assert_eq!(stats.hits, 0);
         assert_eq!(s.lower_attempts, 1, "the no-tape verdict is memoized");
-        #[cfg(feature = "obs")]
-        {
-            s.evaluate(&expr.gt(0.0), 0.5);
-            assert_eq!(s.last_dispatch(), Some(Dispatch::Closure));
-        }
+        s.evaluate(&expr.gt(0.0), 0.5);
+        assert_eq!(s.last_dispatch(), Some(Dispatch::Closure));
     }
 
     #[test]
@@ -1803,24 +1767,19 @@ mod tests {
         s.probability_given(&cond, &evidence, 200);
         s.evaluate(&cond, 0.5);
         assert_eq!(s.lower_attempts, 4, "three roots plus the zipped pair");
-        #[cfg(feature = "obs")]
         assert_eq!(s.last_dispatch(), Some(Dispatch::Kernel));
 
         // A kernel profile borrows the cached kernel: one hit, no new
         // miss, no new lowering.
-        #[cfg(feature = "obs")]
-        {
-            let lowered = s.lower_attempts;
-            let before = s.cache_stats();
-            assert!(s.kernel_profile(&cond, 10).is_some());
-            let after = s.cache_stats();
-            assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
-            assert_eq!(s.lower_attempts, lowered, "the kernel came from the cache");
-        }
+        let lowered = s.lower_attempts;
+        let before = s.cache_stats();
+        assert!(s.kernel_profile(&cond, 10).is_some());
+        let after = s.cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+        assert_eq!(s.lower_attempts, lowered, "the kernel came from the cache");
         assert_eq!(s.cache_stats().misses, 3);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn kernel_profile_draws_nothing_when_the_network_does_not_lower() {
         let x = Uncertain::normal(0.0, 1.0).unwrap();

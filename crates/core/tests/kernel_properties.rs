@@ -148,7 +148,6 @@ fn tree_rows<T: Value>(session: &mut Session, net: &Uncertain<T>, n: usize) -> V
 
 /// Rows per kernel chunk of `net`'s tape: 256 KiB of 8-byte registers,
 /// within 128–4096 rows, read off the tape's profile.
-#[cfg(feature = "obs")]
 fn chunk_rows<T: Value>(net: &Uncertain<T>) -> usize {
     let registers = Session::seeded(0)
         .kernel_profile(net, 0)
@@ -156,13 +155,6 @@ fn chunk_rows<T: Value>(net: &Uncertain<T>) -> usize {
         .instrs
         .len();
     (256 * 1024 / (8 * registers)).clamp(128, 4096)
-}
-
-/// Without the profiler, the largest chunk: three of them span at least
-/// three of any tape's chunks.
-#[cfg(not(feature = "obs"))]
-fn chunk_rows<T: Value>(_: &Uncertain<T>) -> usize {
-    4096
 }
 
 /// A tape of about 300 registers, past the 256 at which 256 KiB holds
@@ -342,7 +334,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let net = floor_tape();
-        #[cfg(feature = "obs")]
         prop_assert_eq!(chunk_rows(&net), 128, "the tape runs at the floor");
         let n = 3 * chunk_rows(&net) + 41;
         let cut = cut % n;

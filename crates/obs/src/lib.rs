@@ -2,8 +2,8 @@
 //!
 //! The telemetry toolkit for the reproduction of *Uncertain\<T\>: A
 //! First-Order Type for Uncertain Data* (ASPLOS 2014). The core runtime
-//! emits structured events behind its `obs` feature; this crate supplies
-//! the consumers:
+//! emits structured events through its `Recorder` hook; this crate
+//! supplies the consumers:
 //!
 //! * **Decision traces** — [`TraceLog`] is a [`Recorder`] that captures
 //!   every SPRT decision a [`Session`](uncertain_core::Session) makes:

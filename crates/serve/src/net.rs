@@ -541,11 +541,13 @@ impl EventLoop {
 
     fn close_conn(&mut self, conn: Conn) {
         let _ = self.poller.remove(conn.stream.as_raw_fd());
+        // Dropping the connection closes its socket before the gauge
+        // falls, so `connections_open` never reads 0 while a socket is
+        // still open. Its pending entries drop their receivers: a shard
+        // reply to one simply vanishes.
+        drop(conn);
         self.net.connections_open.dec();
         self.net.closed.inc();
-        // Dropping the stream closes the fd; dropping pending entries
-        // drops their receivers — a shard reply to one simply vanishes,
-        // same as the old per-connection writer dying mid-drain.
     }
 
     fn http_handoff(&mut self, conn: Conn, leftover: Vec<u8>) {

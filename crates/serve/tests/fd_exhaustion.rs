@@ -88,6 +88,16 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
         .evaluate(1, &Uncertain::bernoulli(0.9).unwrap(), 0.5)
         .expect("baseline evaluate");
     drop(client);
+    // Wait for the server to close its side as well, so the count below
+    // holds no descriptor that is about to be freed.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.metrics().net.connections_open > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "baseline connection never closed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // The client socket is created *before* the limit drops — connect(2)
     // on an existing fd allocates nothing, while the server's accept(2)
@@ -102,8 +112,10 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
     // `struct rlimit`, which `getrlimit` fills in.
     assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut old) }, 0);
     let _guard = LimitGuard(old);
+    // `open_fds` counts the descriptor its own directory listing holds,
+    // so one less leaves no descriptor free.
     let lowered = RLimit {
-        cur: open_fds(),
+        cur: open_fds() - 1,
         max: old.max,
     };
     assert_eq!(
@@ -132,7 +144,12 @@ fn fd_exhaustion_pauses_accepting_and_recovers() {
     // loop must record the stall and pause rather than spin or die.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        if service.metrics().net.accept_stalls > 0 {
+        let net = service.metrics().net;
+        if net.accept_stalls > 0 {
+            assert_eq!(
+                net.accepted, 1,
+                "the parked connection waits for a descriptor"
+            );
             break;
         }
         assert!(Instant::now() < deadline, "accept stall was never recorded");

@@ -84,29 +84,35 @@ fn fig9_gps_stays_bitwise_sampled_under_auto() {
 
 #[test]
 fn evidence_chain_decides_with_zero_samples_under_auto() {
-    let cond = evidence_chain(50);
     let sampling = EvalConfig::default();
     let auto = sampling.with_strategy(EvalStrategy::Auto);
+    // Chains of 39, 159 and 465 nodes.
+    for (n, seed) in [(10, 3), (50, 7), (152, 11)] {
+        let cond = evidence_chain(n);
 
-    let mut s = Session::seeded(7);
-    let sampled = s.try_evaluate(&cond, 0.5, &sampling).unwrap();
+        let mut s = Session::seeded(seed);
+        let sampled = s.try_evaluate(&cond, 0.5, &sampling).unwrap();
 
-    let mut e = Session::seeded(7).with_strategy(EvalStrategy::Auto);
-    let exact = e.try_evaluate(&cond, 0.5, &auto).unwrap();
+        let mut e = Session::seeded(seed).with_strategy(EvalStrategy::Auto);
+        let exact = e.try_evaluate(&cond, 0.5, &auto).unwrap();
 
-    assert_eq!(exact.samples, 0, "analytic path must draw nothing");
-    assert!(exact.provenance.is_exact());
-    assert!(exact.conclusive);
-    assert_eq!(e.exact_hits(), 1);
-    // Same verdict as the SPRT, and the closed-form probability sits
-    // inside the sampling estimate's SPRT tolerance.
-    assert_eq!(exact.accepted, sampled.accepted);
-    assert!(
-        (exact.estimate - sampled.estimate).abs() < 0.05,
-        "exact {} vs sampled {}",
-        exact.estimate,
-        sampled.estimate
-    );
+        assert_eq!(
+            exact.samples, 0,
+            "analytic path must draw nothing (n = {n})"
+        );
+        assert!(exact.provenance.is_exact());
+        assert!(exact.conclusive);
+        assert_eq!(e.exact_hits(), 1);
+        // Same verdict as the SPRT, and the closed-form probability sits
+        // inside the sampling estimate's SPRT tolerance.
+        assert_eq!(exact.accepted, sampled.accepted, "n = {n}");
+        assert!(
+            (exact.estimate - sampled.estimate).abs() < 0.05,
+            "n = {n}: exact {} vs sampled {}",
+            exact.estimate,
+            sampled.estimate
+        );
+    }
 }
 
 #[test]
