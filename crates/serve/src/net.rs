@@ -13,29 +13,30 @@
 //! (the old design spawned a reader/writer thread pair per connection and
 //! collapsed under scheduler pressure at high counts).
 //!
-//! Each connection is a small state machine owned by exactly one loop:
+//! Each connection is a small state machine owned by exactly one loop,
+//! the only thread that reads or writes its bytes:
 //!
 //! * **Preamble** — the first 4 bytes sniff the protocol: the `UNC1`
-//!   magic starts the binary request loop; `GET ` hands the socket to a
-//!   short-lived blocking thread that serves one HTTP request (`/health`,
-//!   `/traces`, `/traces/<id>`, else the Prometheus scrape) and closes.
-//!   One port, both protocols — no second listener to firewall.
+//!   magic starts the binary request loop, `GET ` an HTTP request. One
+//!   port, both protocols — no second listener to firewall.
 //! * **Binary** — reads are drained to `WouldBlock` into an incremental
 //!   [`FrameDecoder`](crate::wire::FrameDecoder) that tolerates arbitrary
 //!   partial reads; each complete frame is admitted through the same
-//!   [`ChannelTransport`] the in-process client uses, so queue
+//!   [`ChannelTransport`] admission the in-process client uses, so queue
 //!   backpressure surfaces as [`ServeError::QueueFull`], deadlines are
 //!   anchored at admission, and per-tenant FIFO plus bitwise determinism
-//!   are inherited rather than re-implemented. A completion hook attached
-//!   at admission pokes the owning loop's wakeup pipe when the shard
-//!   sends the reply, so reply readiness costs O(completions), never a
-//!   per-connection blocked thread.
-//! * **Replies** flow back in **submission order** per connection (front
-//!   of the in-flight queue only), keeping the protocol state small at
-//!   the cost of head-of-line blocking on one connection; clients that
-//!   care use a pooled transport, where tenants hash across sockets. All
-//!   replies ready at once are encoded into one buffer and flushed with a
-//!   single write — writev-style coalescing for pipelined workloads.
+//!   are inherited rather than re-implemented.
+//! * **Replies** — the shard posts each reply straight into the mailbox
+//!   of the connection's loop, writing a wake byte only if the mailbox
+//!   was empty. Replies leave as they complete (clients match them by
+//!   correlation id), so a fast request never waits behind another
+//!   tenant's slow one; a tenant's replies keep its submission order (one
+//!   shard FIFO, one mailbox), and refusals reply at once. All replies
+//!   ready at once are flushed with a single write.
+//! * **HTTP** — the loop collects the head (to `\r\n\r\n`, 8 KiB or
+//!   EOF), answers from its path (`/health`, `/traces`, `/traces/<id>`,
+//!   else the Prometheus scrape) and closes once flushed: a client that
+//!   never finishes its head holds a socket, never a thread.
 //!
 //! When `accept` fails with `EMFILE`/`ENFILE` the loop pauses accepting
 //! with a short backoff (counted in `accept_stalls`) instead of dying;
@@ -51,8 +52,8 @@
 //!
 //! [`Listener::shutdown`] (or drop) sets the stop flag and pokes every
 //! loop's wakeup pipe. Each loop closes the listener, stops reading from
-//! its connections, keeps pumping until every already-admitted reply has
-//! been flushed, then closes the sockets and exits. In-flight work is
+//! its connections, keeps delivering until every already-admitted reply
+//! has been flushed, then closes the sockets and exits. In-flight work is
 //! drained, not dropped — the same contract
 //! [`Service::shutdown`](crate::Service::shutdown) gives the in-process
 //! path.
@@ -63,8 +64,8 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,7 +76,7 @@ use crate::mix64;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::service::Inner;
 use crate::transport::{
-    ChannelTransport, CompletionHook, Reply, ReplyReceiver, Request, RequestKind, Transport,
+    ChannelTransport, Reply, ReplyReceiver, ReplySlot, Request, RequestKind, Transport,
 };
 use crate::wire::{self, FrameDecoder, WireBody, MAGIC, MAX_FRAME};
 
@@ -168,32 +169,71 @@ const CONN_BASE: u64 = 2;
 /// How long the accept loop backs off after fd exhaustion before retrying.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// The cross-thread face of one event loop: shard workers (completion
-/// hooks) and the accepting loop talk to it through this, never touching
-/// loop-owned state. Every mutation is followed by a byte down the wakeup
-/// pipe so the loop notices without polling its mailboxes.
+/// The longest HTTP request head the loop collects; a longer one is
+/// answered from its first 8 KiB.
+const HTTP_HEAD_MAX: usize = 8192;
+
+/// The cross-thread face of one event loop: shard workers (replies) and
+/// the accepting loop (new connections) post into its mailbox, never
+/// touching loop-owned state.
 struct LoopShared {
     /// Write half of the wakeup pipe; nonblocking, so a full pipe (wakeup
     /// already pending) is a no-op rather than a stall.
     wake_tx: UnixStream,
-    /// Tokens of connections with a newly completed reply.
-    ready: Mutex<Vec<u64>>,
+    mailbox: Mutex<Mailbox>,
+}
+
+/// What other threads have posted to a loop since it last looked.
+#[derive(Default)]
+struct Mailbox {
+    /// `(connection token, request id, reply)`, in the order posted.
+    replies: Vec<(u64, u64, Reply)>,
     /// Connections accepted by loop 0 and assigned to this loop.
-    incoming: Mutex<Vec<TcpStream>>,
+    incoming: Vec<TcpStream>,
+}
+
+impl Mailbox {
+    fn is_empty(&self) -> bool {
+        self.replies.is_empty() && self.incoming.is_empty()
+    }
 }
 
 impl LoopShared {
-    fn notify(&self, token: u64) {
-        self.ready.lock().expect("ready list lock").push(token);
-        self.poke();
+    /// A loop's shared face, and the read half of its wakeup pipe.
+    fn new() -> Result<(Self, UnixStream), ServeError> {
+        let (wake_tx, wake_rx) = UnixStream::pair().map_err(|e| io_err("wakeup pipe", e))?;
+        for half in [&wake_tx, &wake_rx] {
+            half.set_nonblocking(true)
+                .map_err(|e| io_err("wakeup pipe", e))?;
+        }
+        let shared = Self {
+            wake_tx,
+            mailbox: Mutex::default(),
+        };
+        Ok((shared, wake_rx))
     }
 
-    fn push_conn(&self, stream: TcpStream) {
-        self.incoming
-            .lock()
-            .expect("incoming list lock")
-            .push(stream);
-        self.poke();
+    /// The mailbox, locked. Every post is one push, so a poisoned lock
+    /// still guards a valid mailbox; recovering it keeps `ConnReply`'s
+    /// `Drop` from panicking.
+    fn mailbox(&self) -> MutexGuard<'_, Mailbox> {
+        self.mailbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Posts into the mailbox, writing the wake byte only if the mailbox
+    /// was empty. A non-empty mailbox has its byte already on the way: the
+    /// loop drains the pipe *before* it takes the mailbox, so a byte it
+    /// consumed is always followed by a take of every post it announced.
+    fn post(&self, put: impl FnOnce(&mut Mailbox)) {
+        let was_empty = {
+            let mut mailbox = self.mailbox();
+            let was_empty = mailbox.is_empty();
+            put(&mut mailbox);
+            was_empty
+        };
+        if was_empty {
+            self.poke();
+        }
     }
 
     fn poke(&self) {
@@ -201,29 +241,44 @@ impl LoopShared {
     }
 }
 
-/// The completion hook one connection attaches to every admission: the
-/// shard worker fires it right after sending the reply, which queues the
-/// connection for a reply pump on its owning loop.
-struct ConnHook {
-    shared: Arc<LoopShared>,
+/// The reply slot of a request admitted from a TCP connection: the shard
+/// posts the reply to the connection's loop, under the connection's token
+/// and the request's id.
+pub(crate) struct ConnReply {
+    /// `None` once posted (or withdrawn), so `Drop` posts only for a slot
+    /// that was dropped unsent.
+    shared: Option<Arc<LoopShared>>,
     token: u64,
+    id: u64,
 }
 
-impl CompletionHook for ConnHook {
-    fn on_reply(&self) {
-        self.shared.notify(self.token);
+impl ConnReply {
+    /// Posts the reply to the connection's loop, once.
+    pub(crate) fn send(&mut self, reply: Reply) {
+        if let Some(shared) = self.shared.take() {
+            let (token, id) = (self.token, self.id);
+            shared.post(|mailbox| mailbox.replies.push((token, id, reply)));
+        }
+    }
+
+    /// Takes back the slot of a refused request without posting: the loop
+    /// encodes the refusal itself, at once.
+    fn withdraw(mut self) {
+        self.shared = None;
     }
 }
 
-/// One in-flight request on a connection, in submission order. Replies
-/// are drained only from the front, which is what gives the remote client
-/// in-order replies without a reordering buffer.
-enum Entry {
-    /// Admitted to a shard; the reply will arrive on the receiver.
-    Pending(u64, ReplyReceiver),
-    /// Failed before admission (decode error, QueueFull, Shutdown) — the
-    /// error reply is already materialized.
-    Ready(u64, Reply),
+impl Drop for ConnReply {
+    /// A slot dropped unsent means its shard worker died with the job:
+    /// post a transport error in the reply's place, so the connection is
+    /// still answered and a draining one still closes.
+    fn drop(&mut self) {
+        if self.shared.is_some() {
+            self.send(Reply::bare(Err(ServeError::Transport(
+                "shard worker exited".into(),
+            ))));
+        }
+    }
 }
 
 enum ConnState {
@@ -231,31 +286,32 @@ enum ConnState {
     Preamble(Vec<u8>),
     /// Binary frame protocol.
     Binary,
+    /// HTTP: collecting the request head that follows `GET `.
+    Http(Vec<u8>),
 }
 
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
+    /// The poller token, also the address shards post replies to.
+    token: u64,
     state: ConnState,
     decoder: FrameDecoder,
-    inflight: VecDeque<Entry>,
+    /// Requests admitted to a shard whose replies have not arrived yet.
+    inflight: usize,
     /// Encoded-but-unflushed reply bytes; `outpos` is the flushed prefix.
     outbuf: Vec<u8>,
     outpos: usize,
     /// Reply frames encoded since the last flush attempt, for the
     /// writev-batching counter.
     pending_frames: usize,
-    /// Read side finished (EOF, protocol error, or listener drain): no
-    /// more frames in; flush what's owed, then close.
+    /// Read side finished (EOF, protocol error, answered HTTP head, or
+    /// listener drain): no more bytes in; flush what's owed, then close.
     closing: bool,
     /// Socket is unusable (I/O error or hard hangup): drop immediately.
     dead: bool,
-    /// `GET ` preamble seen — hand off to a blocking HTTP thread with
-    /// these already-read bytes.
-    handoff: Option<Vec<u8>>,
     /// What the poller is currently watching this fd for.
     interest: Interest,
-    hook: Arc<ConnHook>,
 }
 
 impl Conn {
@@ -269,9 +325,21 @@ impl Conn {
             (false, false) => Interest::READ_WRITE,
             (true, false) => Interest::WRITE,
             // Draining: nothing socket-side to wait for — the next event
-            // is a completion hook poke (or a hangup, always reported).
+            // is a posted reply (or a hangup, always reported).
             (true, true) => Interest::NONE,
         }
+    }
+
+    /// Encodes one reply frame into the write buffer.
+    fn push_reply(&mut self, net: &NetStats, id: u64, reply: &Reply) {
+        let payload = wire::encode_response(id, &reply.result, reply.trace_id);
+        // Counted before the flush: once the peer can observe the reply, a
+        // metrics snapshot must already include it.
+        net.frames_out.inc();
+        self.outbuf
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.outbuf.extend_from_slice(&payload);
+        self.pending_frames += 1;
     }
 }
 
@@ -294,9 +362,6 @@ struct EventLoop {
     inner: Arc<Inner>,
     cache: Arc<GraphCache>,
     net: Arc<NetStats>,
-    /// Blocking HTTP handler threads, joined on loop exit (finished ones
-    /// are reaped every tick).
-    http_handles: Vec<JoinHandle<()>>,
     read_buf: Vec<u8>,
 }
 
@@ -305,8 +370,8 @@ impl EventLoop {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             let timeout = if self.draining {
-                // Safety heartbeat: completion pokes are the real signal,
-                // the tick just bounds the damage if one is ever lost.
+                // Safety heartbeat: posted replies are the real signal,
+                // the tick just bounds the damage if a wake is ever lost.
                 Some(Duration::from_millis(25))
             } else {
                 self.accept_paused_until
@@ -350,29 +415,25 @@ impl EventLoop {
             if woke {
                 self.drain_wake_pipe();
             }
-            // Snapshot the mailboxes *after* draining the pipe: anything
-            // pushed later leaves a byte behind and wakes the next tick.
-            let notified = std::mem::take(&mut *self.shared.ready.lock().expect("ready list lock"));
-            let incoming =
-                std::mem::take(&mut *self.shared.incoming.lock().expect("incoming list lock"));
+            // Take the mailbox *after* draining the pipe: a post into the
+            // emptied mailbox writes a fresh byte and wakes the next tick.
+            let mail = std::mem::take(&mut *self.shared.mailbox());
 
-            if !events.is_empty() || !notified.is_empty() || !incoming.is_empty() {
+            if !events.is_empty() || !mail.is_empty() {
                 self.net.event_loop_wakeups.inc();
             }
 
             if accept_ready {
                 self.accept_burst();
             }
-            for stream in incoming {
+            for stream in mail.incoming {
                 self.register_conn(stream);
             }
+            let replied = self.deliver(mail.replies);
             for token in to_read {
                 self.on_conn_event(token, true);
             }
-            for token in notified {
-                self.on_conn_event(token, false);
-            }
-            for token in to_write {
+            for token in replied.into_iter().chain(to_write) {
                 self.on_conn_event(token, false);
             }
             // A hard hangup means the peer is gone both ways: a draining
@@ -386,13 +447,9 @@ impl EventLoop {
                 }
             }
 
-            self.reap_http_handles();
             if self.draining && self.conns.is_empty() {
                 break;
             }
-        }
-        for handle in self.http_handles.drain(..) {
-            let _ = handle.join();
         }
     }
 
@@ -406,6 +463,24 @@ impl EventLoop {
                 Err(_) => break,
             }
         }
+    }
+
+    /// Encodes each posted reply into its connection's write buffer, in
+    /// the order posted, and returns the connections it touched, each
+    /// once. A reply for a connection that has since closed is dropped.
+    fn deliver(&mut self, replies: Vec<(u64, u64, Reply)>) -> Vec<u64> {
+        let mut touched = Vec::new();
+        for (token, id, reply) in replies {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            conn.inflight -= 1;
+            conn.push_reply(&self.net, id, &reply);
+            touched.push(token);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        touched
     }
 
     // -- accept path --------------------------------------------------------
@@ -427,7 +502,7 @@ impl EventLoop {
                     }
                     let i = self.rr % self.all.len();
                     self.rr += 1;
-                    self.all[i].push_conn(stream);
+                    self.all[i].post(|mailbox| mailbox.incoming.push(stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -481,25 +556,20 @@ impl EventLoop {
             return;
         }
         self.net.connections_registered.inc();
-        let hook = Arc::new(ConnHook {
-            shared: Arc::clone(&self.shared),
-            token,
-        });
         self.conns.insert(
             token,
             Conn {
                 stream,
+                token,
                 state: ConnState::Preamble(Vec::with_capacity(4)),
                 decoder: FrameDecoder::new(),
-                inflight: VecDeque::new(),
+                inflight: 0,
                 outbuf: Vec::new(),
                 outpos: 0,
                 pending_frames: 0,
                 closing: false,
                 dead: false,
-                handoff: None,
                 interest: Interest::READ,
-                hook,
             },
         );
         // Level-triggered polling reports any bytes that raced ahead of
@@ -508,9 +578,9 @@ impl EventLoop {
 
     // -- connection events --------------------------------------------------
 
-    /// Runs one connection through read → pump → flush and re-files it
-    /// (or closes / hands it off). Taking the connection out of the map
-    /// keeps the borrow checker out of the way of `&mut self` helpers.
+    /// Runs one connection through read → flush and re-files it (or
+    /// closes it). Taking the connection out of the map keeps the borrow
+    /// checker out of the way of `&mut self` helpers.
     fn on_conn_event(&mut self, token: u64, readable: bool) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
@@ -518,16 +588,11 @@ impl EventLoop {
         if readable && !conn.closing && !conn.dead {
             self.conn_read(&mut conn);
         }
-        self.pump(&mut conn);
         if !conn.dead {
             self.flush(&mut conn);
         }
 
-        if let Some(leftover) = conn.handoff.take() {
-            self.http_handoff(conn, leftover);
-            return;
-        }
-        if conn.dead || (conn.closing && conn.inflight.is_empty() && conn.flushed()) {
+        if conn.dead || (conn.closing && conn.inflight == 0 && conn.flushed()) {
             self.close_conn(conn);
             return;
         }
@@ -543,57 +608,29 @@ impl EventLoop {
         let _ = self.poller.remove(conn.stream.as_raw_fd());
         // Dropping the connection closes its socket before the gauge
         // falls, so `connections_open` never reads 0 while a socket is
-        // still open. Its pending entries drop their receivers: a shard
-        // reply to one simply vanishes.
+        // still open. A reply still owed to it is dropped on arrival.
         drop(conn);
         self.net.connections_open.dec();
         self.net.closed.inc();
     }
 
-    fn http_handoff(&mut self, conn: Conn, leftover: Vec<u8>) {
-        let _ = self.poller.remove(conn.stream.as_raw_fd());
-        let stream = conn.stream;
-        let _ = stream.set_nonblocking(false);
-        // Counted before the handler runs so the scrape body it renders
-        // already includes this scrape.
-        self.net.http_scrapes.inc();
-        let inner = Arc::clone(&self.inner);
-        let net = Arc::clone(&self.net);
-        self.http_handles.push(
-            std::thread::Builder::new()
-                .name("http-scrape".into())
-                .spawn(move || {
-                    serve_scrape(stream, leftover, &inner);
-                    net.connections_open.dec();
-                    net.closed.inc();
-                })
-                .expect("failed to spawn a scrape handler thread"),
-        );
-    }
-
-    fn reap_http_handles(&mut self) {
-        let mut i = 0;
-        while i < self.http_handles.len() {
-            if self.http_handles[i].is_finished() {
-                let _ = self.http_handles.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
-        }
-    }
-
     /// Drains the socket to `WouldBlock`, feeding the preamble sniffer
-    /// and then the incremental frame decoder.
+    /// and then the incremental frame decoder or the HTTP head.
     fn conn_read(&mut self, conn: &mut Conn) {
         loop {
             let n = match (&conn.stream).read(&mut self.read_buf) {
                 Ok(0) => {
                     // EOF. Mid-frame (or mid-preamble with bytes already
                     // consumed into a frame) is a protocol error; at a
-                    // frame boundary it is a clean half-close.
+                    // frame boundary it is a clean half-close. An HTTP
+                    // head cut short is answered as it stands.
                     conn.closing = true;
-                    if matches!(conn.state, ConnState::Binary) && conn.decoder.mid_frame() {
-                        self.net.wire_errors.inc();
+                    match conn.state {
+                        ConnState::Binary if conn.decoder.mid_frame() => {
+                            self.net.wire_errors.inc();
+                        }
+                        ConnState::Http(_) => self.answer_http(conn),
+                        _ => {}
                     }
                     return;
                 }
@@ -623,13 +660,25 @@ impl EventLoop {
                 if pre[..4] == MAGIC {
                     conn.state = ConnState::Binary;
                 } else if &pre[..4] == b"GET " {
-                    conn.handoff = Some(chunk.to_vec());
-                    return;
+                    conn.state = ConnState::Http(Vec::new());
                 } else {
                     self.net.wire_errors.inc();
                     conn.dead = true;
                     return;
                 }
+            }
+            if let ConnState::Http(head) = &mut conn.state {
+                // Only the bytes that could complete a terminator with
+                // the new ones need scanning again.
+                let from = head.len().saturating_sub(3);
+                let take = chunk.len().min(HTTP_HEAD_MAX - head.len());
+                head.extend_from_slice(&chunk[..take]);
+                if head.len() == HTTP_HEAD_MAX || head[from..].windows(4).any(|w| w == b"\r\n\r\n")
+                {
+                    self.answer_http(conn);
+                    return;
+                }
+                continue;
             }
             conn.decoder.push(chunk);
             self.drain_frames(conn);
@@ -637,6 +686,18 @@ impl EventLoop {
                 return;
             }
         }
+    }
+
+    /// Answers a finished (or cut-short) HTTP head: the response goes into
+    /// the write buffer and the connection closes once it is flushed.
+    fn answer_http(&self, conn: &mut Conn) {
+        let ConnState::Http(head) = &conn.state else {
+            return;
+        };
+        // Counted before rendering, so a scrape body counts itself.
+        self.net.http_scrapes.inc();
+        conn.outbuf = http_response(head, &self.inner);
+        conn.closing = true;
     }
 
     /// Admits every complete frame buffered in the connection's decoder.
@@ -662,58 +723,30 @@ impl EventLoop {
                 return;
             }
             let id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-            let hook: Arc<dyn CompletionHook> = conn.hook.clone();
-            match decode_and_submit(&payload[8..], &self.transport, &self.cache, Some(hook)) {
-                Ok(rx) => conn.inflight.push_back(Entry::Pending(id, rx)),
+            let admitted = decode_request(&payload[8..], &self.cache).and_then(|request| {
+                let reply = ConnReply {
+                    shared: Some(Arc::clone(&self.shared)),
+                    token: conn.token,
+                    id,
+                };
+                self.transport
+                    .admit(request, ReplySlot::Conn(reply))
+                    .map_err(|(e, slot)| {
+                        if let ReplySlot::Conn(reply) = slot {
+                            reply.withdraw();
+                        }
+                        e
+                    })
+            });
+            match admitted {
+                Ok(()) => conn.inflight += 1,
                 Err(e) => {
                     if matches!(e, ServeError::Wire(_)) {
                         self.net.wire_errors.inc();
                     }
-                    conn.inflight
-                        .push_back(Entry::Ready(id, Reply::bare(Err(e))));
+                    conn.push_reply(&self.net, id, &Reply::bare(Err(e)));
                 }
             }
-        }
-    }
-
-    /// Encodes every reply that is ready *at the front* of the in-flight
-    /// queue into the connection's write buffer. Stopping at the first
-    /// still-pending entry is what preserves submission-order replies.
-    fn pump(&mut self, conn: &mut Conn) {
-        loop {
-            let Some(front) = conn.inflight.front_mut() else {
-                return;
-            };
-            let (id, reply) = match front {
-                Entry::Ready(..) => match conn.inflight.pop_front() {
-                    Some(Entry::Ready(id, reply)) => (id, reply),
-                    _ => unreachable!("front was Ready"),
-                },
-                Entry::Pending(id, rx) => match rx.try_recv() {
-                    Ok(reply) => {
-                        let id = *id;
-                        conn.inflight.pop_front();
-                        (id, reply)
-                    }
-                    Err(TryRecvError::Empty) => return,
-                    Err(TryRecvError::Disconnected) => {
-                        let id = *id;
-                        conn.inflight.pop_front();
-                        (
-                            id,
-                            Reply::bare(Err(ServeError::Transport("shard worker exited".into()))),
-                        )
-                    }
-                },
-            };
-            let payload = wire::encode_response(id, &reply.result, reply.trace_id);
-            // Counted before the flush: once the peer can observe the
-            // reply, a metrics snapshot must already include it.
-            self.net.frames_out.inc();
-            conn.outbuf
-                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            conn.outbuf.extend_from_slice(&payload);
-            conn.pending_frames += 1;
         }
     }
 
@@ -763,27 +796,13 @@ impl EventLoop {
             self.accept_paused_until = None;
         }
         // Stop reading everywhere; idle connections close immediately,
-        // the rest pump their remaining replies out first.
+        // the rest wait for their remaining replies and flush them first.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            let Some(mut conn) = self.conns.remove(&token) else {
-                continue;
-            };
-            conn.closing = true;
-            self.pump(&mut conn);
-            if !conn.dead {
-                self.flush(&mut conn);
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.closing = true;
             }
-            if conn.dead || (conn.inflight.is_empty() && conn.flushed()) {
-                self.close_conn(conn);
-                continue;
-            }
-            let desired = conn.desired_interest();
-            if desired != conn.interest {
-                let _ = self.poller.modify(conn.stream.as_raw_fd(), token, desired);
-                conn.interest = desired;
-            }
-            self.conns.insert(token, conn);
+            self.on_conn_event(token, false);
         }
     }
 }
@@ -826,18 +845,8 @@ impl Listener {
         let mut shared = Vec::with_capacity(n_loops);
         let mut wake_halves = Vec::with_capacity(n_loops);
         for _ in 0..n_loops {
-            let (wake_tx, wake_rx) = UnixStream::pair().map_err(|e| io_err("wakeup pipe", e))?;
-            wake_tx
-                .set_nonblocking(true)
-                .map_err(|e| io_err("wakeup pipe", e))?;
-            wake_rx
-                .set_nonblocking(true)
-                .map_err(|e| io_err("wakeup pipe", e))?;
-            shared.push(Arc::new(LoopShared {
-                wake_tx,
-                ready: Mutex::new(Vec::new()),
-                incoming: Mutex::new(Vec::new()),
-            }));
+            let (loop_shared, wake_rx) = LoopShared::new()?;
+            shared.push(Arc::new(loop_shared));
             wake_halves.push(wake_rx);
         }
         let all = Arc::new(shared.clone());
@@ -875,7 +884,6 @@ impl Listener {
                 inner: Arc::clone(&inner),
                 cache: Arc::clone(&cache),
                 net: Arc::clone(&inner.net),
-                http_handles: Vec::new(),
                 read_buf: vec![0u8; 64 * 1024],
             };
             loops.push(
@@ -933,29 +941,16 @@ impl Drop for Listener {
 /// "everything retained" under the default config.
 const TRACES_LIMIT: usize = 256;
 
-/// Serves one HTTP request and closes. The `GET ` preamble has already
-/// been consumed (any bytes read past it arrive as `leftover`), so the
-/// head starts with the path, which routes:
+/// The whole HTTP response to one request head. The `GET ` preamble has
+/// already been consumed, so the head starts with the path, which routes:
 ///
 /// * `/health` — liveness JSON (uptime, request totals, trace buffer).
 /// * `/traces` — the flight recorder's retained traces as JSON-lines,
 ///   newest last.
 /// * `/traces/<id>` — one retained trace by decimal id, or 404.
 /// * anything else (canonically `/metrics`) — the Prometheus scrape body.
-fn serve_scrape(mut stream: TcpStream, leftover: Vec<u8>, inner: &Inner) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    fn head_complete(seen: &[u8]) -> bool {
-        seen.windows(4).any(|w| w == b"\r\n\r\n")
-    }
-    let mut seen = leftover;
-    let mut byte = [0u8; 1];
-    while seen.len() < 8192 && !head_complete(&seen) {
-        match stream.read(&mut byte) {
-            Ok(1) => seen.push(byte[0]),
-            _ => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&seen);
+fn http_response(head: &[u8], inner: &Inner) -> Vec<u8> {
+    let head = String::from_utf8_lossy(head);
     let path = head.split_whitespace().next().unwrap_or("");
     let (status, content_type, body) = match path {
         "/health" => {
@@ -1010,27 +1005,18 @@ fn serve_scrape(mut stream: TcpStream, leftover: Vec<u8>, inner: &Inner) {
             inner.metrics().render_prometheus(),
         ),
     };
-    let header = format!(
+    let mut response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
-    let _ = stream.shutdown(Shutdown::Both);
+    )
+    .into_bytes();
+    response.extend_from_slice(body.as_bytes());
+    response
 }
 
-/// Decodes one request body and admits it through the shard queues,
-/// attaching the connection's completion hook so the owning event loop is
-/// poked when the reply lands. Admission failures (`QueueFull`,
-/// `Shutdown`) and decode failures come back as the error the remote
-/// caller should see.
-fn decode_and_submit(
-    body: &[u8],
-    transport: &ChannelTransport,
-    cache: &GraphCache,
-    hook: Option<Arc<dyn CompletionHook>>,
-) -> Result<ReplyReceiver, ServeError> {
+/// Decodes one request body, resolving its graph through the cache. A
+/// decode failure comes back as the error the remote caller should see.
+fn decode_request(body: &[u8], cache: &GraphCache) -> Result<Request, ServeError> {
     let request = wire::decode_request_body(body)?;
     let kind = match request.body {
         WireBody::Evaluate { threshold, graph } => RequestKind::Evaluate {
@@ -1052,19 +1038,16 @@ fn decode_and_submit(
                 .map_err(|_| WireError::Malformed(format!("sample count {n} overflows")))?,
         },
     };
-    // The deadline crossed relative; anchor it here, at admission — the
-    // queue wait counts against it exactly as it does in-process.
+    // The deadline crossed relative; admission anchors it — the queue
+    // wait counts against it exactly as it does in-process.
     let timeout = (request.deadline_ms > 0).then(|| Duration::from_millis(request.deadline_ms));
-    transport.submit_hooked(
-        Request {
-            tenant: request.tenant,
-            kind,
-            timeout,
-            strategy: request.strategy,
-            trace: request.trace,
-        },
-        hook,
-    )
+    Ok(Request {
+        tenant: request.tenant,
+        kind,
+        timeout,
+        strategy: request.strategy,
+        trace: request.trace,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1090,11 +1073,10 @@ struct ClientConn {
 /// Requests are written as frames tagged with a correlation id; a demux
 /// thread per connection routes response frames back to their waiting
 /// [`Pending`](crate::Pending) handles, so any number of requests can be
-/// in flight at once. Tenants are hashed to a fixed connection of the
-/// pool: combined with the server's per-connection in-order replies and
-/// the shard queues' FIFO, a tenant's requests still execute — and
-/// complete — in submission order, while distinct tenants spread across
-/// sockets.
+/// in flight at once, and the server writes each reply as it completes.
+/// Tenants are hashed to a fixed connection of the pool: combined with
+/// the shard queues' FIFO, a tenant's requests still execute in
+/// submission order, while distinct tenants spread across sockets.
 ///
 /// If a connection dies, every request in flight on it fails with
 /// [`ServeError::Transport`], and later submits routed to it fail fast
@@ -1227,6 +1209,7 @@ impl Drop for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Response;
 
     fn graph(i: usize) -> Vec<u8> {
         let q = Uncertain::normal(i as f64, 1.0).unwrap().gt(0.0);
@@ -1255,5 +1238,41 @@ mod tests {
         let id = cache.query_bool(newest).unwrap().id();
         assert_eq!(cache.query_bool(newest).unwrap().id(), id);
         assert!(cache.query_f64(newest).is_err());
+    }
+
+    #[test]
+    fn a_reply_slot_dropped_unsent_posts_the_worker_exit_error() {
+        let (shared, wake_rx) = LoopShared::new().unwrap();
+        let shared = Arc::new(shared);
+        let slot = |token, id| ConnReply {
+            shared: Some(Arc::clone(&shared)),
+            token,
+            id,
+        };
+        slot(3, 11).send(Reply::bare(Ok(Response::Decision(true))));
+        drop(slot(7, 42));
+        slot(9, 5).withdraw();
+
+        let mail = std::mem::take(&mut *shared.mailbox());
+        assert!(mail.incoming.is_empty());
+        let posted: Vec<_> = mail
+            .replies
+            .into_iter()
+            .map(|(token, id, reply)| (token, id, reply.result))
+            .collect();
+        assert_eq!(
+            posted,
+            [
+                (3, 11, Ok(Response::Decision(true))),
+                (
+                    7,
+                    42,
+                    Err(ServeError::Transport("shard worker exited".into()))
+                ),
+            ]
+        );
+        // Only the post into the empty mailbox wrote a wake byte.
+        let mut buf = [0u8; 8];
+        assert_eq!((&wake_rx).read(&mut buf).unwrap(), 1);
     }
 }

@@ -5,7 +5,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -40,13 +40,11 @@ pub(crate) struct Job {
     pub(crate) strategy: Option<EvalStrategy>,
     /// Wire-propagated tracing context; `None` is the dormant path.
     pub(crate) trace: Option<TraceContext>,
-    /// Admission time, for the queue-wait histogram.
-    pub(crate) enqueued: Instant,
-    /// Admission on the span clock ([`monotonic_ns`]); `0` for requests
-    /// that are not sampled (the stamp is skipped entirely).
+    /// Admission on the span clock ([`monotonic_ns`]): the start of the
+    /// queue-wait histogram's interval and of a sampled trace's queue span.
     pub(crate) enqueued_ns: u64,
-    /// Reply channel plus the optional completion hook of the admitting
-    /// transport (the event-driven listener's wakeup; `None` in-process).
+    /// Where the reply goes: the in-process caller's channel, or the event
+    /// loop of the TCP connection the request came in on.
     pub(crate) reply: ReplySlot,
 }
 
@@ -168,25 +166,21 @@ fn run_shard(
 ) {
     let mut pool = SessionPool::new(config.seed, config.eval, config.sessions_per_shard.max(1));
     loop {
-        let job = match rx.try_recv() {
-            Ok(job) => job,
-            Err(TryRecvError::Empty) => {
-                // Publish before blocking: an idle shard's pool gauges
-                // stay exact while it waits, so remote-only workloads
-                // (where nothing else forces a request boundary here)
-                // never scrape stale cache/session numbers.
-                stats.publish_cache(pool.cache_totals(), pool.entries.len(), pool.evicted);
-                // `recv` keeps returning queued jobs after every sender is
-                // dropped, then errors: shutdown drains the queue for free.
-                match rx.recv() {
-                    Ok(job) => job,
-                    Err(_) => break,
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        };
+        let next = rx.try_recv().or_else(|_| {
+            // Publish before blocking: an idle shard's pool gauges stay
+            // exact while it waits, so remote-only workloads (where
+            // nothing else forces a request boundary here) never scrape
+            // stale cache/session numbers.
+            stats.publish_cache(pool.cache_totals(), pool.entries.len(), pool.evicted);
+            // `recv` keeps returning queued jobs after every sender is
+            // dropped, then errors: shutdown drains the queue for free.
+            rx.recv()
+        });
+        let Ok(job) = next else { break };
         stats.queue_depth.dec();
-        stats.queue_wait_ns.record_duration(job.enqueued.elapsed());
+        stats
+            .queue_wait_ns
+            .record(monotonic_ns().saturating_sub(job.enqueued_ns));
         process(&mut pool, &stats, job, &flight, &config, shard_index);
         // Publish the pool-derived gauges at every request boundary: the
         // walk is O(pool size), a rounding error next to any request that
@@ -211,7 +205,6 @@ fn process(
         deadline,
         strategy,
         trace,
-        enqueued: _,
         enqueued_ns,
         reply,
     } = job;
@@ -250,6 +243,8 @@ fn process(
         let start = session
             .query_index()
             .expect("pool sessions are substream-seeded");
+        // A `pr` is an `evaluate` that replies with the verdict alone.
+        let verdict_only = matches!(kind, RequestKind::Pr { .. });
         // The query indices a completed request of this kind consumes.
         let spent = match &kind {
             RequestKind::Evaluate { .. } | RequestKind::Pr { .. } => 1,
@@ -263,7 +258,7 @@ fn process(
         // User code runs inside (closures, `condition_on`'s rejection
         // budget), so a request may panic; the shard must outlive it.
         let ran = panic::catch_unwind(AssertUnwindSafe(|| match kind {
-            RequestKind::Evaluate { cond, threshold } => {
+            RequestKind::Evaluate { cond, threshold } | RequestKind::Pr { cond, threshold } => {
                 let r = decide(
                     session,
                     &cond,
@@ -284,30 +279,13 @@ fn process(
                         config,
                     );
                 }
-                r.map(Response::Outcome)
-            }
-            RequestKind::Pr { cond, threshold } => {
-                let r = decide(
-                    session,
-                    &cond,
-                    threshold,
-                    &eval,
-                    deadline,
-                    stats,
-                    &mut tracer,
-                );
-                if let Some(tr) = tracer.as_mut() {
-                    maybe_audit(
-                        tr,
-                        service_seed,
-                        tenant,
-                        &cond,
-                        threshold,
-                        base_eval,
-                        config,
-                    );
-                }
-                r.map(|o| Response::Decision(o.accepted))
+                r.map(|o| {
+                    if verdict_only {
+                        Response::Decision(o.accepted)
+                    } else {
+                        Response::Outcome(o)
+                    }
+                })
             }
             RequestKind::E { expr, n } => {
                 e_request(session, &expr, n, &eval, deadline, stats, &mut tracer)
@@ -441,26 +419,21 @@ fn decide(
     // SPRT's batch trajectory lands in the span as events. Recorders are
     // proven not to perturb sample streams (the runtime draws the same
     // batches with or without one), so the sampled values — and therefore
-    // the verdict — are bitwise identical tracing on or off. The previous
-    // recorder (if the embedder installed one) is restored afterwards.
-    let (started_ns, log, prev) = match tracer {
+    // the verdict — are bitwise identical tracing on or off. No other
+    // recorder can be present: the pool builds its sessions without one,
+    // and this is the only place that installs one, taking it back below
+    // (or in `process`, if the decision panicked).
+    let (started_ns, log) = match tracer {
         Some(_) => {
             let log = TraceLog::new();
-            let prev = session.install_recorder(Box::new(log.clone()));
-            (monotonic_ns(), Some(log), prev)
+            session.install_recorder(Box::new(log.clone()));
+            (monotonic_ns(), Some(log))
         }
-        None => (0, None, None),
+        None => (0, None),
     };
     let decided = session.try_evaluate_until(cond, threshold, eval, |_| !expired(deadline));
     if let Some(log) = log {
-        match prev {
-            Some(p) => {
-                session.install_recorder(p);
-            }
-            None => {
-                session.take_recorder();
-            }
-        }
+        session.take_recorder();
         if let Some(tr) = tracer.as_mut() {
             let traces = log.take();
             tr.decide(

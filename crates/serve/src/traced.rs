@@ -73,8 +73,6 @@ pub(crate) struct RequestTracer {
 impl RequestTracer {
     /// Opens the `request` root (parented under the wire-propagated
     /// caller span) and its `queue` child covering admission → now.
-    /// `enqueued_ns == 0` (an edge that didn't stamp admission) degrades
-    /// to an empty queue span rather than a bogus epoch-length one.
     pub(crate) fn begin(
         ctx: TraceContext,
         tenant: u64,
@@ -84,11 +82,7 @@ impl RequestTracer {
     ) -> Self {
         let mut b = TraceBuilder::new(ctx);
         let now = monotonic_ns();
-        let admitted = if enqueued_ns > 0 {
-            enqueued_ns.min(now)
-        } else {
-            now
-        };
+        let admitted = enqueued_ns.min(now);
         let root = b.start_at("request", ctx.parent_span, admitted);
         b.attr(root, "tenant", AttrValue::U64(tenant));
         b.attr(root, "kind", AttrValue::Str(kind.into()));

@@ -23,9 +23,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uncertain_core::{EvalStrategy, HypothesisOutcome, ServeError, Uncertain};
-use uncertain_obs::TraceContext;
+use uncertain_obs::{monotonic_ns, TraceContext};
 use uncertain_stats::Summary;
 
+use crate::net::ConnReply;
 use crate::service::{Inner, Job};
 use crate::shard_of;
 
@@ -130,35 +131,22 @@ impl Reply {
 /// Where a submitted request's reply eventually arrives.
 pub type ReplyReceiver = Receiver<Reply>;
 
-/// A callback fired *after* a reply lands on its channel.
-///
-/// The event-driven listener cannot block a poll loop on a
-/// [`ReplyReceiver`]; instead it attaches a hook at admission that pokes
-/// the owning loop's wakeup pipe once the reply is sent, making reply
-/// readiness O(completions) instead of O(open connections) per tick. The
-/// hook runs on the shard worker thread, so implementations must be cheap
-/// and must never block.
-pub(crate) trait CompletionHook: Send + Sync {
-    fn on_reply(&self);
-}
-
-/// The reply side of a job: the channel every reply goes down, plus the
-/// optional completion hook the event-driven listener uses to learn the
-/// reply is there without blocking on the channel.
-pub(crate) struct ReplySlot {
-    tx: mpsc::SyncSender<Reply>,
-    hook: Option<Arc<dyn CompletionHook>>,
+/// Where a job's reply goes: the channel an in-process caller waits on,
+/// or the event loop that owns the TCP connection the request came in on.
+pub(crate) enum ReplySlot {
+    Channel(mpsc::SyncSender<Reply>),
+    Conn(ConnReply),
 }
 
 impl ReplySlot {
-    /// Sends the reply, then fires the hook. Order matters: the hook's
-    /// observer must find the reply already receivable when it wakes. A
-    /// send failure (receiver dropped — the submitter gave up) still
-    /// fires the hook so a listener-side observer can retire the entry.
-    pub(crate) fn send(&self, reply: Reply) {
-        let _ = self.tx.send(reply);
-        if let Some(hook) = &self.hook {
-            hook.on_reply();
+    /// Delivers the reply. A send failure on a channel (receiver dropped —
+    /// the submitter gave up) is ignored: the work is done either way.
+    pub(crate) fn send(self, reply: Reply) {
+        match self {
+            Self::Channel(tx) => {
+                let _ = tx.send(reply);
+            }
+            Self::Conn(mut conn) => conn.send(reply),
         }
     }
 }
@@ -190,16 +178,15 @@ impl ChannelTransport {
         Self { inner }
     }
 
-    /// [`Transport::submit`] with an optional completion hook attached to
-    /// the reply slot. This is the one admission path — every QueueFull /
-    /// Shutdown / deadline-anchoring decision lives here, whether the
-    /// caller is an in-process client (no hook) or the event-driven
-    /// listener (hook pokes the owning poll loop).
-    pub(crate) fn submit_hooked(
+    /// Admits one request, its reply to go to `reply`. This is the one
+    /// admission path — every QueueFull / Shutdown / deadline-anchoring
+    /// decision lives here, whether the caller is an in-process client or
+    /// the event-driven listener. A refused request hands its slot back.
+    pub(crate) fn admit(
         &self,
         request: Request,
-        hook: Option<Arc<dyn CompletionHook>>,
-    ) -> Result<ReplyReceiver, ServeError> {
+        reply: ReplySlot,
+    ) -> Result<(), (ServeError, ReplySlot)> {
         let Request {
             tenant,
             kind,
@@ -208,59 +195,49 @@ impl ChannelTransport {
             trace,
         } = request;
         if !self.inner.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::Shutdown);
+            return Err((ServeError::Shutdown, reply));
         }
         let shard = &self.inner.shards[shard_of(tenant, self.inner.shards.len())];
         let deadline = timeout
             .or(self.inner.config.default_deadline)
             .map(|t| Instant::now() + t);
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job {
             tenant,
             kind,
             deadline,
             strategy,
             trace,
-            enqueued: Instant::now(),
-            // Sampled requests stamp their admission on the span clock so
-            // the queue span starts exactly where the wait did; dormant
-            // requests skip even that read.
-            enqueued_ns: match trace {
-                Some(ctx) if ctx.sampled => uncertain_obs::monotonic_ns(),
-                _ => 0,
-            },
-            reply: ReplySlot { tx: reply_tx, hook },
+            enqueued_ns: monotonic_ns(),
+            reply,
         };
-        {
-            let guard = shard.tx.lock().expect("shard sender lock");
-            let Some(tx) = guard.as_ref() else {
-                return Err(ServeError::Shutdown);
-            };
-            // Count the admission before sending so the shard's matching
-            // decrement can never observe a missing increment.
-            shard.stats.queue_depth.inc();
-            match tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    shard.stats.queue_depth.dec();
+        let guard = shard.tx.lock().expect("shard sender lock");
+        let Some(tx) = guard.as_ref() else {
+            return Err((ServeError::Shutdown, job.reply));
+        };
+        // Count the admission before sending so the shard's matching
+        // decrement can never observe a missing increment.
+        shard.stats.queue_depth.inc();
+        tx.try_send(job).map_err(|e| {
+            shard.stats.queue_depth.dec();
+            match e {
+                TrySendError::Full(job) => {
                     shard.stats.rejected.inc();
-                    return Err(ServeError::QueueFull);
+                    (ServeError::QueueFull, job.reply)
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    shard.stats.queue_depth.dec();
-                    return Err(ServeError::Shutdown);
-                }
+                TrySendError::Disconnected(job) => (ServeError::Shutdown, job.reply),
             }
-        }
-        // The shard always replies — even to drained-at-shutdown or
-        // timed-out requests. A dropped reply channel therefore means the
-        // worker is gone.
-        Ok(reply_rx)
+        })
     }
 }
 
 impl Transport for ChannelTransport {
     fn submit(&self, request: Request) -> Result<ReplyReceiver, ServeError> {
-        self.submit_hooked(request, None)
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.admit(request, ReplySlot::Channel(tx))
+            .map_err(|(e, _)| e)?;
+        // The shard always replies — even to drained-at-shutdown or
+        // timed-out requests. A dropped reply channel therefore means the
+        // worker is gone.
+        Ok(rx)
     }
 }
