@@ -30,7 +30,9 @@
 //!   identical** to the tree-walk, sample for sample.
 //! * **Tagged arithmetic** (`+ - * / %`, comparisons, boolean ops, and the
 //!   `f64` method lifts) runs as tight monomorphic loops over columns that
-//!   the compiler can unroll and vectorize. Untagged `map`/`map2` closures
+//!   the compiler can unroll and vectorize. The trig lifts run
+//!   `uncertain_dist::trig`'s portable column passes, not libm, and
+//!   [`UnOp::apply`]/[`BinOp::apply`] call their scalar twins. Untagged `map`/`map2` closures
 //!   still lower — they run the closure per element, which keeps the
 //!   whole-network fallback rare.
 //!
@@ -52,6 +54,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use uncertain_dist::trig;
 
 /// Bytes of register columns one pass over a chunk of rows may span
 /// ([`Kernel::chunk`]). It bounds the scratch a session keeps between
@@ -100,6 +103,13 @@ pub(crate) enum UnOp {
     ClampK(f64, f64),
 }
 
+/// `out` sized to `n` rows, for a column pass that writes every one. A
+/// register that already has `n` rows is not touched first.
+fn rows(out: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    out.resize(n, 0.0);
+    out
+}
+
 impl UnOp {
     /// Fills `out[..n]` with the operation applied to `a[..n]`, one
     /// monomorphic loop per variant.
@@ -115,10 +125,10 @@ impl UnOp {
             UnOp::Sqrt => loop_fill(a, out, n, f64::sqrt),
             UnOp::Exp => loop_fill(a, out, n, f64::exp),
             UnOp::Ln => loop_fill(a, out, n, f64::ln),
-            UnOp::Sin => loop_fill(a, out, n, f64::sin),
-            UnOp::Cos => loop_fill(a, out, n, f64::cos),
-            UnOp::Asin => loop_fill(a, out, n, f64::asin),
-            UnOp::Atan => loop_fill(a, out, n, f64::atan),
+            UnOp::Sin => trig::sin_column(&a[..n], rows(out, n)),
+            UnOp::Cos => trig::cos_column(&a[..n], rows(out, n)),
+            UnOp::Asin => trig::asin_column(&a[..n], rows(out, n)),
+            UnOp::Atan => trig::atan_column(&a[..n], rows(out, n)),
             UnOp::ToRadians => loop_fill(a, out, n, f64::to_radians),
             UnOp::ToDegrees => loop_fill(a, out, n, f64::to_degrees),
             UnOp::AddK(k) => loop_fill(a, out, n, |x| x + k),
@@ -146,10 +156,10 @@ impl UnOp {
             UnOp::Sqrt => x.sqrt(),
             UnOp::Exp => x.exp(),
             UnOp::Ln => x.ln(),
-            UnOp::Sin => x.sin(),
-            UnOp::Cos => x.cos(),
-            UnOp::Asin => x.asin(),
-            UnOp::Atan => x.atan(),
+            UnOp::Sin => trig::sin(x),
+            UnOp::Cos => trig::cos(x),
+            UnOp::Asin => trig::asin(x),
+            UnOp::Atan => trig::atan(x),
             UnOp::ToRadians => x.to_radians(),
             UnOp::ToDegrees => x.to_degrees(),
             UnOp::AddK(k) => x + k,
@@ -231,7 +241,7 @@ impl BinOp {
             BinOp::Rem => loop_fill(a, b, out, n, |x, y| x % y),
             BinOp::Max => loop_fill(a, b, out, n, f64::max),
             BinOp::Min => loop_fill(a, b, out, n, f64::min),
-            BinOp::Atan2 => loop_fill(a, b, out, n, f64::atan2),
+            BinOp::Atan2 => trig::atan2_column(&a[..n], &b[..n], rows(out, n)),
         }
     }
 
@@ -245,7 +255,7 @@ impl BinOp {
             BinOp::Rem => x % y,
             BinOp::Max => x.max(y),
             BinOp::Min => x.min(y),
-            BinOp::Atan2 => x.atan2(y),
+            BinOp::Atan2 => trig::atan2(x, y),
         }
     }
 
@@ -1523,6 +1533,20 @@ mod tests {
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::NAN,
+            // Rare trig paths among common elements: cancellation at the
+            // doubles nearest π/2, π and 710·π/2, Payne–Hanek reduction,
+            // and a subnormal.
+            std::f64::consts::FRAC_PI_2,
+            0.3,
+            std::f64::consts::PI,
+            -0.7,
+            710.0 * std::f64::consts::FRAC_PI_2,
+            1e6,
+            2e6,
+            1.25,
+            1e22,
+            5e-324,
+            -2.0,
         ];
         let mut out = Vec::new();
         for op in all {
@@ -1544,11 +1568,24 @@ mod tests {
     fn binop_apply_is_bitwise_twin_of_fill() {
         use BinOp::*;
         let all = [Add, Sub, Mul, Div, Rem, Max, Min, Atan2];
-        let xs = [-2.5, -0.0, 0.0, 1.5, f64::INFINITY, f64::NAN];
+        // ±0, ±∞ and NaN in either operand take atan2's rare path among
+        // common pairs.
+        let xs = [
+            -2.5,
+            -0.0,
+            0.0,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            0.75,
+            -1e-300,
+            1e300,
+        ];
         let mut out = Vec::new();
         for op in all {
             for &y in &xs {
-                let ys = [y; 6];
+                let ys = [y; 10];
                 op.fill(&xs, &ys, &mut out, xs.len());
                 for (i, &x) in xs.iter().enumerate() {
                     // Unfolded at build time; see the unary twin test.

@@ -6,6 +6,7 @@
 
 use crate::kernel::{BinOp, Map2Tag, MapTag, UnOp};
 use crate::uncertain::{Uncertain, Value};
+use uncertain_dist::trig;
 
 impl Uncertain<f64> {
     /// Lifted absolute value.
@@ -30,28 +31,43 @@ impl Uncertain<f64> {
     }
 
     /// Lifted sine (radians).
+    ///
+    /// Portable, not libm: [`uncertain_dist::trig::sin`], within 1 ulp of
+    /// the correctly rounded value and the same bits on every host, which
+    /// the columnar kernel computes too.
     pub fn sin(&self) -> Uncertain<f64> {
-        self.map_tagged("sin", Some(MapTag::F64(UnOp::Sin)), f64::sin)
+        self.map_tagged("sin", Some(MapTag::F64(UnOp::Sin)), trig::sin)
     }
 
-    /// Lifted cosine (radians).
+    /// Lifted cosine (radians). Portable, not libm:
+    /// [`uncertain_dist::trig::cos`], within 1 ulp (see [`Uncertain::sin`]).
     pub fn cos(&self) -> Uncertain<f64> {
-        self.map_tagged("cos", Some(MapTag::F64(UnOp::Cos)), f64::cos)
+        self.map_tagged("cos", Some(MapTag::F64(UnOp::Cos)), trig::cos)
     }
 
-    /// Lifted arcsine (`NaN` outside `[-1, 1]`, as in `f64::asin`).
+    /// Lifted arcsine (`NaN` outside `[-1, 1]`). Portable, not libm:
+    /// [`uncertain_dist::trig::asin`], within 1 ulp (see [`Uncertain::sin`]).
     pub fn asin(&self) -> Uncertain<f64> {
-        self.map_tagged("asin", Some(MapTag::F64(UnOp::Asin)), f64::asin)
+        self.map_tagged("asin", Some(MapTag::F64(UnOp::Asin)), trig::asin)
     }
 
-    /// Lifted arctangent.
+    /// Lifted arctangent. Portable, not libm:
+    /// [`uncertain_dist::trig::atan`], within 1 ulp (see [`Uncertain::sin`]).
     pub fn atan(&self) -> Uncertain<f64> {
-        self.map_tagged("atan", Some(MapTag::F64(UnOp::Atan)), f64::atan)
+        self.map_tagged("atan", Some(MapTag::F64(UnOp::Atan)), trig::atan)
     }
 
     /// Lifted four-quadrant arctangent: per-sample `self.atan2(other)`.
+    /// Portable, not libm: [`uncertain_dist::trig::atan2`], within 1 ulp
+    /// and with C99 Annex F's values at zeros, infinities and NaN (see
+    /// [`Uncertain::sin`]).
     pub fn atan2(&self, other: &Uncertain<f64>) -> Uncertain<f64> {
-        self.map2_tagged("atan2", other, Some(Map2Tag::F64(BinOp::Atan2)), f64::atan2)
+        self.map2_tagged(
+            "atan2",
+            other,
+            Some(Map2Tag::F64(BinOp::Atan2)),
+            trig::atan2,
+        )
     }
 
     /// Lifted degrees → radians conversion.

@@ -33,6 +33,13 @@ enum FExpr {
     Neg(Box<FExpr>),
     Sqrt(Box<FExpr>),
     Sin(Box<FExpr>),
+    Cos(Box<FExpr>),
+    Asin(Box<FExpr>),
+    Atan(Box<FExpr>),
+    Atan2(Box<FExpr>, Box<FExpr>),
+    /// `sin(a · 2^21)`: arguments past 2^20·π/2, so the trig pass takes its
+    /// Payne–Hanek rare path inside columns of common elements.
+    SinLarge(Box<FExpr>),
     AddK(Box<FExpr>, f64),
     MulK(Box<FExpr>, f64),
     Add(Box<FExpr>, Box<FExpr>),
@@ -53,6 +60,13 @@ fn build_f(e: &FExpr) -> Uncertain<f64> {
         // must propagate the same bits.
         FExpr::Sqrt(a) => build_f(a).sqrt(),
         FExpr::Sin(a) => build_f(a).sin(),
+        FExpr::Cos(a) => build_f(a).cos(),
+        // NaN outside [-1, 1] on purpose: both paths must give the same
+        // NaN bits.
+        FExpr::Asin(a) => build_f(a).asin(),
+        FExpr::Atan(a) => build_f(a).atan(),
+        FExpr::Atan2(a, b) => build_f(a).atan2(&build_f(b)),
+        FExpr::SinLarge(a) => (build_f(a) * 2_097_152.0).sin(),
         FExpr::AddK(a, k) => build_f(a) + *k,
         FExpr::MulK(a, k) => build_f(a) * *k,
         FExpr::Add(a, b) => build_f(a) + build_f(b),
@@ -76,6 +90,12 @@ fn f_expr() -> impl Strategy<Value = FExpr> {
             inner.clone().prop_map(|a| FExpr::Neg(Box::new(a))),
             inner.clone().prop_map(|a| FExpr::Sqrt(Box::new(a))),
             inner.clone().prop_map(|a| FExpr::Sin(Box::new(a))),
+            inner.clone().prop_map(|a| FExpr::Cos(Box::new(a))),
+            inner.clone().prop_map(|a| FExpr::Asin(Box::new(a))),
+            inner.clone().prop_map(|a| FExpr::Atan(Box::new(a))),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| FExpr::Atan2(Box::new(a), Box::new(b))),
+            inner.clone().prop_map(|a| FExpr::SinLarge(Box::new(a))),
             (inner.clone(), -3.0..3.0).prop_map(|(a, k)| FExpr::AddK(Box::new(a), k)),
             (inner.clone(), -3.0..3.0).prop_map(|(a, k)| FExpr::MulK(Box::new(a), k)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| FExpr::Add(Box::new(a), Box::new(b))),

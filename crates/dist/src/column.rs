@@ -1,6 +1,8 @@
 //! Columnar (SoA) sampling substrate: deterministic transcendental
 //! kernels and the unrolled column passes behind
-//! [`Distribution::fill_column`](crate::Distribution::fill_column).
+//! [`Distribution::fill_column`](crate::Distribution::fill_column), and the
+//! dispatch that [`trig`](crate::trig)'s column passes (`sin`, `cos`,
+//! `asin`, `atan`, `atan2`) share.
 //!
 //! # Why the math lives here and not in libm
 //!
@@ -20,11 +22,19 @@
 //!
 //! # The lane/tail rule
 //!
-//! Column passes process elements in explicit 4-lane unrolled groups with
-//! a scalar tail. Every lane applies exactly the per-element operation
-//! sequence of the scalar path — unrolling changes *scheduling*, never the
-//! per-element dataflow — so results are bitwise identical for any batch
-//! length, including lengths that are not a multiple of the lane width.
+//! Column passes process elements in lanes with a scalar tail: the leaf
+//! transforms in explicit 4-lane unrolled groups, the trig passes as plain
+//! loops the compiler unrolls itself. Every lane applies exactly the
+//! per-element operation sequence of the scalar path — unrolling changes
+//! *scheduling*, never the per-element dataflow — so results are bitwise
+//! identical for any batch length, including lengths that are not a
+//! multiple of the lane width.
+//!
+//! A pass may leave some elements to a *rare path*. Then a pure function
+//! of the element's input decides whether it is rare, the vector pass
+//! marks it, and a scalar loop afterwards recomputes each marked element.
+//! Its scalar twin is `if rare(x) { slow(x) } else { fast(x) }`, so the
+//! rule still holds element by element (see [`trig`](crate::trig)).
 //!
 //! # The per-index RNG contract
 //!
@@ -39,7 +49,9 @@
 //! target and once under `#[target_feature(enable = "avx2")]`, selected at
 //! runtime. Both compilations execute identical IEEE-754 operations (Rust
 //! never contracts `a * b + c` into a fused multiply-add on its own), so
-//! the selected path never changes results — only throughput.
+//! the selected path never changes results — only throughput. One macro
+//! writes both clones of every pass and keeps the baseline body callable,
+//! so tests on an AVX2 host run it directly.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -139,20 +151,54 @@ pub fn fast_cos_2pi(u: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Column passes (4-lane unrolled, scalar tail, runtime-dispatched SIMD)
+// Column passes (runtime-dispatched SIMD)
 // ---------------------------------------------------------------------------
-//
-// Each pass is compiled twice — baseline and `#[target_feature(enable =
-// "avx2")]` — and selected at runtime. The AVX2 clone forces the *same*
-// Rust body inline, so it performs identical IEEE-754 operations and stays
-// bitwise-equal to the baseline; the target feature only licenses wider
-// registers for the autovectorizer.
 
-/// In place: `u1[i] ← mean + sd · √(−2 ln u1[i]) · cos(2π u2[i])` — the
-/// Box–Muller transform over already-drawn uniform columns.
-pub(crate) fn gaussian_transform(u1: &mut [f64], u2: &[f64], mean: f64, sd: f64) {
-    #[inline(always)]
-    fn body(u1: &mut [f64], u2: &[f64], mean: f64, sd: f64) {
+/// Defines a column pass twice over one body: `$base`, the body itself,
+/// which a test can call to run the baseline compilation on any host, and
+/// `$name`, which runs the body under `#[target_feature(enable = "avx2")]`
+/// when the CPU has AVX2 and as `$base` otherwise. The AVX2 clone forces
+/// the *same* Rust body inline, so it performs identical IEEE-754
+/// operations and stays bitwise-equal to the baseline; the target feature
+/// only licenses wider registers for the autovectorizer.
+macro_rules! column_pass {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident / $base:ident ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+        $body:block
+    ) => {
+        #[inline(always)]
+        fn $base($($arg: $ty),*) $(-> $ret)? $body
+
+        $(#[$attr])*
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $base($($arg),*)
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: calling a `target_feature` function needs
+                    // only that the CPU has the feature, just checked.
+                    return unsafe { avx2($($arg),*) };
+                }
+            }
+            $base($($arg),*)
+        }
+    };
+}
+pub(crate) use column_pass;
+
+column_pass! {
+    /// In place: `u1[i] ← mean + sd · √(−2 ln u1[i]) · cos(2π u2[i])` — the
+    /// Box–Muller transform over already-drawn uniform columns.
+    pub(crate) fn gaussian_transform / gaussian_transform_base(
+        u1: &mut [f64],
+        u2: &[f64],
+        mean: f64,
+        sd: f64,
+    ) {
         let n = u1.len().min(u2.len());
         let (u1, u2) = (&mut u1[..n], &u2[..n]);
         #[inline(always)]
@@ -176,25 +222,12 @@ pub(crate) fn gaussian_transform(u1: &mut [f64], u2: &[f64], mean: f64, sd: f64)
             i += 1;
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        unsafe fn body_avx2(u1: &mut [f64], u2: &[f64], mean: f64, sd: f64) {
-            body(u1, u2, mean, sd)
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence just checked; the body is safe code.
-            return unsafe { body_avx2(u1, u2, mean, sd) };
-        }
-    }
-    body(u1, u2, mean, sd)
 }
 
-/// In place: `u[i] ← −ln(u[i]) / rate` — inverse-CDF exponential over a
-/// drawn uniform column.
-pub(crate) fn exponential_transform(u: &mut [f64], rate: f64) {
-    #[inline(always)]
-    fn body(u: &mut [f64], rate: f64) {
+column_pass! {
+    /// In place: `u[i] ← −ln(u[i]) / rate` — inverse-CDF exponential over a
+    /// drawn uniform column.
+    pub(crate) fn exponential_transform / exponential_transform_base(u: &mut [f64], rate: f64) {
         let n = u.len();
         let mut i = 0;
         while i + 4 <= n {
@@ -213,25 +246,12 @@ pub(crate) fn exponential_transform(u: &mut [f64], rate: f64) {
             i += 1;
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        unsafe fn body_avx2(u: &mut [f64], rate: f64) {
-            body(u, rate)
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence just checked; the body is safe code.
-            return unsafe { body_avx2(u, rate) };
-        }
-    }
-    body(u, rate)
 }
 
-/// In place: `u[i] ← scale · √(−2 ln u[i])` — inverse-CDF Rayleigh over a
-/// drawn uniform column.
-pub(crate) fn rayleigh_transform(u: &mut [f64], scale: f64) {
-    #[inline(always)]
-    fn body(u: &mut [f64], scale: f64) {
+column_pass! {
+    /// In place: `u[i] ← scale · √(−2 ln u[i])` — inverse-CDF Rayleigh over a
+    /// drawn uniform column.
+    pub(crate) fn rayleigh_transform / rayleigh_transform_base(u: &mut [f64], scale: f64) {
         let n = u.len();
         let mut i = 0;
         while i + 4 <= n {
@@ -250,18 +270,6 @@ pub(crate) fn rayleigh_transform(u: &mut [f64], scale: f64) {
             i += 1;
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        unsafe fn body_avx2(u: &mut [f64], scale: f64) {
-            body(u, scale)
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence just checked; the body is safe code.
-            return unsafe { body_avx2(u, scale) };
-        }
-    }
-    body(u, scale)
 }
 
 // ---------------------------------------------------------------------------
@@ -337,32 +345,46 @@ mod tests {
 
     #[test]
     fn transforms_match_scalar_formula_bitwise_any_length() {
-        // Unrolled + dispatched passes must equal the scalar per-element
+        // Unrolled + dispatched passes, and the baseline bodies an AVX2
+        // host otherwise never runs, must equal the scalar per-element
         // formula for lengths around the 4-lane width.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 100] {
+        for n in (0usize..=9).chain([31, 64, 100]) {
             let mut rng = SmallRng::seed_from_u64(n as u64);
             let u1: Vec<f64> = (0..n).map(|_| 1.0 - rng.gen::<f64>()).collect();
             let u2: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
 
             let mut g = u1.clone();
             gaussian_transform(&mut g, &u2, 1.5, 2.5);
+            let mut gb = u1.clone();
+            gaussian_transform_base(&mut gb, &u2, 1.5, 2.5);
             for i in 0..n {
                 let want = 1.5 + 2.5 * ((-2.0 * fast_ln(u1[i])).sqrt() * fast_cos_2pi(u2[i]));
                 assert_eq!(g[i].to_bits(), want.to_bits(), "gaussian n={n} i={i}");
+                assert_eq!(gb[i].to_bits(), want.to_bits(), "gaussian base n={n} i={i}");
             }
 
             let mut e = u1.clone();
             exponential_transform(&mut e, 0.7);
+            let mut eb = u1.clone();
+            exponential_transform_base(&mut eb, 0.7);
             for i in 0..n {
                 let want = -fast_ln(u1[i]) / 0.7;
                 assert_eq!(e[i].to_bits(), want.to_bits(), "exponential n={n} i={i}");
+                assert_eq!(
+                    eb[i].to_bits(),
+                    want.to_bits(),
+                    "exponential base n={n} i={i}"
+                );
             }
 
             let mut r = u1.clone();
             rayleigh_transform(&mut r, 3.0);
+            let mut rb = u1.clone();
+            rayleigh_transform_base(&mut rb, 3.0);
             for i in 0..n {
                 let want = 3.0 * (-2.0 * fast_ln(u1[i])).sqrt();
                 assert_eq!(r[i].to_bits(), want.to_bits(), "rayleigh n={n} i={i}");
+                assert_eq!(rb[i].to_bits(), want.to_bits(), "rayleigh base n={n} i={i}");
             }
         }
     }

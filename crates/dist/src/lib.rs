@@ -41,6 +41,7 @@
 
 pub mod column;
 pub mod special;
+pub mod trig;
 
 mod bernoulli;
 mod beta;

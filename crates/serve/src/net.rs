@@ -18,7 +18,9 @@
 //!
 //! * **Preamble** — the first 4 bytes sniff the protocol: the `UNC1`
 //!   magic starts the binary request loop, `GET ` an HTTP request. One
-//!   port, both protocols — no second listener to firewall.
+//!   port, both protocols — no second listener to firewall. A connection
+//!   that has not sent its preamble, or after `GET ` its whole head,
+//!   within 2 s of accept is closed without a response.
 //! * **Binary** — reads are drained to `WouldBlock` into an incremental
 //!   [`FrameDecoder`](crate::wire::FrameDecoder) that tolerates arbitrary
 //!   partial reads; each complete frame is admitted through the same
@@ -172,6 +174,13 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// The longest HTTP request head the loop collects; a longer one is
 /// answered from its first 8 KiB.
 const HTTP_HEAD_MAX: usize = 8192;
+
+/// How long a connection may take to say what it is: to send its 4-byte
+/// preamble and, after `GET `, its whole HTTP head. One still unsure after
+/// this is closed without a response, so silent sockets cannot pile up
+/// until the fd limit turns honest clients away. Binary connections past
+/// their preamble have no deadline: pooled clients idle legitimately.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// The cross-thread face of one event loop: shard workers (replies) and
 /// the accepting loop (new connections) post into its mailbox, never
@@ -353,6 +362,9 @@ struct EventLoop {
     listener: Option<TcpListener>,
     /// Backoff deadline while accepting is paused on fd exhaustion.
     accept_paused_until: Option<Instant>,
+    /// `(deadline, token)` of each connection by registration, hence by
+    /// deadline: when it must have left `Preamble` and `Http`.
+    head_deadlines: VecDeque<(Instant, u64)>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     rr: usize,
@@ -374,8 +386,13 @@ impl EventLoop {
                 // the tick just bounds the damage if a wake is ever lost.
                 Some(Duration::from_millis(25))
             } else {
+                let head = self.head_deadlines.front().map(|&(deadline, _)| deadline);
+                let now = Instant::now();
                 self.accept_paused_until
-                    .map(|until| until.saturating_duration_since(Instant::now()))
+                    .into_iter()
+                    .chain(head)
+                    .min()
+                    .map(|until| until.saturating_duration_since(now))
             };
             if self.poller.wait(&mut events, timeout).is_err() {
                 // A broken poller would otherwise spin; back off hard.
@@ -446,9 +463,31 @@ impl EventLoop {
                     }
                 }
             }
+            self.expire_heads();
 
             if self.draining && self.conns.is_empty() {
                 break;
+            }
+        }
+    }
+
+    /// Closes, without a response, each connection whose head deadline
+    /// has passed while it is still in `Preamble` or `Http` and not yet
+    /// answered.
+    fn expire_heads(&mut self) {
+        let now = Instant::now();
+        while let Some(&(deadline, token)) = self.head_deadlines.front() {
+            if deadline > now {
+                break;
+            }
+            self.head_deadlines.pop_front();
+            let unsure = self.conns.get(&token).is_some_and(|c| {
+                !c.closing && matches!(c.state, ConnState::Preamble(_) | ConnState::Http(_))
+            });
+            if unsure {
+                if let Some(conn) = self.conns.remove(&token) {
+                    self.close_conn(conn);
+                }
             }
         }
     }
@@ -556,6 +595,8 @@ impl EventLoop {
             return;
         }
         self.net.connections_registered.inc();
+        self.head_deadlines
+            .push_back((Instant::now() + HEAD_DEADLINE, token));
         self.conns.insert(
             token,
             Conn {
@@ -875,6 +916,7 @@ impl Listener {
                 all: Arc::clone(&all),
                 listener,
                 accept_paused_until: None,
+                head_deadlines: VecDeque::new(),
                 conns: HashMap::new(),
                 next_token: CONN_BASE,
                 rr: 0,
