@@ -38,7 +38,6 @@ use uncertain_serve::wire::{self, FrameDecoder, MAGIC};
 use uncertain_serve::{Request, RequestKind, Response, ServeClient, ServeConfig, Service};
 
 const SHARDS: usize = 4;
-const POOL: usize = 16;
 const SEED: u64 = 2014;
 const THRESHOLD: f64 = 0.5;
 
@@ -73,19 +72,13 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 /// Service topology for a row with `conns` closed-loop tenants. Shards
-/// and seed are fixed; the session pool and queue bound scale with the
-/// tenant population so the high-connection rows measure connection
-/// concurrency rather than session-eviction thrash or a queue sized for
-/// a different row (neither knob can change results: evicted tenants
-/// keep their cursors, and a queue that never fills rejects nothing).
-/// The pool gets room for *every* tenant on *any* shard — an average
-/// fit is not enough, because tenant→shard hashing is imbalanced and a
-/// shard pushed past its pool by a few tenants thrashes its LRU on the
-/// cyclic closed-loop access pattern (rebuild + recompile per request).
+/// and seed are fixed; the queue bound scales with the tenant population
+/// so the high-connection rows measure connection concurrency rather than
+/// a queue sized for a different row (it cannot change results: a queue
+/// that never fills rejects nothing).
 fn service_config(conns: usize) -> ServeConfig {
     ServeConfig::builder()
         .shards(SHARDS)
-        .sessions_per_shard(POOL.max(conns))
         .queue_depth(256.max(conns))
         .seed(SEED)
         .bind_addr("127.0.0.1:0")
@@ -510,13 +503,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              \"connections\":{conns},\"per_connection\":{per_conn},\
              \"decisions\":{decisions},\"timed_decisions\":{timed},\
              \"shards\":{SHARDS},\
-             \"sessions_per_shard\":{pool},\
              \"throughput_dps\":{dps:.1},\"p50_us\":{p50:.1},\
              \"p95_us\":{p95:.1},\"p99_us\":{p99:.1},\
              \"net_frames_in\":{frames},\"fingerprint\":{fp}}}",
             decisions = conns * per_conn,
             timed = conns * (per_conn - 1),
-            pool = POOL.max(conns),
             dps = run.throughput_dps,
             p50 = run.p50_us,
             p95 = run.p95_us,

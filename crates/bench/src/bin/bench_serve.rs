@@ -2,27 +2,20 @@
 //! evidence decisions across 1/2/4/8 shards, and appends machine-readable
 //! JSON lines to `BENCH_serve.json` (in the working directory).
 //!
-//! The workload is many-tenant: more tenants than one shard's session
-//! pool holds. Sharding therefore scales the service's *aggregate hot
-//! cache capacity*: a 1-shard service evicts tenant sessions on every
-//! round (each decision pays session rebuild + plan recompilation), while
-//! a 4-shard service keeps the whole working set resident. That — not CPU
-//! parallelism, which a single-core runner cannot grant — is what the
-//! throughput column measures, and it is the same effect production
-//! sharding buys when tenants outnumber one box's memory.
+//! The workload is many-tenant: 48 tenants ask one network. A shard
+//! serves all of its tenants from one session, so it compiles the network
+//! once and every later decision hits its plan cache, whatever the shard
+//! count. The shard sweep therefore measures how decisions are scheduled
+//! across shard threads on the host's CPUs (2 on the reference runner),
+//! not cache capacity, and it asserts the determinism contract.
 //!
-//! Two workloads, because the capacity mechanism's headroom is exactly
-//! the workload's cold/hot decision-cost ratio:
+//! Two workloads:
 //!
 //! - `evidence_chain`: a 159-node GPS-flavored evidence conditional (the
-//!   `bench_kernel` family), where plan compilation
-//!   dominates a decision. This is where sharding's capacity effect
-//!   shows: ≳4× decision throughput from 1 → 4 shards.
+//!   `bench_kernel` family), decisive at the minimum SPRT budget, so a
+//!   hot decision is a few short kernel batches.
 //! - `fig9_gps`: the literal Fig. 9 network (`Speed < 4 mph` on the GPS
-//!   walking evidence). Transcendental-heavy sampling used to bound its
-//!   capacity win near the raw cold/hot ratio (~1.2–1.4× on one core);
-//!   the columnar batch kernel cut hot sampling several-fold, so cache
-//!   residency is now worth ≳3× here too.
+//!   walking evidence), where trig-heavy sampling dominates a decision.
 //!
 //! Also reports closed-loop tail latency under saturation (4 client
 //! threads), and checks the service's determinism contract: per-tenant
@@ -40,10 +33,9 @@ use uncertain_core::{HypothesisOutcome, Uncertain};
 use uncertain_gps::{uncertain_speed, GeoCoordinate, GpsReading, MPS_TO_MPH};
 use uncertain_serve::{Pending, ServeConfig, Service};
 
-/// More tenants than one shard's pool: the working set fits only when the
-/// aggregate capacity (shards × pool) covers it.
+/// Tenants asking the one network; each shard compiles it once for all of
+/// its tenants.
 const TENANTS: u64 = 48;
-const POOL: usize = 16;
 const SEED: u64 = 2014;
 const THRESHOLD: f64 = 0.5;
 
@@ -61,7 +53,7 @@ fn fig9_gps() -> Uncertain<bool> {
 /// shared-leaf family as `bench_kernel`. The comparison
 /// margin keeps the conditional decisive (minimum SPRT budget), so plan
 /// compilation, not sampling, dominates a cold decision: the workload
-/// where a session cache's capacity is worth the most.
+/// where sharing a compiled network is worth the most.
 fn evidence_chain(n: usize) -> Uncertain<bool> {
     let x = Uncertain::normal(0.0, 1.0).unwrap();
     let y = Uncertain::normal(1.0, 2.0).unwrap();
@@ -95,7 +87,6 @@ struct TopologyRun {
     p95_us: f64,
     p99_us: f64,
     cache_hit_rate: f64,
-    sessions_evicted: u64,
     sprt_samples: u64,
     /// Per-tenant fold of (samples, estimate-bits) over every decision —
     /// the bitwise-determinism witness compared across shard counts.
@@ -119,7 +110,6 @@ fn run_topology(shards: usize, rounds: usize, cond: &Uncertain<bool>) -> Topolog
     let service = Service::start(
         ServeConfig::default()
             .with_shards(shards)
-            .with_sessions_per_shard(POOL)
             .with_queue_depth(256)
             .with_seed(SEED),
     );
@@ -178,7 +168,6 @@ fn run_topology(shards: usize, rounds: usize, cond: &Uncertain<bool>) -> Topolog
         p95_us: percentile(&latencies, 0.95) as f64 / 1e3,
         p99_us: percentile(&latencies, 0.99) as f64 / 1e3,
         cache_hit_rate: metrics.cache_hit_rate(),
-        sessions_evicted: metrics.shards.iter().map(|s| s.sessions_evicted).sum(),
         sprt_samples: metrics.sprt_samples(),
         fingerprints,
     }
@@ -192,7 +181,6 @@ fn saturating_latencies(shards: usize, per_thread: usize, cond: &Uncertain<bool>
     let service = Service::start(
         ServeConfig::default()
             .with_shards(shards)
-            .with_sessions_per_shard(POOL)
             .with_queue_depth(256)
             .with_seed(SEED),
     );
@@ -226,7 +214,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if std::env::args().any(|a| a == "--quick") {
         std::env::set_var("QUICK", "1");
     }
-    header("Serve: evidence decisions/sec vs shard count (48 tenants, pool 16/shard)");
+    header("Serve: evidence decisions/sec vs shard count (48 tenants, one session per shard)");
     let rounds = scaled(400, 40);
     let sat_per_thread = scaled(400, 20);
     let stamp = SystemTime::now().duration_since(UNIX_EPOCH)?.as_secs();
@@ -243,8 +231,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (workload, cond) in &workloads {
         println!("\n[{workload}]");
         println!(
-            "{:>6} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9}",
-            "shards", "dec/s", "p50 µs", "p99 µs", "sat p99", "hit rate", "evicted"
+            "{:>6} {:>12} {:>10} {:>10} {:>10} {:>9}",
+            "shards", "dec/s", "p50 µs", "p99 µs", "sat p99", "hit rate"
         );
         let mut runs = Vec::new();
         for shards in [1usize, 2, 4, 8] {
@@ -254,23 +242,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let sat_p95_us = percentile(&sat, 0.95) as f64 / 1e3;
             let sat_p99_us = percentile(&sat, 0.99) as f64 / 1e3;
             println!(
-                "{shards:>6} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>9.3} {:>9}",
-                run.throughput_dps,
-                run.p50_us,
-                run.p99_us,
-                sat_p99_us,
-                run.cache_hit_rate,
-                run.sessions_evicted
+                "{shards:>6} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>9.3}",
+                run.throughput_dps, run.p50_us, run.p99_us, sat_p99_us, run.cache_hit_rate,
             );
             writeln!(
                 out,
                 "{{\"bench\":\"serve_scaling\",\"workload\":\"{workload}\",\
                  \"unix_time\":{stamp},\"shards\":{shards},\
-                 \"tenants\":{TENANTS},\"sessions_per_shard\":{POOL},\"decisions\":{decisions},\
+                 \"tenants\":{TENANTS},\"decisions\":{decisions},\
                  \"throughput_dps\":{dps:.1},\"p50_us\":{p50:.1},\"p95_us\":{p95:.1},\
                  \"p99_us\":{p99:.1},\"sat_clients\":4,\"sat_p50_us\":{sp50:.1},\
                  \"sat_p95_us\":{sp95:.1},\"sat_p99_us\":{sp99:.1},\
-                 \"cache_hit_rate\":{hit:.4},\"sessions_evicted\":{evicted},\
+                 \"cache_hit_rate\":{hit:.4},\
                  \"sprt_samples\":{samples},\"tenant_fingerprint\":{fp}}}",
                 decisions = run.decisions,
                 dps = run.throughput_dps,
@@ -281,7 +264,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 sp95 = sat_p95_us,
                 sp99 = sat_p99_us,
                 hit = run.cache_hit_rate,
-                evicted = run.sessions_evicted,
                 samples = run.sprt_samples,
                 fp = run.fingerprints.iter().fold(0u64, |acc, &f| mix(acc ^ f)),
             )?;
@@ -297,7 +279,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t1 = runs[0].1.throughput_dps;
         let t4 = runs[2].1.throughput_dps;
         let scaling = t4 / t1;
-        println!("1→4 shard scaling: {scaling:.2}x  (aggregate hot-session capacity)");
+        println!("1→4 shard scaling: {scaling:.2}x  (scheduling on this host's CPUs)");
         println!("per-tenant results identical across shard counts: {deterministic}");
         writeln!(
             out,

@@ -182,9 +182,6 @@ pub enum ConfigError {
     /// A serve config asked for a zero-depth request queue — every submit
     /// would be `QueueFull`.
     ZeroQueueDepth,
-    /// A serve config asked for a zero-capacity session pool — no tenant
-    /// could ever hold a session.
-    ZeroSessionPool,
     /// A serve config asked for zero listener event loops — no thread
     /// would ever poll the sockets.
     ZeroEventLoops,
@@ -206,9 +203,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroShards => write!(f, "serve config shard count must be at least 1"),
             ConfigError::ZeroQueueDepth => {
                 write!(f, "serve config queue depth must be at least 1")
-            }
-            ConfigError::ZeroSessionPool => {
-                write!(f, "serve config sessions_per_shard must be at least 1")
             }
             ConfigError::ZeroEventLoops => {
                 write!(f, "serve config event_loops must be at least 1")

@@ -757,13 +757,13 @@ impl Session {
 
     /// The session's stream position: how many queries it has answered.
     ///
-    /// For a substream session ([`Session::seeded`]) this counter *is* the
-    /// whole seeding state — query `q` is seeded purely by `(seed, q)` —
-    /// so a session is cheaply evictable tenancy: drop it (plan cache and
-    /// all) and later rebuild it with [`Session::resume_at`], and every
-    /// future sample is bitwise what the original session would have
-    /// drawn. Sharded evaluation services rely on this to bound their
-    /// per-shard session pools without losing per-tenant determinism.
+    /// For a substream session ([`Session::seeded`]) this counter and the
+    /// seed *are* the whole seeding state — query `q` is seeded purely by
+    /// `(seed, q)` — so a stream is a seed plus a cursor:
+    /// [`Session::seek`] points any substream session at it, and every
+    /// future sample is bitwise what `Session::seeded(seed)` would have
+    /// drawn from there. A sharded evaluation service relies on this to
+    /// serve all of a shard's tenants from one session.
     ///
     /// Returns `None` for sequential-mode sessions, whose stream position
     /// is the full RNG state rather than a resumable counter.
@@ -774,27 +774,51 @@ impl Session {
         }
     }
 
-    /// Fast-forwards (or rewinds) a substream session to the given query
-    /// index — the counterpart of [`Session::query_index`] for rebuilding
-    /// an evicted session: `Session::seeded(s)` followed by
-    /// `resume_at(q)` answers query `q` exactly as the original
-    /// `Session::seeded(s)` would have after `q` queries.
+    /// Points a substream session at query `query_index` of seed `seed`'s
+    /// stream: afterwards it answers exactly as `Session::seeded(seed)`
+    /// would after `query_index` queries. When `seed` differs from the
+    /// session's, the auxiliary [`Session::rng`] stream restarts as
+    /// `Session::seeded(seed)`'s does.
     ///
-    /// Only the seeding stream is positioned; the plan cache starts cold
-    /// (kernels are re-lowered on demand, which changes throughput, never
-    /// values).
+    /// Only the seeding stream moves. The plan cache, the exact verdicts,
+    /// the cached sequential test and the kernel scratch stay: they depend
+    /// on the networks asked, never on the seed, so one session can answer
+    /// many streams in turn and compile each shared network once.
     ///
     /// # Panics
     ///
     /// Panics on a sequential-mode session: its stream is
     /// order-dependent, so there is no counter to resume from.
-    pub fn resume_at(&mut self, query_index: u64) {
+    pub fn seek(&mut self, seed: u64, query_index: u64) {
         match &mut self.seeds {
             SeedPolicy::Sequential { .. } => {
                 panic!("sequential sessions have an order-dependent stream and cannot resume")
             }
-            SeedPolicy::Substream { queries, .. } => *queries = query_index,
+            SeedPolicy::Substream { root, queries, aux } => {
+                if *root != seed {
+                    *root = seed;
+                    *aux = StdRng::seed_from_u64(sample_seed(seed, AUX_STREAM_INDEX));
+                }
+                *queries = query_index;
+            }
         }
+    }
+
+    /// Fast-forwards (or rewinds) a substream session on its own stream:
+    /// [`Session::seek`] with the session's seed. `Session::seeded(s)`
+    /// followed by `resume_at(q)` answers query `q` exactly as the
+    /// original `Session::seeded(s)` would have after `q` queries.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sequential-mode session, as [`Session::seek`] does.
+    pub fn resume_at(&mut self, query_index: u64) {
+        // A sequential session has no root; `seek` panics on it.
+        let root = match self.seeds {
+            SeedPolicy::Substream { root, .. } => root,
+            SeedPolicy::Sequential { .. } => 0,
+        };
+        self.seek(root, query_index);
     }
 
     /// Total joint samples drawn through this session.
@@ -1856,6 +1880,47 @@ mod tests {
         }
         assert_eq!(expected, got);
         assert_eq!(cursor, 8);
+    }
+
+    #[test]
+    fn seek_answers_another_stream_on_a_warm_session() {
+        let (expr, cond) = ten_node_network();
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let posterior = x.weight_by(|v| (-v * v).exp());
+        // Three queries: an SPRT decision and a batch on the kernel, and a
+        // batch on the tree-walk.
+        let ask = |s: &mut Session| {
+            let o = s.evaluate(&cond, 0.5);
+            (o, s.e(&expr, 200).to_bits(), s.e(&posterior, 200).to_bits())
+        };
+        let stream = |seed: u64, rounds: usize| {
+            let mut s = Session::seeded(seed);
+            (0..rounds).map(|_| ask(&mut s)).collect::<Vec<_>>()
+        };
+        let (a, b) = (stream(11, 3), stream(12, 2));
+
+        // Seed A's stream warms the cache, then the session answers seed
+        // B's second round without lowering anything again.
+        let mut s = Session::seeded(11);
+        assert_eq!(ask(&mut s), a[0]);
+        assert_eq!(ask(&mut s), a[1]);
+        let lowered = s.lower_attempts;
+        s.seek(12, 3);
+        assert_eq!(s.rng().next_u64(), Session::seeded(12).rng().next_u64());
+        assert_eq!(ask(&mut s), b[1]);
+        assert_eq!(s.query_index(), Some(6));
+        assert_eq!(s.lower_attempts, lowered, "the cache stayed warm");
+
+        // Seeking back resumes seed A where it stopped.
+        s.seek(11, 6);
+        assert_eq!(s.rng().next_u64(), Session::seeded(11).rng().next_u64());
+        assert_eq!(ask(&mut s), a[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot resume")]
+    fn sequential_sessions_cannot_seek() {
+        Session::sequential(3).seek(4, 5);
     }
 
     #[test]

@@ -8,27 +8,24 @@ use uncertain_obs::FlightConfig;
 /// Configuration for [`Service::start`](crate::Service::start).
 ///
 /// The defaults favor test/bench friendliness (small, deterministic);
-/// production deployments mostly raise `shards`, `queue_depth`, and
-/// `sessions_per_shard`. Build one with [`ServeConfig::builder`] for
-/// validated construction (the `with_*` methods stay available for the
-/// infallible knobs).
+/// production deployments mostly raise `shards` and `queue_depth`. Build
+/// one with [`ServeConfig::builder`] for validated construction (the
+/// `with_*` methods stay available for the infallible knobs).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards. Each shard is one OS thread owning a session pool;
-    /// tenants are hashed across shards by [`shard_of`](crate::shard_of).
+    /// Worker shards. Each shard is one OS thread owning one session that
+    /// all of its tenants share; tenants are hashed across shards by
+    /// [`shard_of`](crate::shard_of).
     pub shards: usize,
     /// Bound of each shard's request queue. A full queue rejects with
     /// [`ServeError::QueueFull`](crate::ServeError::QueueFull) instead of
     /// buffering — load is shed at the edge.
     pub queue_depth: usize,
-    /// How many tenants' sessions one shard keeps live (LRU). Evicted
-    /// tenants keep their determinism (only the query cursor is retained)
-    /// but pay session rebuild + plan recompilation on their next request.
-    pub sessions_per_shard: usize,
     /// Root seed of the whole service; tenant `t` samples from the
     /// substream [`tenant_seed`](crate::tenant_seed)`(seed, t)`.
     pub seed: u64,
-    /// SPRT knobs applied to every tenant session.
+    /// SPRT knobs applied to every request (a request may override the
+    /// strategy alone).
     pub eval: EvalConfig,
     /// Deadline applied to requests that do not carry their own.
     /// `None` = requests wait as long as the work takes.
@@ -71,7 +68,6 @@ impl Default for ServeConfig {
         Self {
             shards: 4,
             queue_depth: 128,
-            sessions_per_shard: 32,
             seed: 0,
             eval: EvalConfig::default(),
             default_deadline: None,
@@ -104,12 +100,6 @@ impl ServeConfig {
     /// Returns the config with the given per-shard queue bound.
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Returns the config with the given per-shard session-pool capacity.
-    pub fn with_sessions_per_shard(mut self, sessions_per_shard: usize) -> Self {
-        self.sessions_per_shard = sessions_per_shard;
         self
     }
 
@@ -175,7 +165,6 @@ impl ServeConfig {
 /// let config = ServeConfig::builder()
 ///     .shards(8)
 ///     .queue_depth(512)
-///     .sessions_per_shard(64)
 ///     .seed(2014)
 ///     .bind_addr("127.0.0.1:0")
 ///     .build()?;
@@ -203,19 +192,13 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the per-shard session-pool capacity (must be ≥ 1).
-    pub fn sessions_per_shard(mut self, sessions_per_shard: usize) -> Self {
-        self.config.sessions_per_shard = sessions_per_shard;
-        self
-    }
-
     /// Sets the service seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
     }
 
-    /// Sets the SPRT configuration applied to every tenant session.
+    /// Sets the SPRT configuration applied to every request.
     pub fn eval(mut self, eval: EvalConfig) -> Self {
         self.config.eval = eval;
         self
@@ -256,8 +239,7 @@ impl ServeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroShards`], [`ConfigError::ZeroQueueDepth`],
-    /// [`ConfigError::ZeroSessionPool`], or
+    /// [`ConfigError::ZeroShards`], [`ConfigError::ZeroQueueDepth`], or
     /// [`ConfigError::ZeroEventLoops`] for a degenerate topology;
     /// [`ConfigError::BadBindAddr`] when the bind address does not
     /// resolve as `host:port`.
@@ -268,9 +250,6 @@ impl ServeConfigBuilder {
         }
         if c.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
-        }
-        if c.sessions_per_shard == 0 {
-            return Err(ConfigError::ZeroSessionPool);
         }
         if c.event_loops == 0 {
             return Err(ConfigError::ZeroEventLoops);
@@ -291,7 +270,6 @@ mod tests {
         let config = ServeConfig::builder()
             .shards(2)
             .queue_depth(16)
-            .sessions_per_shard(4)
             .seed(7)
             .default_deadline(Duration::from_millis(50))
             .bind_addr("127.0.0.1:0")
@@ -299,7 +277,6 @@ mod tests {
             .expect("valid config");
         assert_eq!(config.shards, 2);
         assert_eq!(config.queue_depth, 16);
-        assert_eq!(config.sessions_per_shard, 4);
         assert_eq!(config.seed, 7);
         assert_eq!(config.default_deadline, Some(Duration::from_millis(50)));
         assert_eq!(config.bind_addr, "127.0.0.1:0");
@@ -314,10 +291,6 @@ mod tests {
         assert!(matches!(
             ServeConfig::builder().queue_depth(0).build(),
             Err(ConfigError::ZeroQueueDepth)
-        ));
-        assert!(matches!(
-            ServeConfig::builder().sessions_per_shard(0).build(),
-            Err(ConfigError::ZeroSessionPool)
         ));
         assert!(matches!(
             ServeConfig::builder().event_loops(0).build(),

@@ -8,18 +8,20 @@
 //! single-process [`Session`](uncertain_core::Session) runtime into such a service:
 //!
 //! * **Sharding** — [`Service::start`] spawns N worker shards. A tenant id
-//!   is hashed to one shard ([`shard_of`]) and *always* lands there, so a
-//!   tenant's compiled-plan cache stays hot and its seeded sample stream
-//!   stays deterministic: all of a tenant's requests are executed by one
-//!   single-threaded worker, in queue order, with no interleaving inside a
-//!   decision.
-//! * **Tenancy** — each shard owns a bounded LRU pool of `Session`s, one
-//!   per active tenant, seeded by [`tenant_seed`] (a pure function of the
-//!   service seed and the tenant id — *not* of the shard count). Evicting
-//!   a tenant saves only its query cursor ([`Session::query_index`](uncertain_core::Session::query_index)); a
-//!   later request rebuilds the session with [`Session::resume_at`](uncertain_core::Session::resume_at) and
-//!   every future sample is bitwise what the evicted session would have
-//!   drawn. Determinism survives eviction; only cache warmth is lost.
+//!   is hashed to one shard ([`shard_of`]) and *always* lands there, so its
+//!   seeded sample stream stays deterministic: all of a tenant's requests
+//!   are executed by one single-threaded worker, in queue order, with no
+//!   interleaving inside a decision.
+//! * **Tenancy** — a tenant is a seed and a cursor. Its stream is the
+//!   substream of [`tenant_seed`] (a pure function of the service seed and
+//!   the tenant id — *not* of the shard count), and the shard keeps only
+//!   its query cursor ([`Session::query_index`](uncertain_core::Session::query_index)). Each shard owns one
+//!   `Session`: before a request it seeks the session to the tenant's
+//!   stream ([`Session::seek`](uncertain_core::Session::seek)), after it stores the cursor back. So every
+//!   outcome is bitwise what `Session::seeded(tenant_seed(..))` would
+//!   answer, while the shard's tenants share its compiled kernels, exact
+//!   verdicts and scratch: a network many tenants ask is compiled once
+//!   per shard.
 //! * **Backpressure** — each shard is fronted by a bounded MPSC queue.
 //!   When it is full the client's request fails fast with
 //!   [`ServeError::QueueFull`] instead of buffering unboundedly.
@@ -96,11 +98,11 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The substream seed of `tenant`'s sessions under `service_seed`.
+/// The seed of `tenant`'s substream under `service_seed`.
 ///
 /// A pure function of the two ids and nothing else — in particular not of
-/// the shard count or pool occupancy — which is what makes per-tenant
-/// results reproducible across service topologies. Exposed so tests and
+/// the shard count or the shard's other tenants — which is what makes
+/// per-tenant results reproducible across service topologies. Exposed so tests and
 /// offline replays can run `Session::seeded(tenant_seed(s, t))` as the
 /// reference for what the service must return.
 pub fn tenant_seed(service_seed: u64, tenant: u64) -> u64 {

@@ -20,14 +20,12 @@ pub(crate) struct ShardStats {
     pub(crate) sprt_samples: Counter,
     pub(crate) timeouts: Counter,
     pub(crate) rejected: Counter,
-    // Pool-derived gauges, published by the shard worker from snapshots.
+    // Plan-cache gauges, published by the shard worker from its session.
     cache_hits: Gauge,
     cache_misses: Gauge,
     cache_evictions: Gauge,
     cache_entries: Gauge,
     cache_capacity: Gauge,
-    sessions_live: Gauge,
-    sessions_evicted: Gauge,
     /// Time from admission to dequeue, per request.
     pub(crate) queue_wait_ns: LogHistogram,
     /// Kernel-lowering time per executed request (0 on a warm cache).
@@ -37,15 +35,13 @@ pub(crate) struct ShardStats {
 }
 
 impl ShardStats {
-    /// Publishes the shard's pool-wide plan-cache totals.
-    pub(crate) fn publish_cache(&self, cache: CacheStats, live: usize, evicted: u64) {
+    /// Publishes the shard session's plan-cache counters.
+    pub(crate) fn publish_cache(&self, cache: CacheStats) {
         self.cache_hits.set(cache.hits as i64);
         self.cache_misses.set(cache.misses as i64);
         self.cache_evictions.set(cache.evictions as i64);
         self.cache_entries.set(cache.entries as i64);
         self.cache_capacity.set(cache.capacity as i64);
-        self.sessions_live.set(live as i64);
-        self.sessions_evicted.set(evicted as i64);
     }
 
     pub(crate) fn snapshot(&self) -> ShardMetrics {
@@ -64,8 +60,6 @@ impl ShardStats {
                 entries: self.cache_entries.get() as usize,
                 capacity: self.cache_capacity.get() as usize,
             },
-            sessions_live: self.sessions_live.get() as usize,
-            sessions_evicted: self.sessions_evicted.get() as u64,
             queue_wait: self.queue_wait_ns.snapshot(),
             compile: self.compile_ns.snapshot(),
             sampling: self.sampling_ns.snapshot(),
@@ -176,13 +170,9 @@ pub struct ShardMetrics {
     pub timeouts: u64,
     /// Requests refused at the edge because the queue was full.
     pub rejected: u64,
-    /// Plan-cache counters summed over the shard's session pool (live
-    /// sessions plus the history of evicted ones).
+    /// Plan-cache counters of the shard's session, which all of the
+    /// shard's tenants share.
     pub cache: CacheStats,
-    /// Tenant sessions currently resident.
-    pub sessions_live: usize,
-    /// Tenant sessions evicted over the shard's lifetime.
-    pub sessions_evicted: u64,
     /// Admission-to-dequeue latency, per request (nanoseconds).
     pub queue_wait: HistogramSnapshot,
     /// Kernel-lowering time per executed request (nanoseconds; 0 when
@@ -246,7 +236,7 @@ impl ServeMetrics {
         self.decisions() as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// Plan-cache counters summed across every shard's pool.
+    /// Plan-cache counters summed across every shard's session.
     pub fn cache(&self) -> CacheStats {
         self.shards.iter().map(|s| s.cache).sum()
     }
@@ -262,14 +252,12 @@ impl ServeMetrics {
         self.shards.iter().map(|s| s.queue_depth).collect()
     }
 
-    /// Tenant sessions resident across all shards.
-    pub fn sessions_live(&self) -> usize {
-        self.shards.iter().map(|s| s.sessions_live).sum()
-    }
-
-    /// Tenant sessions evicted across all shards, lifetime.
+    /// Always 0: a shard serves every tenant from one session and evicts
+    /// none. Kept only because the repository benchmark reports it as
+    /// `service.sessions_evicted`; the next change to the benchmark drops
+    /// both.
     pub fn sessions_evicted(&self) -> u64 {
-        self.shards.iter().map(|s| s.sessions_evicted).sum()
+        0
     }
 
     fn pooled(&self, pick: impl Fn(&ShardMetrics) -> HistogramSnapshot) -> HistogramSnapshot {
@@ -355,18 +343,8 @@ impl ServeMetrics {
         );
         w.gauge(
             "uncertain_plan_cache_entries",
-            "Kernels currently cached across live sessions.",
+            "Kernels currently cached across shard sessions.",
             cache.entries as f64,
-        );
-        w.gauge(
-            "uncertain_sessions_live",
-            "Tenant sessions currently resident.",
-            self.sessions_live() as f64,
-        );
-        w.counter(
-            "uncertain_sessions_evicted_total",
-            "Tenant sessions evicted from shard pools.",
-            self.sessions_evicted(),
         );
         w.gauge_per(
             "uncertain_queue_depth",

@@ -46,8 +46,8 @@
 //!
 //! Decoded query graphs are cached keyed by their raw bytes: a repeated
 //! query hits the cache and reuses the *same* rebuilt `Uncertain` nodes,
-//! so the shards' per-tenant plan caches stay hot across requests exactly
-//! as they do in-process (a fresh decode per frame would mint fresh node
+//! so each shard's plan cache stays hot across requests exactly as it
+//! does in-process (a fresh decode per frame would mint fresh node
 //! identities and recompile every plan every time).
 //!
 //! # Shutdown
@@ -93,7 +93,7 @@ fn io_err(context: &str, e: std::io::Error) -> ServeError {
 /// Decoded queries keyed by their raw graph bytes, shared by every
 /// connection of one listener. Bounded: at capacity each insert evicts
 /// the oldest entry (correctness is unaffected — a re-decoded graph
-/// samples bitwise identically; only plan-cache warmth resets).
+/// samples bitwise identically; only the shard's plan cache misses it).
 const GRAPH_CACHE_CAP: usize = 4096;
 
 enum CachedQuery {

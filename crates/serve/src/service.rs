@@ -1,5 +1,6 @@
-//! The service runtime: shard workers, per-shard session pools, request
-//! execution, and lifecycle (start → drain → shutdown).
+//! The service runtime: shard workers, each with one session for all of
+//! its tenants, request execution, and lifecycle (start → drain →
+//! shutdown).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -11,7 +12,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use uncertain_core::{
-    CacheStats, Error, EvalConfig, EvalStrategy, HypothesisOutcome, ServeError, Session, Uncertain,
+    Error, EvalConfig, EvalStrategy, HypothesisOutcome, ServeError, Session, Uncertain,
 };
 use uncertain_obs::{monotonic_ns, FlightRecorder, TraceContext, TraceLog};
 use uncertain_stats::{StatsError, Summary};
@@ -58,105 +59,16 @@ fn expired(deadline: Option<Instant>) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard session pool
-// ---------------------------------------------------------------------------
-
-struct PoolEntry {
-    tenant: u64,
-    session: Session,
-    last_used: u64,
-}
-
-/// A bounded LRU pool of tenant sessions plus the query cursors of every
-/// tenant this shard has ever served. The cursor map is what makes
-/// eviction safe: a rebuilt session resumes at its stored cursor and draws
-/// bitwise the stream the evicted one would have.
-struct SessionPool {
-    service_seed: u64,
-    eval: EvalConfig,
-    capacity: usize,
-    entries: Vec<PoolEntry>,
-    cursors: HashMap<u64, u64>,
-    /// Hit/miss/eviction history of evicted sessions' plan caches
-    /// (occupancy fields zeroed — an evicted cache holds nothing).
-    retired_cache: CacheStats,
-    evicted: u64,
-    tick: u64,
-}
-
-impl SessionPool {
-    fn new(service_seed: u64, eval: EvalConfig, capacity: usize) -> Self {
-        Self {
-            service_seed,
-            eval,
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            cursors: HashMap::new(),
-            retired_cache: CacheStats::default(),
-            evicted: 0,
-            tick: 0,
-        }
-    }
-
-    /// The tenant's session, rebuilt at its stored cursor if it was
-    /// evicted (or never seen). Evicts the least-recently-used entry when
-    /// the pool is full.
-    fn session(&mut self, tenant: u64) -> &mut Session {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(i) = self.entries.iter().position(|e| e.tenant == tenant) {
-            self.entries[i].last_used = tick;
-            return &mut self.entries[i].session;
-        }
-        if self.entries.len() >= self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("pool is non-empty when full");
-            let entry = self.entries.swap_remove(lru);
-            let cursor = entry
-                .session
-                .query_index()
-                .expect("pool sessions are substream-seeded");
-            self.cursors.insert(entry.tenant, cursor);
-            let mut cache = entry.session.cache_stats();
-            cache.entries = 0;
-            cache.capacity = 0;
-            self.retired_cache += cache;
-            self.evicted += 1;
-        }
-        let mut session =
-            Session::seeded(tenant_seed(self.service_seed, tenant)).with_config(self.eval);
-        if let Some(&cursor) = self.cursors.get(&tenant) {
-            session.resume_at(cursor);
-        }
-        self.entries.push(PoolEntry {
-            tenant,
-            session,
-            last_used: tick,
-        });
-        &mut self.entries.last_mut().expect("just pushed").session
-    }
-
-    /// Plan-cache counters over the whole pool: live sessions plus the
-    /// history of evicted ones.
-    fn cache_totals(&self) -> CacheStats {
-        self.retired_cache
-            + self
-                .entries
-                .iter()
-                .map(|e| e.session.cache_stats())
-                .sum::<CacheStats>()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shard worker
 // ---------------------------------------------------------------------------
 
+/// A shard keeps one session for all of its tenants, and the query cursor
+/// of every tenant it has served. A tenant's stream is its [`tenant_seed`]
+/// plus its cursor, so `process` seeks the session to it before each
+/// request and stores the cursor back after. Everything else the session
+/// holds (kernels, exact verdicts, the cached sequential test, the kernel
+/// scratch) depends only on the networks asked, so the tenants share it
+/// and a network is compiled once per shard, not once per tenant.
 fn run_shard(
     rx: Receiver<Job>,
     stats: Arc<ShardStats>,
@@ -164,35 +76,33 @@ fn run_shard(
     flight: Arc<FlightRecorder>,
     shard_index: usize,
 ) {
-    let mut pool = SessionPool::new(config.seed, config.eval, config.sessions_per_shard.max(1));
-    loop {
-        let next = rx.try_recv().or_else(|_| {
-            // Publish before blocking: an idle shard's pool gauges stay
-            // exact while it waits, so remote-only workloads (where
-            // nothing else forces a request boundary here) never scrape
-            // stale cache/session numbers.
-            stats.publish_cache(pool.cache_totals(), pool.entries.len(), pool.evicted);
-            // `recv` keeps returning queued jobs after every sender is
-            // dropped, then errors: shutdown drains the queue for free.
-            rx.recv()
-        });
-        let Ok(job) = next else { break };
+    let mut session = Session::seeded(config.seed).with_config(config.eval);
+    let mut cursors = HashMap::new();
+    // `recv` keeps returning queued jobs after every sender is dropped,
+    // then errors: shutdown drains the queue for free.
+    while let Ok(job) = rx.recv() {
         stats.queue_depth.dec();
         stats
             .queue_wait_ns
             .record(monotonic_ns().saturating_sub(job.enqueued_ns));
-        process(&mut pool, &stats, job, &flight, &config, shard_index);
-        // Publish the pool-derived gauges at every request boundary: the
-        // walk is O(pool size), a rounding error next to any request that
-        // drew samples, and it keeps cache/session gauges current on a
-        // shard that never goes idle.
-        stats.publish_cache(pool.cache_totals(), pool.entries.len(), pool.evicted);
+        process(
+            &mut session,
+            &mut cursors,
+            &stats,
+            job,
+            &flight,
+            &config,
+            shard_index,
+        );
+        // Publish the plan-cache gauges at every request boundary, so they
+        // are current whether the shard goes idle next or stays busy.
+        stats.publish_cache(session.cache_stats());
     }
-    stats.publish_cache(pool.cache_totals(), pool.entries.len(), pool.evicted);
 }
 
 fn process(
-    pool: &mut SessionPool,
+    session: &mut Session,
+    cursors: &mut HashMap<u64, u64>,
     stats: &ShardStats,
     job: Job,
     flight: &FlightRecorder,
@@ -221,28 +131,33 @@ fn process(
         )),
         _ => None,
     };
-    // Expired in the queue: reject without touching the tenant's session
-    // (no query index is consumed — the tenant's stream is exactly as if
-    // the request was never admitted). Such a request contributes only
-    // queue-wait time, not compile/sampling observations.
+    // Expired in the queue, or asking for no samples: reject without
+    // touching the tenant's stream (no query index is consumed — the
+    // tenant's stream is exactly as if the request was never admitted).
+    // Such a request contributes only queue-wait time, not
+    // compile/sampling observations.
     let result = if expired(deadline) {
         Err(ServeError::Timeout)
+    } else if matches!(
+        kind,
+        RequestKind::E { n: 0, .. } | RequestKind::Stats { n: 0, .. }
+    ) {
+        Err(ServeError::Invalid(StatsError::new(
+            "sample requests need n >= 1",
+        )))
     } else {
         let eval = match strategy {
-            Some(s) => pool.eval.with_strategy(s),
-            None => pool.eval,
+            Some(s) => config.eval.with_strategy(s),
+            None => config.eval,
         };
-        let service_seed = pool.service_seed;
-        let base_eval = pool.eval;
-        let session = pool.session(tenant);
+        let cursor = cursors.entry(tenant).or_default();
+        let start = *cursor;
+        session.seek(tenant_seed(config.seed, tenant), start);
         // The request's effective config also becomes the session config
         // for its duration, so strategy-aware session queries (`try_e`,
         // `stats_with_provenance`) see the per-request override. Every
         // request sets it, so a previous override never leaks forward.
         session.set_config(eval);
-        let start = session
-            .query_index()
-            .expect("pool sessions are substream-seeded");
         // A `pr` is an `evaluate` that replies with the verdict alone.
         let verdict_only = matches!(kind, RequestKind::Pr { .. });
         // The query indices a completed request of this kind consumes.
@@ -269,15 +184,7 @@ fn process(
                     &mut tracer,
                 );
                 if let Some(tr) = tracer.as_mut() {
-                    maybe_audit(
-                        tr,
-                        service_seed,
-                        tenant,
-                        &cond,
-                        threshold,
-                        base_eval,
-                        config,
-                    );
+                    maybe_audit(tr, tenant, &cond, threshold, config);
                 }
                 r.map(|o| {
                     if verdict_only {
@@ -323,9 +230,13 @@ fn process(
         // never leaks into the tenant's later results. Every query reseeds
         // what it reads (the tree-walk's context each sample, the kernel
         // scratch each column), so nothing else of a panic outlives it.
-        if panicked || matches!(result, Err(ServeError::Timeout)) {
-            session.resume_at(start + spent);
-        }
+        *cursor = if panicked || matches!(result, Err(ServeError::Timeout)) {
+            start + spent
+        } else {
+            session
+                .query_index()
+                .expect("shard sessions are substream-seeded")
+        };
         result
     };
     if matches!(result, Err(ServeError::Timeout)) {
@@ -351,11 +262,9 @@ fn process(
 /// only for the deterministic `audit_fraction` slice of trace ids.
 fn maybe_audit(
     tr: &mut RequestTracer,
-    service_seed: u64,
     tenant: u64,
     cond: &Uncertain<bool>,
     threshold: f64,
-    base_eval: EvalConfig,
     config: &ServeConfig,
 ) {
     let Some(outcome) = tr.outcome else { return };
@@ -369,9 +278,9 @@ fn maybe_audit(
         return;
     }
     let started = monotonic_ns();
-    let eval = base_eval.with_strategy(EvalStrategy::SamplingOnly);
+    let eval = config.eval.with_strategy(EvalStrategy::SamplingOnly);
     let mut shadow =
-        Session::seeded(mix64(tenant_seed(service_seed, tenant) ^ AUDIT_SALT)).with_config(eval);
+        Session::seeded(mix64(tenant_seed(config.seed, tenant) ^ AUDIT_SALT)).with_config(eval);
     if let Ok(Some(sampled)) = shadow.try_evaluate_until(cond, threshold, &eval, |_| true) {
         // Only a *conclusive* sampled verdict can contradict the exact
         // one; an inconclusive SPRT is recorded but is not a mismatch.
@@ -420,7 +329,7 @@ fn decide(
     // proven not to perturb sample streams (the runtime draws the same
     // batches with or without one), so the sampled values — and therefore
     // the verdict — are bitwise identical tracing on or off. No other
-    // recorder can be present: the pool builds its sessions without one,
+    // recorder can be present: the shard builds its session without one,
     // and this is the only place that installs one, taking it back below
     // (or in `process`, if the decision panicked).
     let (started_ns, log) = match tracer {
@@ -471,11 +380,6 @@ fn e_request(
     stats: &ShardStats,
     tracer: &mut Option<RequestTracer>,
 ) -> Result<f64, ServeError> {
-    if n == 0 {
-        return Err(ServeError::Invalid(StatsError::new(
-            "sample requests need n >= 1",
-        )));
-    }
     if eval.strategy != EvalStrategy::SamplingOnly && session.analyze_f64(expr).is_some() {
         let started_ns = tracer.as_ref().map(|_| monotonic_ns());
         let mean = session.try_e(expr, n).map_err(invalid)?;
@@ -536,11 +440,6 @@ fn chunked_samples(
     deadline: Option<Instant>,
     tracer: &mut Option<RequestTracer>,
 ) -> Result<Vec<f64>, ServeError> {
-    if n == 0 {
-        return Err(ServeError::Invalid(uncertain_stats::StatsError::new(
-            "sample requests need n >= 1",
-        )));
-    }
     let mut out = Vec::with_capacity(n);
     let mut remaining = n;
     let mut chunk_index = 0u64;
@@ -608,16 +507,11 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards`, `config.queue_depth`, or
-    /// `config.sessions_per_shard` is zero — a service with no workers, no
-    /// queue, or no tenancy cannot serve anything.
+    /// Panics if `config.shards` or `config.queue_depth` is zero — a
+    /// service with no workers or no queue cannot serve anything.
     pub fn start(config: ServeConfig) -> Self {
         assert!(config.shards > 0, "a service needs at least one shard");
         assert!(config.queue_depth > 0, "request queues need depth >= 1");
-        assert!(
-            config.sessions_per_shard > 0,
-            "shards need room for at least one session"
-        );
         let flight = Arc::new(FlightRecorder::new(config.flight));
         let mut shards = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -675,10 +569,9 @@ impl Service {
         Listener::bind(Arc::clone(&self.inner))
     }
 
-    /// A live metrics snapshot. Request/decision counters are exact;
-    /// pool-derived gauges (plan-cache counters, live/evicted sessions)
-    /// refresh at every request boundary, so they lag at most the request
-    /// currently executing. [`Service::shutdown`]'s snapshot is exact.
+    /// A live metrics snapshot. Request/decision counters are exact; the
+    /// plan-cache gauges refresh at every request boundary, so they lag at
+    /// most the request currently executing. [`Service::shutdown`]'s snapshot is exact.
     pub fn metrics(&self) -> ServeMetrics {
         self.inner.metrics()
     }

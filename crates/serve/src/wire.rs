@@ -274,7 +274,7 @@ const KIND_STATS: u8 = 4;
 
 /// A decoded request header plus its still-encoded graph payload. The
 /// graph bytes stay raw here so the server can use them as a cache key and
-/// decode each distinct graph once (keeping per-tenant plan caches hot
+/// decode each distinct graph once (keeping the shards' plan caches hot
 /// across requests — a fresh decode per frame would mint fresh node ids
 /// and defeat them).
 pub(crate) struct WireRequest {

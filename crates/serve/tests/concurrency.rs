@@ -3,8 +3,8 @@
 //!
 //! 1. one tenant's requests from two client handles never interleave
 //!    within an SPRT decision,
-//! 2. per-tenant results are bitwise identical for any shard count (even
-//!    under constant session eviction),
+//! 2. per-tenant results are bitwise identical for any shard count (a
+//!    shard's one session serving however many tenants hash to it),
 //! 3. deadline expiry returns `Timeout` without poisoning the shard or
 //!    the tenant's stream.
 
@@ -63,19 +63,14 @@ fn same_tenant_requests_from_two_handles_never_interleave() {
 
 #[test]
 fn per_tenant_results_are_identical_across_shard_counts() {
-    // 16 tenants, a pool of only 2 sessions per shard: the 1-shard run
-    // evicts constantly while the 4-shard run keeps more tenants hot.
-    // Results must not notice — eviction persists only the query cursor,
-    // and tenant seeds are independent of topology.
+    // 16 tenants: the 1-shard run seeks its one session through all of
+    // them, the 4-shard run splits them four ways. Results must not
+    // notice — a tenant's stream is its seed and its query cursor, and
+    // tenant seeds are independent of topology.
     let cond = decisive();
     let x = Uncertain::normal(5.0, 2.0).unwrap();
     let run = |shards: usize| -> Vec<Vec<u64>> {
-        let service = Service::start(
-            ServeConfig::default()
-                .with_shards(shards)
-                .with_sessions_per_shard(2)
-                .with_seed(1234),
-        );
+        let service = Service::start(ServeConfig::default().with_shards(shards).with_seed(1234));
         let client = service.client();
         let results = (0..16u64)
             .map(|tenant| {

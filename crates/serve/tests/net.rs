@@ -26,12 +26,11 @@ fn expr() -> Uncertain<f64> {
 }
 
 fn service_pair(shards: usize) -> (Service, Service) {
+    // Every tenant switch seeks the shard's one session to another
+    // tenant's stream: the remote path must stay bitwise correct through
+    // it.
     let config = ServeConfig::builder()
         .shards(shards)
-        // A one-session pool forces an eviction on every tenant switch:
-        // the remote path must stay bitwise correct through constant
-        // session rebuild + cursor resume.
-        .sessions_per_shard(1)
         .seed(2014)
         .bind_addr("127.0.0.1:0")
         .build()
@@ -76,12 +75,13 @@ fn tcp_results_are_bitwise_identical_to_in_process() {
         let remote_metrics = remote.metrics();
         assert!(remote_metrics.net.frames_in >= TENANTS * 9);
         assert_eq!(remote_metrics.net.frames_in, remote_metrics.net.frames_out);
-        if shards < TENANTS as usize {
-            assert!(
-                remote_metrics.sessions_evicted() > 0,
-                "the one-session pools should be evicting"
-            );
-        }
+        // Two networks, each decoded once and compiled at most once per
+        // shard: the tenants of a shard share its kernels.
+        assert!(
+            remote_metrics.cache().misses <= 2 * shards as u64,
+            "{:?}",
+            remote_metrics.cache()
+        );
         listener.shutdown();
         remote.shutdown();
         reference.shutdown();

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use uncertain_core::{ServeError, Session, Uncertain};
+use uncertain_core::{EvalStrategy, ServeError, Session, Uncertain};
 use uncertain_serve::{tenant_seed, ServeConfig, Service};
 
 fn decisive() -> Uncertain<bool> {
@@ -182,16 +182,73 @@ fn metrics_count_decisions_samples_and_cache_reuse() {
     );
     assert_eq!(metrics.timeouts(), 0);
     assert_eq!(metrics.rejected(), 0);
-    // 4 tenants compile the plan once each; the other 16 requests hit.
+    // The tenants of a shard share its session: each of the 2 shards
+    // compiles the plan once; the other 18 requests hit.
     let cache = metrics.cache();
-    assert_eq!(cache.misses, 4, "one compile per tenant session");
-    assert_eq!(cache.hits, 16);
+    assert_eq!(cache.misses, 2, "one compile per shard");
+    assert_eq!(cache.hits, 18);
     assert!(metrics.cache_hit_rate() > 0.75);
     assert!(metrics.decisions_per_sec() > 0.0);
     assert_eq!(metrics.queue_depths().iter().sum::<usize>(), 0);
-    // All four sessions stayed resident.
-    let live: usize = metrics.shards.iter().map(|s| s.sessions_live).sum();
-    assert_eq!(live, 4);
+}
+
+#[test]
+fn tenants_of_a_shard_share_one_compiled_network() {
+    // Eight tenants ask one network of a one-shard service: it compiles
+    // once, and every tenant still draws its own stream.
+    let config = ServeConfig::default().with_shards(1).with_seed(31);
+    let service = Service::start(config.clone());
+    let client = service.client();
+    let cond = Uncertain::bernoulli(0.7).unwrap();
+    let served: Vec<Vec<_>> = (0..3)
+        .map(|_| {
+            (0..8)
+                .map(|tenant| client.evaluate(tenant, &cond, 0.5).unwrap())
+                .collect()
+        })
+        .collect();
+    let metrics = service.shutdown();
+    assert_eq!(metrics.cache().misses, 1, "one compile for all tenants");
+    assert_eq!(metrics.cache().hits, 23);
+
+    for tenant in 0..8 {
+        let mut reference = Session::seeded(tenant_seed(31, tenant)).with_config(config.eval);
+        for round in &served {
+            assert_eq!(round[tenant as usize], reference.evaluate(&cond, 0.5));
+        }
+    }
+}
+
+#[test]
+fn empty_sample_requests_are_invalid_under_every_strategy() {
+    // A Gaussian network, which `Auto` answers in closed form: `n = 0`
+    // must be refused the same way whichever backend would have answered,
+    // and must not move the tenant's stream.
+    let config = ServeConfig::default().with_shards(1).with_seed(37);
+    let service = Service::start(config.clone());
+    let client = service.client();
+    let x = Uncertain::normal(3.0, 1.0).unwrap();
+    let tenant = 6;
+    let mut refusals = Vec::new();
+    for strategy in [EvalStrategy::SamplingOnly, EvalStrategy::Auto] {
+        refusals.push(client.e_with_strategy(tenant, &x, 0, strategy).unwrap_err());
+        refusals.push(
+            client
+                .stats_with_strategy(tenant, &x, 0, strategy)
+                .unwrap_err(),
+        );
+    }
+    let next = client.e(tenant, &x, 100).unwrap();
+    service.shutdown();
+
+    assert!(
+        matches!(refusals[0], ServeError::Invalid(_)),
+        "{refusals:?}"
+    );
+    assert!(refusals.iter().all(|r| r == &refusals[0]), "{refusals:?}");
+    let mut reference = Session::seeded(tenant_seed(37, tenant)).with_config(config.eval);
+    let expected = reference.samples(&x, 100).iter().sum::<f64>() / 100.0;
+    assert_eq!(next.to_bits(), expected.to_bits());
 }
 
 #[test]

@@ -1,22 +1,30 @@
 //! End-to-end tests of request tracing: a traced TCP request must yield
 //! one connected span tree whose id round-trips the wire and is served by
-//! `GET /traces/<id>`; tracing must never change what is computed; and
-//! the flight recorder must retain errors unconditionally.
+//! `GET /traces/<id>`; tracing must never change what is computed; the
+//! flight recorder must retain errors unconditionally; and a shadow audit
+//! must check an exact verdict without touching the tenant's stream.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use uncertain_core::Uncertain;
+use uncertain_core::{EvalConfig, EvalStrategy, Provenance, Uncertain};
+use uncertain_obs::AttrValue;
 use uncertain_serve::{ServeClient, ServeConfig, ServeError, Service};
 
 /// A network with shared sub-expressions and enough variety that traced
 /// requests exercise compile + SPRT sampling.
 fn evidence() -> Uncertain<bool> {
+    evidence_below(4.0)
+}
+
+/// [`evidence`] with its first comparison's bound as a parameter: each
+/// bound is a distinct network with its own compiled kernel.
+fn evidence_below(bound: f64) -> Uncertain<bool> {
     let x = Uncertain::normal(0.0, 1.0).unwrap();
     let y = Uncertain::uniform(-1.0, 2.0).unwrap();
     let sum = &x + &y;
-    (&sum + &x).lt(4.0) & (sum * 2.0).gt(-8.0) & Uncertain::bernoulli(0.95).unwrap()
+    (&sum + &x).lt(bound) & (sum * 2.0).gt(-8.0) & Uncertain::bernoulli(0.95).unwrap()
 }
 
 fn expr() -> Uncertain<f64> {
@@ -40,12 +48,11 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 #[test]
 fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
     const TENANTS: u64 = 5;
-    // Two shards, one-session pools: every tenant switch forces an
-    // eviction, so traced requests run through session rebuild + plan
-    // recompile — the compile span must appear.
+    // Each tenant asks its own network, so its first request compiles a
+    // kernel (the compile span must appear) and its second, asking the
+    // same network again, hits the shard's plan cache.
     let config = ServeConfig::builder()
         .shards(2)
-        .sessions_per_shard(1)
         .seed(2014)
         .bind_addr("127.0.0.1:0")
         .build()
@@ -55,17 +62,22 @@ fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
     let addr = listener.local_addr();
     let tcp = ServeClient::connect_pooled(addr, 2).expect("connect");
 
-    let cond = evidence();
+    let conds: Vec<_> = (0..TENANTS)
+        .map(|tenant| evidence_below(4.0 + tenant as f64 / 8.0))
+        .collect();
     let mut traced_ids = Vec::new();
+    let mut repeat_ids = Vec::new();
     for round in 0..2 {
         for tenant in 0..TENANTS {
             let (outcome, echoed) = tcp
-                .evaluate_traced(tenant, &cond, 0.5)
+                .evaluate_traced(tenant, &conds[tenant as usize], 0.5)
                 .expect("traced evaluate");
             assert!(outcome.samples > 0, "this network needs sampling");
             let id = echoed.expect("traced replies echo the trace id");
             if round == 0 {
                 traced_ids.push((tenant, id));
+            } else {
+                repeat_ids.push(id);
             }
         }
     }
@@ -107,13 +119,30 @@ fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
         assert!(names.contains(&"queue"), "queue span missing: {names:?}");
         assert!(
             names.contains(&"compile"),
-            "forced eviction means a cold plan cache: {names:?}"
+            "a network's first request compiles it: {names:?}"
         );
         assert!(names.contains(&"decide"), "decide span missing: {names:?}");
         let decide = trace.spans.iter().find(|s| s.name == "decide").unwrap();
         assert!(
             decide.events.iter().any(|e| e.name == "sprt_batch"),
             "the SPRT trajectory must land as events"
+        );
+    }
+
+    // The second round repeats each network: the decoded-graph cache hands
+    // the shard the same nodes, so its plan cache hits and nothing
+    // compiles. The recorder keeps the first 8 traces of each window, so
+    // at least 3 of these are retained.
+    let repeats: Vec<_> = repeat_ids
+        .iter()
+        .filter_map(|&id| service.trace(id))
+        .collect();
+    assert!(repeats.len() >= 3, "{} repeats retained", repeats.len());
+    for trace in &repeats {
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+        assert!(
+            !names.contains(&"compile"),
+            "a repeated network hits the shard's plan cache: {names:?}"
         );
     }
 
@@ -149,7 +178,6 @@ fn tracing_never_changes_what_is_computed() {
     // tracing observes the sample stream, it never participates in it.
     let config = ServeConfig::builder()
         .shards(2)
-        .sessions_per_shard(1)
         .seed(77)
         .build()
         .expect("valid config");
@@ -211,4 +239,67 @@ fn errors_are_always_retained_by_the_flight_recorder() {
 
     service.shutdown();
     reference.shutdown();
+}
+
+#[test]
+fn a_shadow_audit_checks_an_exact_verdict_without_touching_the_stream() {
+    // Two services that differ only in their audit fraction; the tenant
+    // sends a traced exact decision, then requests that sample.
+    let run = |audit_fraction: f64| {
+        let config = ServeConfig::builder()
+            .shards(1)
+            .seed(41)
+            .eval(EvalConfig::default().with_strategy(EvalStrategy::Auto))
+            .audit_fraction(audit_fraction)
+            .build()
+            .expect("valid config");
+        let service = Service::start(config);
+        let client = service.client();
+        let tenant = 3;
+        // Pr[N(0, 1) < 3] ≈ 0.9987, far from the 0.5 threshold.
+        let gaussian = Uncertain::normal(0.0, 1.0).unwrap().lt(3.0);
+        let (exact, id) = client
+            .evaluate_traced(tenant, &gaussian, 0.5)
+            .expect("traced evaluate");
+        let trace = service
+            .trace(id.expect("traced replies echo the trace id"))
+            .expect("a window's first trace is retained");
+        let next = (
+            client.evaluate(tenant, &evidence(), 0.5).expect("evaluate"),
+            client.e(tenant, &expr(), 500).expect("e").to_bits(),
+        );
+        service.shutdown();
+        (exact, trace, next)
+    };
+
+    let (exact, trace, next) = run(1.0);
+    assert!(
+        matches!(exact.provenance, Provenance::Exact { .. }),
+        "{exact:?}"
+    );
+    assert!(exact.accepted);
+    assert!(!trace.audit_mismatch);
+    let audit = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "audit")
+        .expect("the exact verdict was audited");
+    let attr = |key: &str| {
+        audit
+            .attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    assert_eq!(attr("mismatch"), Some(AttrValue::Bool(false)));
+    assert!(
+        matches!(attr("shadow_samples"), Some(AttrValue::U64(n)) if n > 0),
+        "{:?}",
+        audit.attrs
+    );
+
+    let (unaudited, plain_trace, plain_next) = run(0.0);
+    assert_eq!(exact, unaudited);
+    assert!(plain_trace.spans.iter().all(|s| s.name != "audit"));
+    assert_eq!(next, plain_next, "the audit left the tenant's stream alone");
 }
