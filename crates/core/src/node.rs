@@ -8,11 +8,10 @@
 //! evaluation operator demands samples (§4.2).
 //!
 //! Each node carries a process-unique [`NodeId`]. During one joint sample,
-//! the [`SampleContext`](crate::context::SampleContext) memoizes every
-//! node's value by id, which is what makes two references to the same
-//! variable perfectly correlated (the paper's SSA-style shared-dependence
-//! analysis, Fig. 8) and guarantees each node is computed exactly once per
-//! joint sample.
+//! the [`SampleContext`] memoizes every node's value by id, which is what
+//! makes two references to the same variable perfectly correlated (the
+//! paper's SSA-style shared-dependence analysis, Fig. 8) and guarantees
+//! each node is computed exactly once per joint sample.
 
 use crate::context::SampleContext;
 use crate::kernel::{Map2Tag, MapTag, Opaque};
@@ -502,7 +501,7 @@ impl<A: Value, B: Value, T: Value> TypedNode<T> for Map2Node<A, B, T> {
 
 /// Inner node whose distribution *depends on the sampled value* of its
 /// child: the conditional distribution `Pr[T | A = a]`. This is how expert
-/// developers "override [independence] by specifying the joint distribution
+/// developers "override \[independence\] by specifying the joint distribution
 /// between two variables" (paper §3.3).
 pub(crate) struct BindNode<A, T> {
     id: NodeId,

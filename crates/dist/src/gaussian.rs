@@ -65,7 +65,8 @@ impl Gaussian {
     /// Uses the crate's deterministic [`fast_ln`]/[`fast_cos_2pi`] kernels
     /// — the same straight-line arithmetic the batched
     /// [`Distribution::fill_column`] pass applies — so scalar and columnar
-    /// sampling are bitwise identical (see the [`column`] module docs).
+    /// sampling are bitwise identical (see the [`column`](mod@column)
+    /// module docs).
     fn standard_draw(rng: &mut dyn RngCore) -> f64 {
         // u1 ∈ (0, 1] to keep ln(u1) finite.
         let u1: f64 = 1.0 - rng.gen::<f64>();

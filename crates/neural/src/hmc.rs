@@ -1,4 +1,4 @@
-//! Hybrid (Hamiltonian) Monte Carlo (paper §5.3, Neal [20]).
+//! Hybrid (Hamiltonian) Monte Carlo (paper §5.3, Neal \[20\]).
 //!
 //! "We adopt the hybrid Monte Carlo algorithm to create samples from the
 //! PPD. … We execute hybrid Monte Carlo offline and capture a fixed number

@@ -27,7 +27,15 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use uncertain_core::DecisionTrace;
+
 use crate::span::{monotonic_ns, AttrValue, Span};
+use crate::trace::{push_f64, trace_to_json};
+
+/// How many SPRT batches a retained decision keeps. A near-threshold
+/// decision can run thousands; the ring keeps the head of each
+/// trajectory, and the record's totals stay exact.
+const MAX_RETAINED_BATCHES: usize = 128;
 
 /// Retention policy and capacity for a [`FlightRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +69,7 @@ pub struct RequestTrace {
     pub trace_id: u64,
     /// Tenant the request ran as.
     pub tenant: u64,
-    /// Request kind (`"evaluate"`, `"pr"`, `"e"`, `"stats"`).
+    /// Request kind (`"evaluate"`, `"e"`, `"stats"`).
     pub kind: &'static str,
     /// Terminal status (`"ok"`, `"timeout"`, `"queue_full"`, …).
     pub status: &'static str,
@@ -77,6 +85,12 @@ pub struct RequestTrace {
     pub total_ns: u64,
     /// The span tree (root first, ids sequential from 1).
     pub spans: Vec<Span>,
+    /// The SPRT's own record of the request's sampled decision: its
+    /// batch-by-batch trajectory, Wald's boundaries and its stopping
+    /// reason, as a [`TraceLog`](crate::TraceLog) holds it. `None` for an
+    /// exact decision, an `e`/`stats` request, or a request that never
+    /// ran. A retained record keeps its first 128 batches.
+    pub decision: Option<DecisionTrace>,
 }
 
 impl RequestTrace {
@@ -94,6 +108,7 @@ impl RequestTrace {
             started_ns: 0,
             total_ns: 0,
             spans: Vec::new(),
+            decision: None,
         }
     }
 }
@@ -155,8 +170,16 @@ impl FlightRecorder {
     /// Retained iff any of: `error`, `audit_mismatch`, or among the
     /// slowest-N completions of the current window (greedy at admission
     /// time: kept while the window has fewer than N slow slots, or when
-    /// slower than the slowest-N bar so far).
-    pub fn offer(&self, trace: RequestTrace) -> bool {
+    /// slower than the slowest-N bar so far). The ring bounds what each
+    /// trace holds too: a decision's trajectory is cut to its first 128
+    /// batches.
+    pub fn offer(&self, mut trace: RequestTrace) -> bool {
+        if let Some(d) = &mut trace.decision {
+            if d.batches.len() > MAX_RETAINED_BATCHES {
+                d.batches.truncate(MAX_RETAINED_BATCHES);
+                d.batches.shrink_to_fit();
+            }
+        }
         let mut s = self.state.lock().unwrap();
         s.offered += 1;
         let now = monotonic_ns();
@@ -236,15 +259,6 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    // JSON has no NaN/Inf; null is the conventional stand-in.
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_attrs(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
     out.push('{');
     for (i, (k, v)) in attrs.iter().enumerate() {
@@ -265,6 +279,8 @@ fn push_attrs(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
 
 /// Renders one retained trace as a single JSON object (one line, no
 /// trailing newline) — the `/traces` endpoints emit these as JSON-lines.
+/// The span tree comes first, then `"decision"`: the record as
+/// [`trace_to_json`] prints it, or `null`.
 pub fn request_trace_to_json(t: &RequestTrace) -> String {
     let mut s = String::with_capacity(256 + t.spans.len() * 128);
     s.push_str(&format!(
@@ -290,28 +306,22 @@ pub fn request_trace_to_json(t: &RequestTrace) -> String {
             sp.id, sp.parent, sp.name, sp.start_ns, sp.end_ns
         ));
         push_attrs(&mut s, &sp.attrs);
-        s.push_str(",\"events\":[");
-        for (j, e) in sp.events.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"at_ns\":{},\"attrs\":",
-                e.name, e.at_ns
-            ));
-            push_attrs(&mut s, &e.attrs);
-            s.push('}');
-        }
-        s.push_str("]}");
+        s.push('}');
     }
-    s.push_str("]}");
+    s.push_str("],\"decision\":");
+    match &t.decision {
+        Some(d) => s.push_str(&trace_to_json(d)),
+        None => s.push_str("null"),
+    }
+    s.push('}');
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanEvent;
+    use crate::json_check::check;
+    use uncertain_core::{StoppingReason, TracePoint, Uncertain};
 
     fn trace(id: u64, total_ns: u64) -> RequestTrace {
         let mut t = RequestTrace::new(id, 1, "evaluate");
@@ -381,9 +391,45 @@ mod tests {
         });
         rec.offer(trace(5, 10));
         let mut second = trace(5, 20);
-        second.kind = "pr";
+        second.kind = "e";
         rec.offer(second);
-        assert_eq!(rec.get(5).unwrap().kind, "pr");
+        assert_eq!(rec.get(5).unwrap().kind, "e");
+    }
+
+    /// A budget-capped decision of `batches` batches of 64 samples.
+    fn decision(batches: usize) -> DecisionTrace {
+        DecisionTrace {
+            root: Uncertain::bernoulli(0.5).unwrap().id(),
+            threshold: 0.5,
+            upper: 2.5,
+            lower: -2.5,
+            batches: (1..=batches)
+                .map(|i| TracePoint {
+                    samples: i * 64,
+                    successes: (i * 32) as u64,
+                    llr: i as f64 * -1e-7,
+                })
+                .collect(),
+            samples: batches * 64,
+            successes: (batches * 32) as u64,
+            estimate: 0.5,
+            stopping: StoppingReason::BudgetCapped,
+            elapsed: std::time::Duration::from_millis(1),
+        }
+    }
+
+    #[test]
+    fn retained_decisions_keep_their_first_batches_and_exact_totals() {
+        let rec = FlightRecorder::new(FlightConfig::default());
+        let mut t = trace(3, 10);
+        t.decision = Some(decision(500));
+        assert!(rec.offer(t));
+        let kept = rec.get(3).unwrap();
+        let d = kept.decision.as_ref().unwrap();
+        assert_eq!(d.batches.len(), MAX_RETAINED_BATCHES);
+        assert_eq!(d.batches.last().unwrap().samples, 128 * 64);
+        assert_eq!((d.samples, d.successes), (32_000, 16_000));
+        assert_eq!(d.stopping, StoppingReason::BudgetCapped);
     }
 
     #[test]
@@ -397,23 +443,30 @@ mod tests {
             end_ns: 133,
             attrs: vec![
                 ("tenant", AttrValue::U64(1)),
-                ("note", AttrValue::Str("a\"b\\c\nd".into())),
+                ("note", AttrValue::Str("a\"b\\c\nd\u{1}".into())),
                 ("estimate", AttrValue::F64(0.5)),
                 ("nan", AttrValue::F64(f64::NAN)),
+                ("inf", AttrValue::F64(f64::NEG_INFINITY)),
+                ("whole", AttrValue::F64(2.0)),
                 ("ok", AttrValue::Bool(true)),
             ],
-            events: vec![SpanEvent {
-                name: "sprt_batch",
-                at_ns: 50,
-                attrs: vec![("samples", AttrValue::U64(64))],
-            }],
         });
         let j = request_trace_to_json(&t);
+        check(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
         assert!(!j.contains('\n'), "JSON-lines record must be one line");
         assert!(j.contains("\"trace_id\":9"));
-        assert!(j.contains("\"note\":\"a\\\"b\\\\c\\nd\""));
-        assert!(j.contains("\"nan\":null"));
-        assert!(j.contains("\"sprt_batch\""));
-        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"note\":\"a\\\"b\\\\c\\nd\\u0001\""));
+        assert!(j.contains("\"nan\":null,\"inf\":null,\"whole\":2.0"));
+        assert!(j.ends_with("}],\"decision\":null}"));
+
+        // A decision is spliced in as `trace_to_json` prints it.
+        t.decision = Some(decision(3));
+        let j = request_trace_to_json(&t);
+        check(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
+        let record = trace_to_json(t.decision.as_ref().unwrap());
+        assert!(j.ends_with(&format!("}}],\"decision\":{record}}}")));
+        assert!(record.contains("\"upper\":2.5,\"lower\":-2.5,"));
+        assert!(record.contains("\"llr\":-1e-7}"));
+        assert_eq!(record.matches("{\"n\":").count(), 3);
     }
 }

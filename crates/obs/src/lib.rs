@@ -20,9 +20,12 @@
 //! * **Request tracing** — [`TraceContext`] / [`Span`] /
 //!   [`TraceBuilder`] describe one request as a tree of monotonic-clock
 //!   spans that propagates across threads and the serve crate's wire
-//!   protocol, and the [`FlightRecorder`] retains completed traces by a
-//!   tail-based policy (slowest-N per window, all errors, all audit
-//!   mismatches) for the `/traces` introspection endpoints.
+//!   protocol. A [`RequestTrace`] carries that tree and, for a sampled
+//!   decision, the SPRT's own [`DecisionTrace`], which
+//!   [`request_trace_to_json`] prints with the same [`trace_to_json`]
+//!   a [`TraceLog`] reader uses. The [`FlightRecorder`] retains completed
+//!   traces by a tail-based policy (slowest-N per window, all errors,
+//!   all audit mismatches) for the `/traces` introspection endpoints.
 //!
 //! The kernel cost *profiles* live in the core crate — see
 //! [`Session::kernel_profile`](uncertain_core::Session::kernel_profile) —
@@ -54,6 +57,8 @@
 #![warn(missing_debug_implementations)]
 
 mod flight;
+#[cfg(test)]
+mod json_check;
 mod metrics;
 mod prom;
 mod span;
@@ -62,7 +67,7 @@ mod trace;
 pub use flight::{request_trace_to_json, FlightConfig, FlightRecorder, FlightStats, RequestTrace};
 pub use metrics::{Counter, Gauge, HistogramSnapshot, LogHistogram};
 pub use prom::PromWriter;
-pub use span::{monotonic_ns, AttrValue, Span, SpanEvent, TraceBuilder, TraceContext};
+pub use span::{monotonic_ns, AttrValue, Span, TraceBuilder, TraceContext};
 pub use trace::{to_jsonl, trace_to_json, write_jsonl, TraceLog};
 
 // Re-export the core event types this crate's API speaks, so consumers

@@ -2,8 +2,8 @@
 //! per-request [`TraceBuilder`].
 //!
 //! A *trace* is one tree of spans describing everything that happened to
-//! a single request: admission, queue wait, plan compile, the SPRT (or
-//! exact-analysis) decision, per-chunk sampling. The context that names
+//! a single request: admission, queue wait, plan compile, and the
+//! decision or sampling that answered it. The context that names
 //! the tree — trace id, parent span id, sampling flag — is 17 bytes and
 //! travels with the request across threads and across the wire (see the
 //! serve crate's frame codec), so a `TcpTransport` client and the shard
@@ -119,7 +119,7 @@ impl TraceContext {
     }
 }
 
-/// A typed span/event attribute value.
+/// A typed span attribute value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// An unsigned integer (ids, counts, nanoseconds).
@@ -132,20 +132,8 @@ pub enum AttrValue {
     Str(String),
 }
 
-/// A point-in-time event inside a span — e.g. one SPRT batch boundary,
-/// carrying the samples/successes/LLR of the running test.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanEvent {
-    /// Event name (e.g. `"sprt_batch"`).
-    pub name: &'static str,
-    /// When it happened, [`monotonic_ns`] clock.
-    pub at_ns: u64,
-    /// Typed payload.
-    pub attrs: Vec<(&'static str, AttrValue)>,
-}
-
-/// One timed operation in a trace: a named interval with a parent link,
-/// typed attributes, and point events.
+/// One timed operation in a trace: a named interval with a parent link
+/// and typed attributes.
 ///
 /// Span ids are allocated sequentially per trace by [`TraceBuilder`]
 /// (root = 1), so a finished trace's tree structure can be checked by id
@@ -164,8 +152,6 @@ pub struct Span {
     pub end_ns: u64,
     /// Typed attributes.
     pub attrs: Vec<(&'static str, AttrValue)>,
-    /// Point events recorded inside the interval.
-    pub events: Vec<SpanEvent>,
 }
 
 impl Span {
@@ -226,7 +212,6 @@ impl TraceBuilder {
             start_ns,
             end_ns: 0,
             attrs: Vec::new(),
-            events: Vec::new(),
         });
         id
     }
@@ -247,13 +232,6 @@ impl TraceBuilder {
     pub fn attr(&mut self, id: u64, key: &'static str, value: AttrValue) {
         if let Some(s) = self.get_mut(id) {
             s.attrs.push((key, value));
-        }
-    }
-
-    /// Records a point event inside span `id`.
-    pub fn event(&mut self, id: u64, event: SpanEvent) {
-        if let Some(s) = self.get_mut(id) {
-            s.events.push(event);
         }
     }
 
@@ -314,14 +292,6 @@ mod tests {
         let child = b.start_at("queue", root, 5);
         b.end_at(child, 9);
         b.attr(root, "tenant", AttrValue::U64(3));
-        b.event(
-            root,
-            SpanEvent {
-                name: "mark",
-                at_ns: 7,
-                attrs: vec![("n", AttrValue::U64(1))],
-            },
-        );
         let spans = b.finish();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].id, 1);
@@ -329,7 +299,7 @@ mod tests {
         assert_eq!(spans[1].parent, 1);
         assert_eq!(spans[1].duration_ns(), 4);
         assert!(spans[0].end_ns >= spans[0].start_ns, "root auto-closed");
-        assert_eq!(spans[0].events.len(), 1);
+        assert_eq!(spans[0].attrs, vec![("tenant", AttrValue::U64(3))]);
     }
 
     #[test]

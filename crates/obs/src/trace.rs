@@ -1,7 +1,8 @@
 //! Decision-trace collection and JSON-lines export.
 //!
 //! [`TraceLog`] is the standard [`Recorder`]: a cheaply cloneable handle
-//! to a shared trace buffer. Install a clone on a [`Session`] with
+//! to a shared trace buffer. Install a clone on a
+//! [`Session`](uncertain_core::Session) with
 //! [`Session::install_recorder`](uncertain_core::Session::install_recorder)
 //! (or `Session::with_recorder`) and keep the other clone to read traces
 //! back after — or while — the session runs.
@@ -85,8 +86,10 @@ impl Recorder for TraceLog {
 }
 
 /// Writes a JSON number, keeping the output valid JSON even for the
-/// non-finite values f64 allows but JSON does not.
-fn push_f64(out: &mut String, v: f64) {
+/// non-finite values f64 allows but JSON does not. The `Debug` form
+/// round-trips, keeps a decimal point on integral values and writes an
+/// exponent for extremes (`1e300`, not 301 digits).
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v:?}");
     } else {
@@ -210,11 +213,8 @@ mod tests {
         assert!(json.contains(&format!("\"root\":{}", t.root.as_u64())));
         assert!(json.contains(&format!("\"samples\":{}", t.samples)));
         assert!(json.contains("\"stopping\":\"accepted\""));
-        // Balanced braces/brackets — a cheap well-formedness check.
-        let opens = json.matches('{').count();
-        assert_eq!(opens, json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(opens, 1 + t.batches.len());
+        crate::json_check::check(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(json.matches("{\"n\":").count(), t.batches.len());
     }
 
     #[test]
@@ -235,9 +235,10 @@ mod tests {
     #[test]
     fn non_finite_numbers_become_null() {
         let mut s = String::new();
-        push_f64(&mut s, f64::NAN);
-        s.push(',');
-        push_f64(&mut s, f64::INFINITY);
-        assert_eq!(s, "null,null");
+        for v in [f64::NAN, f64::INFINITY, 1.0, 1e300, -2.5e-7] {
+            push_f64(&mut s, v);
+            s.push(',');
+        }
+        assert_eq!(s, "null,null,1.0,1e300,-2.5e-7,");
     }
 }

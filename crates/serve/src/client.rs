@@ -238,7 +238,8 @@ impl ServeClient {
     }
 
     /// The paper's conditional: does the evidence support
-    /// `Pr[cond] > threshold`?
+    /// `Pr[cond] > threshold`? The same request as
+    /// [`ServeClient::evaluate`], keeping only the outcome's `accepted`.
     pub fn pr(
         &self,
         tenant: u64,
@@ -268,15 +269,12 @@ impl ServeClient {
         threshold: f64,
         strategy: EvalStrategy,
     ) -> Result<bool, ServeError> {
-        let kind = RequestKind::Pr {
+        let kind = RequestKind::Evaluate {
             cond: cond.clone(),
             threshold,
         };
-        self.submit(tenant, kind, None, Some(strategy), |r| match r {
-            Response::Decision(b) => b,
-            _ => unreachable!("pr requests yield decisions"),
-        })?
-        .wait()
+        self.submit(tenant, kind, None, Some(strategy), verdict)?
+            .wait()
     }
 
     /// Pipelined [`ServeClient::pr`].
@@ -287,14 +285,11 @@ impl ServeClient {
         threshold: f64,
         timeout: Option<Duration>,
     ) -> Result<Pending<bool>, ServeError> {
-        let kind = RequestKind::Pr {
+        let kind = RequestKind::Evaluate {
             cond: cond.clone(),
             threshold,
         };
-        self.submit(tenant, kind, timeout, None, |r| match r {
-            Response::Decision(b) => b,
-            _ => unreachable!("pr requests yield decisions"),
-        })
+        self.submit(tenant, kind, timeout, None, verdict)
     }
 
     /// Expected value of `expr` from `n` joint samples on `tenant`'s
@@ -443,5 +438,13 @@ impl ServeClient {
             map,
             trace_id: trace.map(|c| c.trace_id),
         })
+    }
+}
+
+/// The verdict of an evaluate reply: what the `pr` methods return.
+fn verdict(response: Response) -> bool {
+    match response {
+        Response::Outcome(o) => o.accepted,
+        _ => unreachable!("evaluate requests yield outcomes"),
     }
 }

@@ -85,9 +85,10 @@ pub use uncertain_core::ServeError;
 /// queue-wait / plan-compile / sampling phases of a request.
 pub use uncertain_obs::HistogramSnapshot;
 /// Re-exports: the tracing vocabulary requests and introspection speak —
-/// the wire-propagated [`TraceContext`], the retained [`RequestTrace`]
-/// span trees, and the flight recorder's policy/stats types.
-pub use uncertain_obs::{FlightConfig, FlightStats, RequestTrace, Span, SpanEvent, TraceContext};
+/// the wire-propagated [`TraceContext`], the retained [`RequestTrace`]s
+/// (a span tree plus the SPRT's record of a sampled decision), and the
+/// flight recorder's policy/stats types.
+pub use uncertain_obs::{FlightConfig, FlightStats, RequestTrace, Span, TraceContext};
 
 /// SplitMix64 finalizer: the same avalanche the core runtime uses for
 /// substream derivation, applied here to tenant ids and shard routing.

@@ -22,8 +22,8 @@
 //!   that has not sent its preamble, or after `GET ` its whole head,
 //!   within 2 s of accept is closed without a response.
 //! * **Binary** — reads are drained to `WouldBlock` into an incremental
-//!   [`FrameDecoder`](crate::wire::FrameDecoder) that tolerates arbitrary
-//!   partial reads; each complete frame is admitted through the same
+//!   [`FrameDecoder`] that tolerates arbitrary partial reads; each
+//!   complete frame is admitted through the same
 //!   [`ChannelTransport`] admission the in-process client uses, so queue
 //!   backpressure surfaces as [`ServeError::QueueFull`], deadlines are
 //!   anchored at admission, and per-tenant FIFO plus bitwise determinism
@@ -1065,10 +1065,6 @@ fn decode_request(body: &[u8], cache: &GraphCache) -> Result<Request, ServeError
             cond: cache.query_bool(&graph)?,
             threshold,
         },
-        WireBody::Pr { threshold, graph } => RequestKind::Pr {
-            cond: cache.query_bool(&graph)?,
-            threshold,
-        },
         WireBody::E { n, graph } => RequestKind::E {
             expr: cache.query_f64(&graph)?,
             n: usize::try_from(n)
@@ -1291,7 +1287,7 @@ mod tests {
             token,
             id,
         };
-        slot(3, 11).send(Reply::bare(Ok(Response::Decision(true))));
+        slot(3, 11).send(Reply::bare(Ok(Response::Mean(1.5))));
         drop(slot(7, 42));
         slot(9, 5).withdraw();
 
@@ -1305,7 +1301,7 @@ mod tests {
         assert_eq!(
             posted,
             [
-                (3, 11, Ok(Response::Decision(true))),
+                (3, 11, Ok(Response::Mean(1.5))),
                 (
                     7,
                     42,

@@ -14,7 +14,7 @@ use std::time::Instant;
 use uncertain_core::{
     Error, EvalConfig, EvalStrategy, HypothesisOutcome, ServeError, Session, Uncertain,
 };
-use uncertain_obs::{monotonic_ns, FlightRecorder, TraceContext, TraceLog};
+use uncertain_obs::{monotonic_ns, FlightRecorder, TraceContext};
 use uncertain_stats::{StatsError, Summary};
 
 use crate::client::ServeClient;
@@ -158,50 +158,41 @@ fn process(
         // `stats_with_provenance`) see the per-request override. Every
         // request sets it, so a previous override never leaks forward.
         session.set_config(eval);
-        // A `pr` is an `evaluate` that replies with the verdict alone.
-        let verdict_only = matches!(kind, RequestKind::Pr { .. });
         // The query indices a completed request of this kind consumes.
         let spent = match &kind {
-            RequestKind::Evaluate { .. } | RequestKind::Pr { .. } => 1,
+            RequestKind::Evaluate { .. } => 1,
             RequestKind::E { n, .. } | RequestKind::Stats { n, .. } => {
                 n.div_ceil(SAMPLE_CHUNK) as u64
             }
         };
         let work_started = Instant::now();
-        let work_started_ns = if tracer.is_some() { monotonic_ns() } else { 0 };
         let builds_before = session.plan_build_ns();
+        if let Some(tr) = tracer.as_mut() {
+            tr.executing(session);
+        }
         // User code runs inside (closures, `condition_on`'s rejection
         // budget), so a request may panic; the shard must outlive it.
-        let ran = panic::catch_unwind(AssertUnwindSafe(|| match kind {
-            RequestKind::Evaluate { cond, threshold } | RequestKind::Pr { cond, threshold } => {
-                let r = decide(
-                    session,
-                    &cond,
-                    threshold,
-                    &eval,
-                    deadline,
-                    stats,
-                    &mut tracer,
-                );
-                if let Some(tr) = tracer.as_mut() {
-                    maybe_audit(tr, tenant, &cond, threshold, config);
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let result = match &kind {
+                RequestKind::Evaluate { cond, threshold } => {
+                    decide(session, cond, *threshold, &eval, deadline, stats).map(Response::Outcome)
                 }
-                r.map(|o| {
-                    if verdict_only {
-                        Response::Decision(o.accepted)
-                    } else {
-                        Response::Outcome(o)
-                    }
-                })
+                RequestKind::E { expr, n } => {
+                    e_request(session, expr, *n, &eval, deadline, stats).map(Response::Mean)
+                }
+                RequestKind::Stats { expr, n } => {
+                    stats_request(session, expr, *n, &eval, deadline, stats).map(Response::Summary)
+                }
+            };
+            if let Some(tr) = tracer.as_mut() {
+                tr.executed(session, &result);
+                if let (RequestKind::Evaluate { cond, threshold }, Ok(Response::Outcome(o))) =
+                    (&kind, &result)
+                {
+                    maybe_audit(tr, tenant, cond, *threshold, o, config);
+                }
             }
-            RequestKind::E { expr, n } => {
-                e_request(session, &expr, n, &eval, deadline, stats, &mut tracer)
-                    .map(Response::Mean)
-            }
-            RequestKind::Stats { expr, n } => {
-                stats_request(session, &expr, n, &eval, deadline, stats, &mut tracer)
-                    .map(Response::Summary)
-            }
+            result
         }));
         // Split the request's execution time into its compile share
         // (the session counts compile nanoseconds monotonically; the delta
@@ -213,12 +204,9 @@ fn process(
         stats
             .sampling_ns
             .record(total_ns.saturating_sub(compile_ns));
-        if let Some(tr) = tracer.as_mut() {
-            tr.compile(work_started_ns, compile_ns);
-        }
         let panicked = ran.is_err();
         let result = ran.unwrap_or_else(|payload| {
-            // The trace recorder a traced decision installed goes too.
+            // The trace log a traced request installed goes too.
             session.take_recorder();
             Err(ServeError::Invalid(StatsError::new(format!(
                 "request panicked: {}",
@@ -265,9 +253,9 @@ fn maybe_audit(
     tenant: u64,
     cond: &Uncertain<bool>,
     threshold: f64,
+    outcome: &HypothesisOutcome,
     config: &ServeConfig,
 ) {
-    let Some(outcome) = tr.outcome else { return };
     if !outcome.provenance.is_exact() || config.audit_fraction <= 0.0 {
         return;
     }
@@ -322,38 +310,8 @@ fn decide(
     eval: &EvalConfig,
     deadline: Option<Instant>,
     stats: &ShardStats,
-    tracer: &mut Option<RequestTracer>,
 ) -> Result<HypothesisOutcome, ServeError> {
-    // Traced decisions temporarily install a TraceLog recorder so the
-    // SPRT's batch trajectory lands in the span as events. Recorders are
-    // proven not to perturb sample streams (the runtime draws the same
-    // batches with or without one), so the sampled values — and therefore
-    // the verdict — are bitwise identical tracing on or off. No other
-    // recorder can be present: the shard builds its session without one,
-    // and this is the only place that installs one, taking it back below
-    // (or in `process`, if the decision panicked).
-    let (started_ns, log) = match tracer {
-        Some(_) => {
-            let log = TraceLog::new();
-            session.install_recorder(Box::new(log.clone()));
-            (monotonic_ns(), Some(log))
-        }
-        None => (0, None),
-    };
-    let decided = session.try_evaluate_until(cond, threshold, eval, |_| !expired(deadline));
-    if let Some(log) = log {
-        session.take_recorder();
-        if let Some(tr) = tracer.as_mut() {
-            let traces = log.take();
-            tr.decide(
-                started_ns,
-                session.last_dispatch(),
-                traces.last(),
-                decided.as_ref().ok().and_then(|o| o.as_ref()),
-            );
-        }
-    }
-    match decided {
+    match session.try_evaluate_until(cond, threshold, eval, |_| !expired(deadline)) {
         Err(e) => Err(invalid(e)),
         Ok(None) => Err(ServeError::Timeout),
         Ok(Some(outcome)) => {
@@ -378,15 +336,10 @@ fn e_request(
     eval: &EvalConfig,
     deadline: Option<Instant>,
     stats: &ShardStats,
-    tracer: &mut Option<RequestTracer>,
 ) -> Result<f64, ServeError> {
     if eval.strategy != EvalStrategy::SamplingOnly && session.analyze_f64(expr).is_some() {
-        let started_ns = tracer.as_ref().map(|_| monotonic_ns());
         let mean = session.try_e(expr, n).map_err(invalid)?;
         stats.exact_decisions.inc();
-        if let Some(tr) = tracer.as_mut() {
-            tr.exact(started_ns.unwrap_or(0));
-        }
         return Ok(mean);
     }
     if eval.strategy == EvalStrategy::ExactOnly {
@@ -394,7 +347,7 @@ fn e_request(
             query: "e",
         })));
     }
-    chunked_samples(session, expr, n, deadline, tracer)
+    chunked_samples(session, expr, n, deadline)
         .map(|samples| samples.iter().sum::<f64>() / samples.len() as f64)
 }
 
@@ -407,17 +360,12 @@ fn stats_request(
     eval: &EvalConfig,
     deadline: Option<Instant>,
     stats: &ShardStats,
-    tracer: &mut Option<RequestTracer>,
 ) -> Result<Summary, ServeError> {
     if eval.strategy != EvalStrategy::SamplingOnly
         && session.analyze_f64(expr).is_some_and(|law| law.gaussian)
     {
-        let started_ns = tracer.as_ref().map(|_| monotonic_ns());
         let outcome = session.stats_with_provenance(expr, n).map_err(invalid)?;
         stats.exact_decisions.inc();
-        if let Some(tr) = tracer.as_mut() {
-            tr.exact(started_ns.unwrap_or(0));
-        }
         return Ok(outcome.summary);
     }
     if eval.strategy == EvalStrategy::ExactOnly {
@@ -425,7 +373,7 @@ fn stats_request(
             query: "stats",
         })));
     }
-    chunked_samples(session, expr, n, deadline, tracer)
+    chunked_samples(session, expr, n, deadline)
         .and_then(|samples| Summary::from_slice(&samples).map_err(ServeError::Invalid))
 }
 
@@ -438,23 +386,16 @@ fn chunked_samples(
     expr: &Uncertain<f64>,
     n: usize,
     deadline: Option<Instant>,
-    tracer: &mut Option<RequestTracer>,
 ) -> Result<Vec<f64>, ServeError> {
     let mut out = Vec::with_capacity(n);
     let mut remaining = n;
-    let mut chunk_index = 0u64;
     while remaining > 0 {
         if expired(deadline) {
             return Err(ServeError::Timeout);
         }
         let take = remaining.min(SAMPLE_CHUNK);
-        let started_ns = tracer.as_ref().map(|_| monotonic_ns());
         out.extend(session.samples(expr, take));
-        if let Some(tr) = tracer.as_mut() {
-            tr.chunk(started_ns.unwrap_or(0), chunk_index, take as u64);
-        }
         remaining -= take;
-        chunk_index += 1;
     }
     Ok(out)
 }

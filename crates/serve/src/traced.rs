@@ -1,42 +1,41 @@
 //! Server-side span assembly for traced requests.
 //!
 //! A [`RequestTracer`] rides the shard worker's stack for the lifetime
-//! of one sampled request and turns what the worker already knows —
-//! admission time, plan-compile nanoseconds, the SPRT's
-//! [`DecisionTrace`], chunk boundaries, the audit verdict — into the
-//! span taxonomy the flight recorder retains:
+//! of one sampled request, and the request functions never see it.
+//! Before execution it installs a [`TraceLog`] on the session and notes
+//! the counters the session keeps anyway (`plan_build_ns`,
+//! `joint_samples`, `exact_hits`); after, it turns their deltas into
+//! spans and keeps the SPRT's own [`DecisionTrace`] as the request's
+//! `decision`, the record a `TraceLog` reader sees in-process:
 //!
 //! ```text
-//! request                      admission → reply, tenant/kind/shard/status
-//! ├─ queue                     admission → dequeue
-//! ├─ compile                   plan-compile share (omitted on warm cache)
-//! ├─ decide                    SPRT or exact verdict; sprt_batch events
-//! │                            (dispatch = exact | kernel | closure)
-//! ├─ sample_chunk × k          e/stats sampling path, one per 4096-chunk
-//! ├─ exact                     e/stats analytic path (zero samples)
-//! └─ audit                     shadow-sample check of an exact verdict
+//! request          admission → reply; tenant/kind/shard/status
+//! ├─ queue         admission → dequeue
+//! ├─ compile       from the start of execution, as long as the
+//! │                plan_build_ns delta (omitted on a warm cache)
+//! ├─ decide        evaluate: from the end of compile to the result;
+//! │                samples, exact, dispatch, estimate/accepted/conclusive
+//! ├─ sample        e/stats: the same span without dispatch or outcome
+//! └─ audit         shadow-sample check of an exact verdict
+//! decision         the sampled decision's record, or none
 //! ```
 //!
-//! The tracer is plain owned data — building spans takes no locks; the
-//! one synchronized step is `FlightRecorder::offer` at the end. Nothing
-//! in this module runs for untraced requests.
+//! `samples` is the `joint_samples` delta, so a request that timed out
+//! reports the batches or chunks it completed, and `exact` says whether
+//! the analytic backend answered. The tracer is plain owned data —
+//! building spans takes no locks; the one synchronized step is
+//! `FlightRecorder::offer` at the end. Nothing in this module runs for
+//! untraced requests.
 
-use uncertain_core::{DecisionTrace, Dispatch, HypothesisOutcome, ServeError};
-use uncertain_obs::{monotonic_ns, AttrValue, RequestTrace, SpanEvent, TraceBuilder, TraceContext};
+use uncertain_core::{DecisionTrace, HypothesisOutcome, ServeError, Session};
+use uncertain_obs::{monotonic_ns, AttrValue, RequestTrace, TraceBuilder, TraceContext, TraceLog};
 
 use crate::transport::{RequestKind, Response};
-
-/// Cap on `sprt_batch` events copied into a `decide` span. A
-/// near-threshold decision can run thousands of batches; the trajectory
-/// head is where the boundaries and estimate settle, and the span notes
-/// how many batches were dropped.
-const MAX_BATCH_EVENTS: usize = 128;
 
 /// The stable span-attribute name of a request kind.
 pub(crate) fn kind_name(kind: &RequestKind) -> &'static str {
     match kind {
         RequestKind::Evaluate { .. } => "evaluate",
-        RequestKind::Pr { .. } => "pr",
         RequestKind::E { .. } => "e",
         RequestKind::Stats { .. } => "stats",
     }
@@ -56,6 +55,16 @@ pub(crate) fn status_of(result: &Result<Response, ServeError>) -> &'static str {
     }
 }
 
+/// When a traced request began executing, and the session's counters
+/// then.
+#[derive(Default)]
+struct Before {
+    at_ns: u64,
+    plan_build_ns: u64,
+    joint_samples: u64,
+    exact_hits: u64,
+}
+
 /// Builds one traced request's span tree on the shard worker's stack.
 pub(crate) struct RequestTracer {
     b: TraceBuilder,
@@ -63,9 +72,9 @@ pub(crate) struct RequestTracer {
     tenant: u64,
     kind: &'static str,
     started_ns: u64,
-    /// The decision outcome, stashed so the audit step can inspect the
-    /// provenance/verdict after `kind` has been consumed.
-    pub(crate) outcome: Option<HypothesisOutcome>,
+    before: Before,
+    log: TraceLog,
+    decision: Option<DecisionTrace>,
     exact: bool,
     audit_mismatch: bool,
 }
@@ -95,7 +104,9 @@ impl RequestTracer {
             tenant,
             kind,
             started_ns: admitted,
-            outcome: None,
+            before: Before::default(),
+            log: TraceLog::new(),
+            decision: None,
             exact: false,
             audit_mismatch: false,
         }
@@ -106,91 +117,64 @@ impl RequestTracer {
         self.b.trace_id()
     }
 
-    /// Synthesizes the `compile` span from the session's monotonic
-    /// plan-compile counter delta. Compilation happens at the front of
-    /// the execution phase (the executor is built before sampling), so
-    /// the span is anchored at the phase start. No span on a warm cache.
-    pub(crate) fn compile(&mut self, work_start_ns: u64, compile_ns: u64) {
-        if compile_ns == 0 {
-            return;
-        }
-        let s = self.b.start_at("compile", self.root, work_start_ns);
-        self.b.end_at(s, work_start_ns.saturating_add(compile_ns));
+    /// Called just before the request executes: installs the trace log
+    /// and notes the session's counters. A recorder never perturbs the
+    /// sample stream (the runtime draws the same batches with or without
+    /// one), so the request computes bitwise what it would untraced. No
+    /// other recorder can be present: the shard builds its session
+    /// without one, and [`RequestTracer::executed`] (or `process`, after
+    /// a panic) takes this one back.
+    pub(crate) fn executing(&mut self, session: &mut Session) {
+        session.install_recorder(Box::new(self.log.clone()));
+        self.before = Before {
+            at_ns: monotonic_ns(),
+            plan_build_ns: session.plan_build_ns(),
+            joint_samples: session.joint_samples(),
+            exact_hits: session.exact_hits(),
+        };
     }
 
-    /// Records the `decide` span of an evaluate/pr request: dispatch
-    /// backend, outcome attributes, and the SPRT trajectory as
-    /// `sprt_batch` events. Batch *order and content* come verbatim from
-    /// the [`DecisionTrace`] the stopping rule emitted; batch
-    /// *timestamps* are interpolated evenly across the measured SPRT
-    /// wall time (the trace records no per-batch clock).
-    pub(crate) fn decide(
+    /// Called once the request has executed: records the `compile` span
+    /// and the `decide` or `sample` span from the session's counter
+    /// deltas, then takes the log off the session and keeps its record.
+    pub(crate) fn executed(
         &mut self,
-        started_ns: u64,
-        dispatch: Option<Dispatch>,
-        trace: Option<&DecisionTrace>,
-        outcome: Option<&HypothesisOutcome>,
+        session: &mut Session,
+        result: &Result<Response, ServeError>,
     ) {
-        let s = self.b.start_at("decide", self.root, started_ns);
-        if let Some(d) = dispatch {
-            self.b
-                .attr(s, "dispatch", AttrValue::Str(d.as_str().into()));
+        let end_ns = monotonic_ns();
+        let compile_ns = session.plan_build_ns() - self.before.plan_build_ns;
+        let compiled_ns = self.before.at_ns.saturating_add(compile_ns).min(end_ns);
+        if compile_ns > 0 {
+            let s = self.b.start_at("compile", self.root, self.before.at_ns);
+            self.b.end_at(s, compiled_ns);
         }
-        if let Some(o) = outcome {
-            self.outcome = Some(*o);
-            self.exact |= o.provenance.is_exact();
-            self.b.attr(s, "samples", AttrValue::U64(o.samples as u64));
+        let decides = self.kind == "evaluate";
+        let s = self.b.start_at(
+            if decides { "decide" } else { "sample" },
+            self.root,
+            compiled_ns,
+        );
+        let samples = session.joint_samples() - self.before.joint_samples;
+        self.b.attr(s, "samples", AttrValue::U64(samples));
+        self.exact = session.exact_hits() != self.before.exact_hits;
+        self.b.attr(s, "exact", AttrValue::Bool(self.exact));
+        // A decision that failed validation never dispatched; the session
+        // still names the backend of an earlier one.
+        if decides && !matches!(result, Err(ServeError::Invalid(_))) {
+            if let Some(d) = session.last_dispatch() {
+                self.b
+                    .attr(s, "dispatch", AttrValue::Str(d.as_str().into()));
+            }
+        }
+        if let Ok(Response::Outcome(o)) = result {
             self.b.attr(s, "estimate", AttrValue::F64(o.estimate));
             self.b.attr(s, "accepted", AttrValue::Bool(o.accepted));
             self.b.attr(s, "conclusive", AttrValue::Bool(o.conclusive));
         }
-        let end_ns = monotonic_ns().max(started_ns);
-        if let Some(t) = trace {
-            self.b
-                .attr(s, "stopping", AttrValue::Str(t.stopping.as_str().into()));
-            let total = t.batches.len();
-            let span_ns = end_ns - started_ns;
-            for (i, p) in t.batches.iter().take(MAX_BATCH_EVENTS).enumerate() {
-                let at_ns =
-                    started_ns + span_ns.saturating_mul(i as u64 + 1) / (total.max(1) as u64);
-                self.b.event(
-                    s,
-                    SpanEvent {
-                        name: "sprt_batch",
-                        at_ns,
-                        attrs: vec![
-                            ("samples", AttrValue::U64(p.samples as u64)),
-                            ("successes", AttrValue::U64(p.successes)),
-                            ("llr", AttrValue::F64(p.llr)),
-                        ],
-                    },
-                );
-            }
-            if total > MAX_BATCH_EVENTS {
-                self.b.attr(
-                    s,
-                    "batches_dropped",
-                    AttrValue::U64((total - MAX_BATCH_EVENTS) as u64),
-                );
-            }
-        }
         self.b.end_at(s, end_ns);
-    }
-
-    /// Records the `exact` span of an `e`/`stats` request answered by
-    /// the analytic backend with zero samples.
-    pub(crate) fn exact(&mut self, started_ns: u64) {
-        self.exact = true;
-        let s = self.b.start_at("exact", self.root, started_ns);
-        self.b.end(s);
-    }
-
-    /// Records one `sample_chunk` span of the chunked `e`/`stats` path.
-    pub(crate) fn chunk(&mut self, started_ns: u64, index: u64, samples: u64) {
-        let s = self.b.start_at("sample_chunk", self.root, started_ns);
-        self.b.attr(s, "chunk", AttrValue::U64(index));
-        self.b.attr(s, "samples", AttrValue::U64(samples));
-        self.b.end(s);
+        session.take_recorder();
+        self.decision = self.log.take().pop();
     }
 
     /// Records the `audit` span: an exact verdict was re-decided by a
@@ -229,6 +213,7 @@ impl RequestTracer {
             .map(|root| root.end_ns.saturating_sub(root.start_ns))
             .unwrap_or(0);
         out.spans = spans;
+        out.decision = self.decision;
         out
     }
 }
@@ -236,26 +221,60 @@ impl RequestTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uncertain_core::Uncertain;
 
     #[test]
     fn taxonomy_builds_a_connected_tree() {
         let ctx = TraceContext::root();
-        let t0 = monotonic_ns();
-        let mut tr = RequestTracer::begin(ctx.child(5), 42, "evaluate", 1, t0);
-        tr.compile(t0, 1_000);
-        tr.decide(t0, Some(Dispatch::Kernel), None, None);
-        let trace = tr.finish(&Ok(Response::Decision(true)));
+        let mut session = Session::seeded(7);
+        let x = Uncertain::normal(0.0, 1.0).unwrap();
+        let cond = (&x + &x).gt(0.3);
+        let mut tr = RequestTracer::begin(ctx.child(5), 42, "evaluate", 1, monotonic_ns());
+        tr.executing(&mut session);
+        let outcome = session.evaluate(&cond, 0.5);
+        let result = Ok(Response::Outcome(outcome));
+        tr.executed(&mut session, &result);
+        assert!(session.take_recorder().is_none(), "the log came back off");
+        let trace = tr.finish(&result);
         assert_eq!(trace.trace_id, ctx.trace_id);
         assert_eq!(trace.tenant, 42);
         assert_eq!(trace.status, "ok");
-        assert!(!trace.error);
+        assert!(!trace.error && !trace.exact);
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["request", "queue", "compile", "decide"]);
+        assert_eq!(trace.spans[3].start_ns, trace.spans[2].end_ns);
+        assert!(trace.spans[3]
+            .attrs
+            .contains(&("samples", AttrValue::U64(outcome.samples as u64))));
+        let decision = trace.decision.expect("a sampled decision keeps its record");
+        assert_eq!(decision.samples, outcome.samples);
+        assert_eq!(decision.root, cond.id());
         // The root nests under the wire parent; everything else under it.
         assert_eq!(trace.spans[0].parent, 5);
         for s in &trace.spans[1..] {
             assert_eq!(s.parent, trace.spans[0].id);
         }
+
+        // A decision that fails validation draws nothing, and its span
+        // names no backend although the session still holds the last one.
+        let mut tr = RequestTracer::begin(ctx, 42, "evaluate", 1, monotonic_ns());
+        tr.executing(&mut session);
+        let config = *session.config();
+        let err = session.try_evaluate_until(&cond, 1.5, &config, |_| true);
+        assert!(err.is_err() && session.last_dispatch().is_some());
+        let result = Err(ServeError::Invalid(uncertain_stats::StatsError::new("θ")));
+        tr.executed(&mut session, &result);
+        let trace = tr.finish(&result);
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["request", "queue", "decide"]);
+        assert_eq!(
+            trace.spans[2].attrs,
+            vec![
+                ("samples", AttrValue::U64(0)),
+                ("exact", AttrValue::Bool(false))
+            ]
+        );
+        assert!(trace.decision.is_none());
     }
 
     #[test]
@@ -266,38 +285,5 @@ mod tests {
         assert!(trace.error);
         assert_eq!(status_of(&Err(ServeError::QueueFull)), "queue_full");
         assert_eq!(status_of(&Ok(Response::Mean(0.0))), "ok");
-    }
-
-    #[test]
-    fn batch_events_are_capped_not_unbounded() {
-        use uncertain_core::{StoppingReason, TracePoint};
-        let batches: Vec<TracePoint> = (1..=500)
-            .map(|i| TracePoint {
-                samples: i * 64,
-                successes: (i * 32) as u64,
-                llr: 0.0,
-            })
-            .collect();
-        let dtrace = DecisionTrace {
-            root: uncertain_core::Uncertain::bernoulli(0.5).unwrap().id(),
-            threshold: 0.5,
-            upper: 1.0,
-            lower: -1.0,
-            batches,
-            samples: 32_000,
-            successes: 16_000,
-            estimate: 0.5,
-            stopping: StoppingReason::BudgetCapped,
-            elapsed: std::time::Duration::from_millis(1),
-        };
-        let mut tr = RequestTracer::begin(TraceContext::root(), 1, "pr", 0, 0);
-        tr.decide(monotonic_ns(), Some(Dispatch::Closure), Some(&dtrace), None);
-        let trace = tr.finish(&Ok(Response::Decision(false)));
-        let decide = trace.spans.iter().find(|s| s.name == "decide").unwrap();
-        assert_eq!(decide.events.len(), MAX_BATCH_EVENTS);
-        assert!(decide
-            .attrs
-            .iter()
-            .any(|(k, v)| *k == "batches_dropped" && *v == AttrValue::U64(372)));
     }
 }

@@ -39,15 +39,9 @@ use crate::shard_of;
 #[derive(Clone)]
 #[non_exhaustive]
 pub enum RequestKind {
-    /// Full SPRT verdict for `Pr[cond] > threshold`.
+    /// Full SPRT verdict for `Pr[cond] > threshold`. The client's `pr`
+    /// sends this too and keeps the outcome's `accepted`.
     Evaluate {
-        /// The conditional under test.
-        cond: Uncertain<bool>,
-        /// The probability threshold θ.
-        threshold: f64,
-    },
-    /// Boolean form of the same decision (the paper's conditional).
-    Pr {
         /// The conditional under test.
         cond: Uncertain<bool>,
         /// The probability threshold θ.
@@ -76,8 +70,6 @@ pub enum RequestKind {
 pub enum Response {
     /// Reply to [`RequestKind::Evaluate`].
     Outcome(HypothesisOutcome),
-    /// Reply to [`RequestKind::Pr`].
-    Decision(bool),
     /// Reply to [`RequestKind::E`].
     Mean(f64),
     /// Reply to [`RequestKind::Stats`].

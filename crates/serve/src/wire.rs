@@ -15,8 +15,8 @@
 //! [trace: u8]              0 none | bit0 context follows, bit1 sampled
 //!   [trace_id: u64]        present iff bit0 — the trace this request joins
 //!   [parent_span: u64]     present iff bit0 — caller span to nest under
-//! [kind: u8]               1 Evaluate | 2 Pr | 3 E | 4 Stats
-//! [threshold: f64]         kinds 1–2
+//! [kind: u8]               1 Evaluate | 3 E | 4 Stats
+//! [threshold: f64]         kind 1
 //! [n: u64]                 kinds 3–4
 //! [graph bytes]            a `WireGraph` encoding, to end of payload
 //! ```
@@ -267,8 +267,9 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 // Requests
 // ---------------------------------------------------------------------------
 
+// Kind 2 stays unassigned: the client's `pr` sends kind 1, and a frame
+// that still asks for a bare verdict is rejected as malformed, not misread.
 const KIND_EVALUATE: u8 = 1;
-const KIND_PR: u8 = 2;
 const KIND_E: u8 = 3;
 const KIND_STATS: u8 = 4;
 
@@ -355,7 +356,6 @@ fn decode_strategy(byte: u8) -> Result<Option<EvalStrategy>, WireError> {
 
 pub(crate) enum WireBody {
     Evaluate { threshold: f64, graph: Vec<u8> },
-    Pr { threshold: f64, graph: Vec<u8> },
     E { n: u64, graph: Vec<u8> },
     Stats { n: u64, graph: Vec<u8> },
 }
@@ -382,11 +382,6 @@ pub fn encode_request(id: u64, request: &Request) -> Result<Vec<u8>, ServeError>
     match &request.kind {
         RequestKind::Evaluate { cond, threshold } => {
             out.push(KIND_EVALUATE);
-            out.extend_from_slice(&threshold.to_le_bytes());
-            out.extend_from_slice(&WireGraph::from_bool(cond)?.to_bytes());
-        }
-        RequestKind::Pr { cond, threshold } => {
-            out.push(KIND_PR);
             out.extend_from_slice(&threshold.to_le_bytes());
             out.extend_from_slice(&WireGraph::from_bool(cond)?.to_bytes());
         }
@@ -430,10 +425,6 @@ pub(crate) fn decode_request_body(bytes: &[u8]) -> Result<WireRequest, WireError
             threshold: r.f64()?,
             graph: r.rest().to_vec(),
         },
-        KIND_PR => WireBody::Pr {
-            threshold: r.f64()?,
-            graph: r.rest().to_vec(),
-        },
         KIND_E => WireBody::E {
             n: r.u64()?,
             graph: r.rest().to_vec(),
@@ -471,8 +462,8 @@ const STATUS_WIRE_TRUNCATED: u8 = 6;
 const STATUS_WIRE_MALFORMED: u8 = 7;
 const STATUS_TRANSPORT: u8 = 8;
 
+// Payload kind 2, a bare verdict, stays unassigned with request kind 2.
 const OK_OUTCOME: u8 = 1;
-const OK_DECISION: u8 = 2;
 const OK_MEAN: u8 = 3;
 const OK_SUMMARY: u8 = 4;
 
@@ -547,11 +538,6 @@ pub(crate) fn encode_response(
             out.extend_from_slice(&(o.samples as u64).to_le_bytes());
             out.extend_from_slice(&o.estimate.to_le_bytes());
             out.push(encode_provenance(o.provenance));
-        }
-        Ok(Response::Decision(b)) => {
-            out.push(STATUS_OK);
-            out.push(OK_DECISION);
-            out.push(*b as u8);
         }
         Ok(Response::Mean(m)) => {
             out.push(STATUS_OK);
@@ -663,7 +649,6 @@ fn decode_ok(r: &mut Reader<'_>) -> Result<Response, WireError> {
                 provenance,
             }))
         }
-        OK_DECISION => Ok(Response::Decision(decode_bool(r.u8()?)?)),
         OK_MEAN => Ok(Response::Mean(r.f64()?)),
         OK_SUMMARY => {
             let mean = r.f64()?;
@@ -728,10 +713,6 @@ mod tests {
         assert_eq!(
             roundtrip_response(Ok(Response::Outcome(outcome))),
             Ok(Response::Outcome(outcome))
-        );
-        assert_eq!(
-            roundtrip_response(Ok(Response::Decision(true))),
-            Ok(Response::Decision(true))
         );
         let mean = std::f64::consts::PI;
         match roundtrip_response(Ok(Response::Mean(mean))) {
@@ -800,7 +781,7 @@ mod tests {
         ] {
             let request = Request {
                 tenant: 3,
-                kind: RequestKind::Pr {
+                kind: RequestKind::Evaluate {
                     cond: Uncertain::bernoulli(0.5).unwrap(),
                     threshold: 0.5,
                 },
@@ -878,7 +859,7 @@ mod tests {
         ] {
             let request = Request {
                 tenant: 9,
-                kind: RequestKind::Pr {
+                kind: RequestKind::Evaluate {
                     cond: Uncertain::bernoulli(0.5).unwrap(),
                     threshold: 0.5,
                 },
@@ -894,11 +875,11 @@ mod tests {
 
     #[test]
     fn trace_echo_roundtrips_the_response() {
-        let bytes = encode_response(4, &Ok(Response::Decision(true)), Some(0x1234_5678));
+        let bytes = encode_response(4, &Ok(Response::Mean(1.5)), Some(0x1234_5678));
         let (id, echo, decoded) = decode_response(&bytes).expect("well-formed");
         assert_eq!(id, 4);
         assert_eq!(echo, Some(0x1234_5678));
-        assert_eq!(decoded, Ok(Response::Decision(true)));
+        assert_eq!(decoded, Ok(Response::Mean(1.5)));
     }
 
     #[test]
@@ -907,7 +888,7 @@ mod tests {
         // (offset: id 8 + tenant 8 + deadline 8 + strategy 1 = byte 25).
         let request = Request {
             tenant: 1,
-            kind: RequestKind::Pr {
+            kind: RequestKind::Evaluate {
                 cond: Uncertain::bernoulli(0.5).unwrap(),
                 threshold: 0.5,
             },
@@ -930,7 +911,7 @@ mod tests {
         payload[25] = TRACE_SAMPLED;
         assert!(decode_request_body(&payload[8..]).is_err());
         // And a bad response echo byte is malformed too.
-        let mut reply = encode_response(0, &Ok(Response::Decision(false)), Some(3));
+        let mut reply = encode_response(0, &Ok(Response::Mean(0.0)), Some(3));
         reply[8] = 9;
         assert!(matches!(
             decode_response(&reply),

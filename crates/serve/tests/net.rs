@@ -123,24 +123,38 @@ fn malformed_frames_get_error_replies_and_the_service_survives() {
     assert_eq!(reply[8], 0, "error replies echo no trace id");
     assert_ne!(reply[9], 0, "garbage must not decode to a success");
 
-    // A hand-assembled valid Pr request on the same connection.
+    // A hand-assembled request on the same connection: kind 2, which no
+    // longer exists, gets a correlated malformed-frame reply; the same
+    // frame as kind 1 (Evaluate) succeeds.
     let cond = Uncertain::bernoulli(0.9).unwrap();
-    let mut valid = Vec::new();
-    valid.extend_from_slice(&43u64.to_le_bytes()); // id
-    valid.extend_from_slice(&1u64.to_le_bytes()); // tenant
-    valid.extend_from_slice(&0u64.to_le_bytes()); // no deadline
-    valid.push(0); // strategy: inherit
-    valid.push(0); // trace: none
-    valid.push(2); // kind: Pr
-    valid.extend_from_slice(&0.5f64.to_le_bytes()); // threshold
-    valid.extend_from_slice(&WireGraph::from_bool(&cond).unwrap().to_bytes());
-    send_frame(&mut stream, &valid);
+    let frame = |id: u64, kind: u8| {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&id.to_le_bytes());
+        frame.extend_from_slice(&1u64.to_le_bytes()); // tenant
+        frame.extend_from_slice(&0u64.to_le_bytes()); // no deadline
+        frame.push(0); // strategy: inherit
+        frame.push(0); // trace: none
+        frame.push(kind);
+        frame.extend_from_slice(&0.5f64.to_le_bytes()); // threshold
+        frame.extend_from_slice(&WireGraph::from_bool(&cond).unwrap().to_bytes());
+        frame
+    };
+    send_frame(&mut stream, &frame(43, 2));
+    let (id, _, result) =
+        uncertain_serve::wire::decode_response(&recv_frame(&mut stream)).expect("a reply");
+    assert_eq!(id, 43);
+    assert!(
+        matches!(result, Err(ServeError::Wire(WireError::Malformed(_)))),
+        "{result:?}"
+    );
+    send_frame(&mut stream, &frame(44, 1));
     let reply = recv_frame(&mut stream);
-    assert_eq!(u64::from_le_bytes(reply[..8].try_into().unwrap()), 43);
+    assert_eq!(u64::from_le_bytes(reply[..8].try_into().unwrap()), 44);
     assert_eq!(reply[8], 0, "untraced replies carry no trace echo");
     assert_eq!(reply[9], 0, "valid request must succeed");
-    assert_eq!(reply[10], 2, "Pr replies are decisions");
-    assert_eq!(reply[11], 1, "Pr[bernoulli(0.9)] > 0.5 holds");
+    assert_eq!(reply[10], 1, "Evaluate replies are outcomes");
+    // After the 8-byte threshold comes the verdict.
+    assert_eq!(reply[19], 1, "Pr[bernoulli(0.9)] > 0.5 holds");
     drop(stream);
 
     // A frame that claims more bytes than it delivers: the server closes

@@ -9,8 +9,11 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use uncertain_core::{EvalConfig, EvalStrategy, Provenance, Uncertain};
-use uncertain_obs::AttrValue;
-use uncertain_serve::{ServeClient, ServeConfig, ServeError, Service};
+use uncertain_obs::{trace_to_json, AttrValue};
+use uncertain_serve::{
+    Request, RequestKind, RequestTrace, Response, ServeClient, ServeConfig, ServeError, Service,
+    TcpTransport, TraceContext, Transport,
+};
 
 /// A network with shared sub-expressions and enough variety that traced
 /// requests exercise compile + SPRT sampling.
@@ -31,6 +34,15 @@ fn expr() -> Uncertain<f64> {
     let x = Uncertain::normal(3.0, 1.0).unwrap();
     let r = Uncertain::rayleigh(2.0).unwrap();
     (&x * &x + r).sqrt()
+}
+
+/// The value of attribute `key` on `trace`'s span `name`.
+fn span_attr(trace: &RequestTrace, name: &str, key: &str) -> Option<AttrValue> {
+    let span = trace.spans.iter().find(|s| s.name == name)?;
+    span.attrs
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v.clone())
 }
 
 /// One bounded HTTP GET against the service's port, returning the raw
@@ -66,6 +78,7 @@ fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
         .map(|tenant| evidence_below(4.0 + tenant as f64 / 8.0))
         .collect();
     let mut traced_ids = Vec::new();
+    let mut outcomes = Vec::new();
     let mut repeat_ids = Vec::new();
     for round in 0..2 {
         for tenant in 0..TENANTS {
@@ -76,6 +89,7 @@ fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
             let id = echoed.expect("traced replies echo the trace id");
             if round == 0 {
                 traced_ids.push((tenant, id));
+                outcomes.push(outcome);
             } else {
                 repeat_ids.push(id);
             }
@@ -122,11 +136,18 @@ fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
             "a network's first request compiles it: {names:?}"
         );
         assert!(names.contains(&"decide"), "decide span missing: {names:?}");
-        let decide = trace.spans.iter().find(|s| s.name == "decide").unwrap();
-        assert!(
-            decide.events.iter().any(|e| e.name == "sprt_batch"),
-            "the SPRT trajectory must land as events"
+        // The SPRT's own record of the decision rides along, whole.
+        let decision = trace.decision.as_ref().expect("a sampled decision");
+        assert_eq!(decision.samples, outcomes[tenant as usize].samples);
+        assert_eq!(
+            decision.batches.last().map(|b| b.samples),
+            Some(decision.samples)
         );
+        assert!(
+            body.contains("\"decision\":{\"root\":"),
+            "the record is served as trace_to_json prints it: {body:.200}"
+        );
+        assert!(body.contains(&format!("\"decision\":{}}}", trace_to_json(decision))));
     }
 
     // The second round repeats each network: the decoded-graph cache hands
@@ -169,6 +190,92 @@ fn traced_tcp_requests_build_a_connected_span_tree_served_over_http() {
 
     listener.shutdown();
     service.shutdown();
+}
+
+#[test]
+fn traced_sample_requests_report_their_samples_and_backend() {
+    // The typed client traces only `evaluate`, so these go through the
+    // transport with a sampled context, as a remote caller's would.
+    let config = ServeConfig::builder()
+        .shards(1)
+        .seed(5)
+        .bind_addr("127.0.0.1:0")
+        .build()
+        .expect("valid config");
+    let service = Service::start(config.clone());
+    let twin = Service::start(config);
+    let listener = service.listen().expect("listen");
+    let tcp = TcpTransport::connect(listener.local_addr()).expect("connect");
+    let traced = |kind: RequestKind, strategy: Option<EvalStrategy>| {
+        let reply = tcp
+            .submit(Request {
+                tenant: 2,
+                kind,
+                timeout: None,
+                strategy,
+                trace: Some(TraceContext::root()),
+            })
+            .expect("admitted")
+            .recv()
+            .expect("a reply");
+        let id = reply.trace_id.expect("traced replies echo the trace id");
+        let trace = service.trace(id).expect("a window's first traces are kept");
+        (reply.result.expect("answered"), trace)
+    };
+
+    // 5 000 samples are two chunks on the kernel: one `sample` span
+    // counts them all, and no decision record exists.
+    let (reply, trace) = traced(
+        RequestKind::E {
+            expr: expr(),
+            n: 5000,
+        },
+        None,
+    );
+    let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+    assert_eq!(names, ["request", "queue", "compile", "sample"]);
+    assert_eq!(
+        span_attr(&trace, "sample", "samples"),
+        Some(AttrValue::U64(5000))
+    );
+    assert_eq!(
+        span_attr(&trace, "sample", "exact"),
+        Some(AttrValue::Bool(false))
+    );
+    assert!(!trace.exact && trace.decision.is_none());
+    let Response::Mean(mean) = reply else {
+        panic!("{reply:?}")
+    };
+    let plain = twin.client().e(2, &expr(), 5000).expect("untraced e");
+    assert_eq!(mean.to_bits(), plain.to_bits(), "tracing changed a mean");
+
+    // A linear-Gaussian network under `Auto` is answered in closed form.
+    let gaussian = &Uncertain::normal(1.0, 2.0).unwrap() + &Uncertain::normal(0.5, 1.0).unwrap();
+    for kind in [
+        RequestKind::E {
+            expr: gaussian.clone(),
+            n: 100,
+        },
+        RequestKind::Stats {
+            expr: gaussian.clone(),
+            n: 100,
+        },
+    ] {
+        let (_, trace) = traced(kind, Some(EvalStrategy::Auto));
+        assert_eq!(
+            span_attr(&trace, "sample", "samples"),
+            Some(AttrValue::U64(0))
+        );
+        assert_eq!(
+            span_attr(&trace, "sample", "exact"),
+            Some(AttrValue::Bool(true))
+        );
+        assert!(trace.exact, "{:?}", trace.kind);
+    }
+
+    listener.shutdown();
+    service.shutdown();
+    twin.shutdown();
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper (§4.3) notes Wald's SPRT has an unbounded worst case and
 //! anticipates "adapting the considerable body of work on group sequential
-//! methods [17], widely used in medical clinical trials, which provide
+//! methods \[17\], widely used in medical clinical trials, which provide
 //! 'closed' sequential hypothesis tests with guaranteed upper bounds on the
 //! sample size." This module implements that extension: a Pocock-style
 //! design with `K` interim analyses and a constant nominal z-boundary.
